@@ -7,6 +7,14 @@ would make them attractive, but the statistical layers tolerate the rare
 borderline misclassification. Degenerate inputs (all points equal,
 collinear, or coplanar) come back as lower-dimensional polytopes instead
 of raising.
+
+The R^3 hull keeps its facets in numpy arrays (``_FacetStore``): index
+triples, facet planes and an alive mask, grown in place. An insertion
+finds its visible facets with one matrix-vector product and cones the
+whole horizon in one batched cross product; each round measures all
+outside points against all facets with one matrix product.
+``intrinsic_volumes_3d`` pairs the two facets of every edge by sorting
+edge keys, so the dihedral angles come from batched array operations.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ def geom_eps(points: np.ndarray) -> float:
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return 0.0
-    diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    cols = np.ascontiguousarray(pts.T)  # per-coordinate extremes, contiguous
+    diag = float(np.linalg.norm(cols.max(axis=-1) - cols.min(axis=-1)))
     return 1e-9 * diag
 
 
@@ -202,16 +211,34 @@ def _seed_directions() -> np.ndarray:
     return _SEED_DIRS_3D
 
 
-def _lex_extreme(pts: np.ndarray, direction: np.ndarray, eps: float) -> int:
-    """Index of the extreme point in ``direction``, lexicographic max among
-    near-ties, so the pick is always a true vertex."""
-    proj = pts @ direction
-    cand = np.flatnonzero(proj >= proj.max() - eps)
-    if len(cand) == 1:
-        return int(cand[0])
+def _lex_sorted(pts: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """``cand`` ordered lexicographically by point, equal points by index."""
     sub = pts[cand]
-    order = np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))
-    return int(cand[order[-1]])
+    return cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))]
+
+
+def _lex_min(pts: np.ndarray) -> int:
+    """First index of the lexicographically smallest point: an argmin on x
+    with a tie-break, not a full lexsort."""
+    x = pts[:, 0]
+    return int(_lex_sorted(pts, np.flatnonzero(x == x.min()))[0])
+
+
+def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
+    """Extreme point index in each seed direction, from one (32, 3) @ (3, n)
+    product (``cols`` is pts transposed). Near-ties within eps of a
+    direction's maximum go to the lexicographic max, so every pick is a
+    true vertex."""
+    proj = _seed_directions() @ cols
+    dirs = np.arange(len(proj))
+    picks = np.argmax(proj, axis=1)
+    top = proj[dirs, picks]
+    proj[dirs, picks] = -np.inf
+    tied = proj.max(axis=1) >= top - eps  # a second point within eps of the top
+    proj[dirs, picks] = top
+    for k in np.flatnonzero(tied):
+        picks[k] = _lex_sorted(pts, np.flatnonzero(proj[k] >= top[k] - eps))[-1]
+    return picks
 
 
 def _planar_hull3d(pts: np.ndarray, origin, basis) -> Polytope:
@@ -221,13 +248,123 @@ def _planar_hull3d(pts: np.ndarray, origin, basis) -> Polytope:
     return Polytope(3, lifted, poly2.intrinsic_dim)
 
 
+_BLOCK = 2048  # point columns per distance block, sized to stay in cache
+_DEAD_PLANE = np.array([0.0, 0.0, 0.0, np.inf])
+_EDGES = np.array([[0, 1], [1, 2], [2, 0]])  # directed edges of a triangle
+
+
+class _FacetStore:
+    """Triangle facets of a growing hull, in arrays that grow in place.
+
+    Row k holds an index triple ``tri[k]``, an alive flag, and the facet
+    plane ``plane[k] = (unit outward normal, offset)``; the signed distance
+    of a point x is ``plane[k] @ (x, -1)``. A dead row has the plane
+    (0, 0, 0, inf): every distance to it is -inf, so it is never visible
+    and never the maximum. New facets reuse dead rows first.
+    """
+
+    def __init__(self, pts: np.ndarray, interior: np.ndarray, cap: int = 64):
+        # (x, y, z, x, y) rows: a cross product is two products of slices
+        self.ext = pts[:, [0, 1, 2, 0, 1]]
+        # homogeneous rows (x, y, z, -1): distances are plane @ hom[i]
+        self.hom = pts[:, [0, 1, 2, 0]]
+        self.hom[:, 3] = -1.0
+        # edge (u, v) has key u * n + v; its reverse, v * n + u
+        self.key = np.array([[len(pts), 1], [1, len(pts)]])
+        self.interior = interior
+        self.tri = np.zeros((cap, 3), dtype=np.int64)
+        self.plane = np.tile(_DEAD_PLANE, (cap, 1))
+        self.alive = np.zeros(cap, dtype=bool)
+        self.m = 0  # rows in use, dead or alive
+
+    def worst(self, q4: np.ndarray) -> np.ndarray:
+        """Largest signed distance over all facets for each column of a
+        (4, k) array of homogeneous points, in cache-sized column blocks."""
+        planes = self.plane[: self.m]
+        if q4.shape[1] <= _BLOCK:
+            return (planes @ q4).max(axis=0)
+        out = np.empty(q4.shape[1])
+        for lo in range(0, q4.shape[1], _BLOCK):
+            out[lo : lo + _BLOCK] = (planes @ q4[:, lo : lo + _BLOCK]).max(axis=0)
+        return out
+
+    def add(self, edges: np.ndarray, apex: int) -> None:
+        """Store the triangles (u, v, apex) for the rows (u, v) of edges in
+        one batch. A triangle whose unit normal points toward the interior
+        point is stored as (v, u, apex) with the normal negated; a
+        zero-area triangle gets a zero normal."""
+        c = self.ext[apex]
+        rel = self.ext[edges] - c
+        u, v = rel[:, 0], rel[:, 1]
+        n = u[:, 1:4] * v[:, 2:5] - u[:, 2:5] * v[:, 1:4]
+        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+        if nn.min() < 1e-300:
+            tiny = nn < 1e-300
+            nn[tiny] = 1.0
+            n[tiny] = 0.0
+        n /= nn[:, None]
+        off = n @ c[:3]
+        flip = n @ self.interior > off
+        if flip.any():
+            n[flip] *= -1.0
+            off[flip] *= -1.0
+            edges = np.where(flip[:, None], edges[:, ::-1], edges)
+
+        rows = np.flatnonzero(~self.alive[: self.m])[: len(edges)]
+        if len(rows) < len(edges):
+            top = self.m + len(edges) - len(rows)
+            if top > len(self.alive):
+                self._grow(top)
+            rows = np.concatenate([rows, np.arange(self.m, top)])
+            self.m = top
+        self.tri[rows, :2] = edges
+        self.tri[rows, 2] = apex
+        self.plane[rows, :3] = n
+        self.plane[rows, 3] = off
+        self.alive[rows] = True
+
+    def _grow(self, need: int) -> None:
+        extra = max(len(self.alive), need - len(self.alive))
+        self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
+        self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
+        self.alive = np.concatenate([self.alive, np.zeros(extra, dtype=bool)])
+
+    def insert(self, p: int, eps: float) -> None:
+        """Add point p: drop the facets it sees beyond eps and cone their
+        horizon to p. A horizon edge is a directed edge (u, v) of a visible
+        facet whose reverse belongs to no visible facet; the new facet
+        (u, v, p) keeps the mesh orientation."""
+        vis = np.flatnonzero(self.plane[: self.m] @ self.hom[p] > eps)
+        if len(vis) == 0:
+            return
+        edges = self.tri[vis[:, None, None], _EDGES].reshape(-1, 2)
+        fwd, back = (edges @ self.key).T
+        fwd.sort()
+        rim = edges[fwd.take(np.searchsorted(fwd, back), mode="clip") != back]
+        if np.any(fwd[1:] == fwd[:-1]):
+            # a directed edge in two visible facets: round-off has broken the
+            # mesh, so cone each rim edge once
+            rim = np.unique(rim, axis=0)
+        self.alive[vis] = False
+        self.plane[vis] = _DEAD_PLANE
+        self.add(rim, p)
+
+    def facets(self) -> np.ndarray:
+        return self.tri[: self.m][self.alive[: self.m]]
+
+
 def hull3d(points) -> Polytope:
     """Incremental convex hull in R^3 with outward-oriented triangle facets.
 
-    Seeds a tetrahedron from directional extremes, then inserts the
-    farthest outside point first, retriangulating across its horizon.
-    Coplanar, collinear, and single-point inputs degrade to planar,
-    segment, and point polytopes."""
+    Seeds a tetrahedron from extreme points, then inserts the extremes in
+    32 fixed directions, then repeatedly the remaining point farthest
+    outside the current hull, retriangulating across its horizon. Facets
+    live in a ``_FacetStore``: each insertion finds its visible facets
+    with one matrix-vector product and adds all horizon facets with one
+    batched cross product; each round measures every outside point
+    against every facet with one matrix product. Coplanar, collinear,
+    and single-point inputs degrade to planar, segment, and point
+    polytopes."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ParameterError("hull3d needs a nonempty (n, 3) array")
@@ -236,13 +373,13 @@ def hull3d(points) -> Polytope:
     eps = geom_eps(pts)
     if eps == 0.0:
         return Polytope(3, pts[:1].copy(), 0)
-    i0 = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))[0])
-    d0 = np.linalg.norm(pts - pts[i0], axis=1)
-    i1 = int(np.argmax(d0))
+    i0 = _lex_min(pts)
+    cols = np.ascontiguousarray(pts.T)  # per-point work runs along contiguous rows
+    rel = cols - cols[:, i0, None]
+    i1 = int(np.argmax(np.linalg.norm(rel, axis=0)))
     axis = pts[i1] - pts[i0]
     axis /= np.linalg.norm(axis)
-    cr = np.cross(pts - pts[i0], axis)
-    line_dist = np.linalg.norm(cr, axis=1)
+    line_dist = np.linalg.norm(np.cross(rel, axis, axisa=0, axisc=0), axis=0)
     i2 = int(np.argmax(line_dist))
     if line_dist[i2] <= eps:
         proj = pts @ axis
@@ -258,77 +395,37 @@ def hull3d(points) -> Polytope:
         v = np.cross(normal, u)
         return _planar_hull3d(pts, pts[i0], np.vstack([u, v]))
 
-    interior = pts[[i0, i1, i2, i3]].mean(axis=0)
-    tris: list[tuple[int, int, int]] = []
-
-    def add_facet(a, b, c):
-        n = np.cross(pts[b] - pts[a], pts[c] - pts[a])
-        nn = np.linalg.norm(n)
-        if nn < 1e-300:
-            n = np.array([0.0, 0.0, 0.0])
-        else:
-            n = n / nn
-        if n @ (interior - pts[a]) > 0.0:
-            a, b, c = a, c, b
-            n = -n
-        tris.append((a, b, c))
-        norms.append(n)
-        offs.append(float(n @ pts[a]))
-
-    norms: list[np.ndarray] = []
-    offs: list[float] = []
-    for a, b, c in itertools.combinations((i0, i1, i2, i3), 3):
-        add_facet(a, b, c)
-
-    alive = np.ones(len(pts), dtype=bool)
-    alive[[i0, i1, i2, i3]] = False
-
-    def insert_point(pidx: int) -> None:
-        nmat = np.asarray(norms)
-        ovec = np.asarray(offs)
-        d = pts[pidx] @ nmat.T - ovec
-        visible = set(np.flatnonzero(d > eps).tolist())
-        if not visible:
-            return
-        vis_edges = set()
-        for f in visible:
-            a, b, c = tris[f]
-            vis_edges.update(((a, b), (b, c), (c, a)))
-        horizon = [(u, v) for (u, v) in vis_edges if (v, u) not in vis_edges]
-        kept = [f for f in range(len(tris)) if f not in visible]
-        tris[:] = [tris[f] for f in kept]
-        norms[:] = [norms[f] for f in kept]
-        offs[:] = [offs[f] for f in kept]
-        for u, v in horizon:
-            add_facet(u, v, pidx)
+    seed = [i0, i1, i2, i3]
+    store = _FacetStore(pts, pts[seed].mean(axis=0))
+    # the seed tetrahedron: triangle (i0, i1, i2) and its cone to i3
+    store.add(np.array([[i0, i1]]), i2)
+    store.add(np.array([[i0, i1], [i1, i2], [i2, i0]]), i3)
+    todo = np.ones(len(pts), dtype=bool)
+    todo[seed] = False
 
     # Directional extremes are guaranteed hull vertices; inserting them
     # first grows a fat seed body so the main loop discards the interior
     # bulk in one filtering pass.
-    for direction in _seed_directions():
-        ei = _lex_extreme(pts, direction, eps)
-        if alive[ei]:
-            insert_point(ei)
-            alive[ei] = False
+    for ei in _seed_extremes(pts, cols, eps).tolist():
+        if todo[ei]:
+            store.insert(ei, eps)
+            todo[ei] = False
 
-    remaining = np.flatnonzero(alive)
+    worst = store.worst(store.hom.T)
+    remaining = np.flatnonzero(todo & (worst > eps))
+    q4, worst = store.hom[remaining].T, worst[remaining]
     while len(remaining) > 0:
-        nmat = np.asarray(norms)
-        ovec = np.asarray(offs)
-        worst = (pts[remaining] @ nmat.T - ovec).max(axis=1)
+        picked = int(np.argmax(worst))
+        store.insert(int(remaining[picked]), eps)
+        worst = store.worst(q4)
         keep = worst > eps  # points inside the growing hull stay inside
-        remaining = remaining[keep]
-        if len(remaining) == 0:
-            break
-        pick_pos = int(np.argmax(worst[keep]))
-        pidx = int(remaining[pick_pos])
-        insert_point(pidx)
-        remaining = remaining[remaining != pidx]
+        keep[picked] = False
+        remaining, q4, worst = remaining[keep], q4[:, keep], worst[keep]
 
-    used = sorted({i for t in tris for i in t})
-    remap = {old: new for new, old in enumerate(used)}
-    facets = tuple((remap[a], remap[b], remap[c]) for a, b, c in tris)
-    return Polytope(3, pts[used].copy(), 3, facets)
+    tris = store.facets()
+    used = np.unique(tris)
+    facets = np.searchsorted(used, tris)
+    return Polytope(3, pts[used], 3, facets.tolist())
 
 
 def intrinsic_volumes_2d(p: Polytope) -> IntrinsicVolumes:
@@ -353,14 +450,16 @@ def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
     V_3 by the divergence sum over origin-anchored tetrahedra, V_2 as half
     the surface area, V_1 as (1/2pi) sum of edge length times the exterior
     dihedral angle (the angle between the two outward facet normals), which
-    vanishes on edges interior to a flat face.
+    vanishes on edges interior to a flat face. The facets are paired across
+    each undirected edge by sorting the edge keys min * V + max; the mesh
+    must own every edge exactly twice, or DimensionError is raised.
     """
     if p.dim != 3:
         raise ParameterError("intrinsic_volumes_3d needs an R^3 polytope")
     if p.intrinsic_dim != 3 or p.facets is None:
         raise DimensionError("degenerate polytope has no 3-d intrinsic volumes")
     verts = p.vertices
-    f = np.asarray(p.facets, dtype=np.int64)
+    f = np.asarray(p.facets, dtype=np.int64).reshape(-1, 3)
     a, b, c = verts[f[:, 0]], verts[f[:, 1]], verts[f[:, 2]]
     vol = float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)).sum())) / 6.0
     raw_n = np.cross(b - a, c - a)
@@ -368,18 +467,21 @@ def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
     surface = float(tri_area.sum())
     unit_n = raw_n / np.maximum(np.linalg.norm(raw_n, axis=1, keepdims=True), 1e-300)
 
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for fi, (i, j, k) in enumerate(p.facets):
-        for u, v in ((i, j), (j, k), (k, i)):
-            edge_owner.setdefault((min(u, v), max(u, v)), []).append(fi)
-    v1 = 0.0
-    for (u, v), owners in edge_owner.items():
-        if len(owners) != 2:
-            raise DimensionError("facet mesh is not closed")
-        n1, n2 = unit_n[owners[0]], unit_n[owners[1]]
-        ang = math.atan2(float(np.linalg.norm(np.cross(n1, n2))), float(n1 @ n2))
-        v1 += float(np.linalg.norm(verts[v] - verts[u])) * ang
-    v1 /= 2.0 * math.pi
+    # The directed edges of every facet, keyed by their undirected edge
+    # min * V + max. Sorted keys come in equal pairs, one pair per edge,
+    # exactly when every edge has two owners; entry e belongs to facet e // 3.
+    edges = np.sort(f[:, _EDGES].reshape(-1, 2), axis=1)
+    key = edges[:, 0] * len(verts) + edges[:, 1]
+    order = np.argsort(key)
+    key = key[order]
+    if len(key) % 2 or np.any(key[0::2] != key[1::2]) or np.any(key[1:-1:2] == key[2::2]):
+        raise DimensionError("facet mesh is not closed")
+    n1 = unit_n[order[0::2] // 3]
+    n2 = unit_n[order[1::2] // 3]
+    ang = np.arctan2(np.linalg.norm(np.cross(n1, n2), axis=1), np.einsum("ij,ij->i", n1, n2))
+    lo, hi = edges[order[0::2]].T
+    length = np.linalg.norm(verts[hi] - verts[lo], axis=1)
+    v1 = float(length @ ang) / (2.0 * math.pi)
     return IntrinsicVolumes((1.0, v1, surface / 2.0, vol))
 
 

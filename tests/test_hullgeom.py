@@ -19,6 +19,7 @@ from levyhull import (
     ParameterError,
     Polytope,
     ResourceError,
+    StableSpec,
     geom_eps,
     gram_det,
     hausdorff,
@@ -27,8 +28,11 @@ from levyhull import (
     intrinsic_volumes_2d,
     intrinsic_volumes_3d,
     projection_intrinsic_estimate,
+    sample_walk_path,
+    trial_rng,
     zonotope_intrinsic_volume,
 )
+from levyhull.hullgeom import _FacetStore, _point_triangles_dist
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 CUBE = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
@@ -169,6 +173,112 @@ class TestHull3d:
         assert hull3d(line).intrinsic_dim == 1
         assert hull3d(np.ones((5, 3))).intrinsic_dim == 0
 
+    def test_duplicate_visible_facets_cone_each_rim_edge_once(self):
+        # Round-off can leave one triangle in the facet store twice (seen on
+        # alpha = 0.5 walks). A point that sees both copies must cone each rim
+        # edge once, or every such insertion doubles the facets it adds.
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.2, 1.0]])
+        store = _FacetStore(pts, np.array([0.2, 0.2, -1.0]))
+        store.add(np.array([[0, 1]]), 2)
+        store.add(np.array([[0, 1]]), 2)
+        store.insert(3, 1e-12)
+        assert sorted(map(sorted, store.facets().tolist())) == [[0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def _walk3(alpha: float, k: int) -> np.ndarray:
+    """A 3-D stable walk of 10^4 steps, the size the d = 3 experiments use."""
+    spec = StableSpec(alpha=alpha, d=3)
+    return sample_walk_path(spec, 10_000, 1.0, trial_rng(5, 2, k)).points
+
+
+# (alpha, trial) pairs. At alpha = 0.7, trials 4, 8 and 11 are the walks on
+# which qhull keeps near-coplanar vertices that hull3d drops.
+WALKS_3D = [(2.0, 0), (2.0, 1), (2.0, 2), (1.5, 0), (1.5, 1), (1.5, 2),
+            (0.7, 0), (0.7, 4), (0.7, 8), (0.7, 11)]
+
+# hull3d folds its mesh where it drops those vertices: a vertex ends up
+# thousands of eps above a facet, and the reflex edges add to V_1.
+_FOLDED = pytest.mark.xfail(
+    strict=True, reason="hull3d mesh is not convex near dropped near-coplanar vertices"
+)
+WALKS_3D_V1 = [
+    pytest.param(a, k, marks=_FOLDED) if (a, k) in ((0.7, 4), (0.7, 11)) else (a, k)
+    for a, k in WALKS_3D
+]
+
+
+def _rows(a: np.ndarray) -> set:
+    return set(map(tuple, a.tolist()))
+
+
+def _v1_brute_force(q: ConvexHull) -> float:
+    """V_1 of a qhull mesh from plain loops: each edge with its two owning
+    triangles, length times exterior dihedral angle; triangles from one
+    merged qhull facet share their plane equation and add 0."""
+    owners = {}
+    for i, tri in enumerate(q.simplices.tolist()):
+        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            owners.setdefault((min(u, v), max(u, v)), []).append(i)
+    total = 0.0
+    for (u, v), (i, j) in owners.items():
+        if np.array_equal(q.equations[i], q.equations[j]):
+            continue
+        n1, n2 = q.equations[i, :3].tolist(), q.equations[j, :3].tolist()
+        cross = (
+            n1[1] * n2[2] - n1[2] * n2[1],
+            n1[2] * n2[0] - n1[0] * n2[2],
+            n1[0] * n2[1] - n1[1] * n2[0],
+        )
+        dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
+        total += math.dist(q.points[u], q.points[v]) * math.atan2(math.hypot(*cross), dot)
+    return total / (2.0 * math.pi)
+
+
+class TestHull3dAgainstQhull:
+    """Differential tests on the walks the d = 3 experiments build hulls of."""
+
+    @pytest.mark.parametrize("alpha,k", WALKS_3D)
+    def test_volume_and_area(self, alpha, k):
+        pts = _walk3(alpha, k)
+        iv = intrinsic_volumes_3d(hull3d(pts))
+        q = ConvexHull(pts)
+        assert iv[3] == pytest.approx(q.volume, rel=1e-10)
+        assert 2.0 * iv[2] == pytest.approx(q.area, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,k", WALKS_3D)
+    def test_vertices(self, alpha, k):
+        pts = _walk3(alpha, k)
+        p = hull3d(pts)
+        ours, theirs = _rows(p.vertices), _rows(pts[ConvexHull(pts).vertices])
+        assert ours <= theirs
+        # qhull keeps vertices that lie within hull3d's tolerance of its surface
+        f = np.asarray(p.facets)
+        a, b, c = (p.vertices[f[:, i]] for i in range(3))
+        for x in theirs - ours:
+            assert _point_triangles_dist(np.array(x), a, b, c).min() <= geom_eps(pts)
+
+    @pytest.mark.parametrize("alpha,k", WALKS_3D_V1)
+    def test_v1_matches_brute_force_oracle(self, alpha, k):
+        pts = _walk3(alpha, k)
+        iv = intrinsic_volumes_3d(hull3d(pts))
+        assert iv[1] == pytest.approx(_v1_brute_force(ConvexHull(pts)), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,k", WALKS_3D)
+    def test_edge_pairing_on_qhull_mesh(self, alpha, k):
+        # intrinsic_volumes_3d on qhull's own mesh, outward-oriented: isolates
+        # the edge pairing and angle sum from hull3d
+        pts = _walk3(alpha, k)
+        q = ConvexHull(pts)
+        tris = q.simplices.copy()
+        a, b, c = (pts[tris[:, i]] for i in range(3))
+        inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), q.equations[:, :3]) < 0
+        tris[inward] = tris[inward][:, ::-1]
+        used = np.unique(tris)
+        poly = Polytope(3, pts[used], 3, np.searchsorted(used, tris))
+        iv = intrinsic_volumes_3d(poly)
+        assert iv[1] == pytest.approx(_v1_brute_force(q), rel=1e-10)
+        assert iv[3] == pytest.approx(q.volume, rel=1e-10)
+
 
 class TestIntrinsicVolumes2d:
     def test_unit_square(self):
@@ -238,6 +348,25 @@ class TestIntrinsicVolumes3d:
         broken = Polytope(3, verts, 3, facets=((0, 1, 2),))
         with pytest.raises(DimensionError):
             intrinsic_volumes_3d(broken)
+
+    def test_edge_with_three_owners_rejected(self):
+        # Two tetrahedra glued on the face (0, 1, 2), which is kept: its three
+        # edges have three owning facets, every other edge two.
+        verts = np.vstack([_regular_tetrahedron(), [[0.5, math.sqrt(3.0) / 6.0, -1.0]]])
+        facets = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 1, 4), (1, 2, 4), (2, 0, 4))
+        with pytest.raises(DimensionError):
+            intrinsic_volumes_3d(Polytope(3, verts, 3, facets=facets))
+
+    def test_edge_with_four_owners_rejected(self):
+        # Two tetrahedra sharing only the edge (0, 1): every edge key occurs an
+        # even number of times, yet (0, 1) has four owners.
+        verts = np.array(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, -1], [0, -1, 1], [0, -1, -1]], float
+        )
+        facets = ((0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2),
+                  (0, 1, 4), (0, 5, 1), (0, 4, 5), (1, 5, 4))
+        with pytest.raises(DimensionError):
+            intrinsic_volumes_3d(Polytope(3, verts, 3, facets=facets))
 
     def test_ball_approximation_converges(self):
         # Inscribed polytope on 700 sphere points: V_j within ~3% of the
