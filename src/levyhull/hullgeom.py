@@ -459,7 +459,7 @@ def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
     if p.intrinsic_dim != 3 or p.facets is None:
         raise DimensionError("degenerate polytope has no 3-d intrinsic volumes")
     verts = p.vertices
-    f = np.asarray(p.facets, dtype=np.int64).reshape(-1, 3)
+    f = np.asarray(p.facets, dtype=np.int64)
     a, b, c = verts[f[:, 0]], verts[f[:, 1]], verts[f[:, 2]]
     vol = float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)).sum())) / 6.0
     raw_n = np.cross(b - a, c - a)
