@@ -43,14 +43,18 @@ __all__ = [
 ]
 
 
+def _bbox_diag(pts: np.ndarray) -> float:
+    """Bounding-box diagonal of a nonempty (n, d) float array."""
+    cols = np.ascontiguousarray(pts.T)  # per-coordinate extremes, contiguous
+    return float(np.linalg.norm(cols.max(axis=-1) - cols.min(axis=-1)))
+
+
 def geom_eps(points: np.ndarray) -> float:
     """Length tolerance: 1e-9 times the bounding-box diagonal."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return 0.0
-    cols = np.ascontiguousarray(pts.T)  # per-coordinate extremes, contiguous
-    diag = float(np.linalg.norm(cols.max(axis=-1) - cols.min(axis=-1)))
-    return 1e-9 * diag
+    return 1e-9 * _bbox_diag(pts)
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def hull2d(points) -> Polytope:
         raise ParameterError("hull2d needs a nonempty (n, 2) array")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("hull2d needs finite coordinates")
-    diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    diag = _bbox_diag(pts)
     if diag == 0.0:
         return Polytope(2, pts[:1].copy(), 0)
     # Orientation predicate works on cross products, which scale as

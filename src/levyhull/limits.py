@@ -9,7 +9,9 @@ conventions: "grid" takes the first sample at distance >= 1 (positive
 time bias, exact for pure-jump paths sampled at jump times), "linear"
 interpolates the crossing on the segment (exact for piecewise-linear
 motion), and passing ``drift`` scans the piecewise jump-plus-drift motion
-exactly.
+exactly. Each scan is a lazy generator of (time, point) exits:
+``exit_times`` collects all of it, while the first-exit statistics (the
+mean of T_1, the tail of ||X(T_1)||) stop the scan at the first exit.
 """
 
 from __future__ import annotations
@@ -82,24 +84,38 @@ class ExitRecord:
         return int(np.searchsorted(self.exit_times, s, side="right"))
 
 
+def _first_outside(cols, anchor, start):
+    """Index of the first sample at or after ``start`` at distance >= 1
+    from ``anchor``, or the sample count. ``cols`` holds the coordinate
+    columns as float lists and ``anchor`` one float per column."""
+    # left to right from 0.0, as numpy sums rows of d < 8; sum/fsum/hypot/dot differ
+    n = len(cols[0])
+    if len(cols) == 2:  # the planar case, unrolled
+        (xs, ys), (ax, ay) = cols, anchor
+        for k in range(start, n):
+            dx = xs[k] - ax
+            dy = ys[k] - ay
+            if dx * dx + dy * dy >= 1.0:
+                return k
+        return n
+    for k in range(start, n):
+        s = 0.0
+        for col, a in zip(cols, anchor):
+            di = col[k] - a
+            s = s + di * di
+        if s >= 1.0:
+            return k
+    return n
+
+
 def _exits_grid(times, pts):
-    out_t, out_p = [], []
-    anchor = pts[0]
-    start, n = 1, len(pts)
-    block = 2048
-    while start < n:
-        stop = min(start + block, n)
-        d2 = ((pts[start:stop] - anchor) ** 2).sum(axis=1)
-        hits = np.nonzero(d2 >= 1.0)[0]
-        if hits.size == 0:
-            start = stop
-            continue
-        k = start + int(hits[0])
-        out_t.append(times[k])
-        out_p.append(pts[k])
-        anchor = pts[k]
-        start = k + 1
-    return out_t, out_p
+    cols = pts.T.tolist()
+    k = 0
+    while True:
+        k = _first_outside(cols, [c[k] for c in cols], k + 1)
+        if k == len(pts):
+            return
+        yield times[k], pts[k]
 
 
 def _first_sphere_crossing(q, v, s_lo, s_hi):
@@ -121,19 +137,14 @@ def _first_sphere_crossing(q, v, s_lo, s_hi):
 def _exits_linear(times, pts):
     # The ball is convex, so a segment with both endpoints inside the
     # anchor ball stays inside: only the first sample at distance >= 1
-    # can close a crossing segment, which lets the search run blockwise.
-    out_t, out_p = [], []
-    anchor = pts[0].copy()
-    start, n = 1, len(pts)
-    block = 2048
-    while start < n:
-        stop = min(start + block, n)
-        d2 = ((pts[start:stop] - anchor) ** 2).sum(axis=1)
-        hits = np.nonzero(d2 >= 1.0)[0]
-        if hits.size == 0:
-            start = stop
-            continue
-        k = start + int(hits[0])
+    # can close a crossing segment.
+    cols = pts.T.tolist()
+    anchor = pts[0]
+    k = 0
+    while True:
+        k = _first_outside(cols, anchor.tolist(), k + 1)
+        if k == len(pts):
+            return
         a, b = pts[k - 1], pts[k]
         seg = b - a
         dt = times[k] - times[k - 1]
@@ -142,19 +153,15 @@ def _exits_linear(times, pts):
             s = _first_sphere_crossing(a - anchor, seg, s_lo, 1.0)
             if s is None:
                 s = 1.0  # endpoint sits on the sphere within rounding
-            out_t.append(times[k - 1] + s * dt)
             anchor = a + s * seg
-            out_p.append(anchor.copy())
+            yield times[k - 1] + s * dt, anchor
             s_lo = s
             if s >= 1.0 or ((b - anchor) ** 2).sum() < 1.0:
                 break
-        start = k + 1
-    return out_t, out_p
 
 
 def _exits_with_drift(times, pts, v):
-    out_t, out_p = [], []
-    anchor = pts[0].copy()
+    anchor = pts[0]
     last_t = 0.0
     for k in range(len(pts) - 1):
         p_k = pts[k]
@@ -166,16 +173,31 @@ def _exits_with_drift(times, pts, v):
                 break
             last_t = times[k] + s
             anchor = p_k + s * v
-            out_t.append(last_t)
-            out_p.append(anchor.copy())
+            yield last_t, anchor
             s_lo = s
         # the jump lands the path at pts[k + 1]; it may exit outright
         if float(np.linalg.norm(pts[k + 1] - anchor)) >= 1.0:
             last_t = max(times[k + 1], np.nextafter(last_t, math.inf))
-            anchor = pts[k + 1].copy()
-            out_t.append(last_t)
-            out_p.append(anchor.copy())
-    return out_t, out_p
+            anchor = pts[k + 1]
+            yield last_t, anchor
+
+
+def _exits(path: PathSample, drift=None, mode: str = "grid"):
+    """Lazy (time, point) generator of a path's successive unit-ball
+    exits; see ``exit_times`` for the arguments."""
+    if not isinstance(path, PathSample):
+        raise ParameterError("path must be a PathSample")
+    times, pts = path.times, path.points
+    if drift is not None:
+        v = np.asarray(drift, dtype=np.float64)
+        if v.shape != (pts.shape[1],):
+            raise ParameterError("drift must match the path dimension")
+        return _exits_with_drift(times, pts, v)
+    if mode == "grid":
+        return _exits_grid(times, pts)
+    if mode == "linear":
+        return _exits_linear(times, pts)
+    raise ParameterError(f"unknown mode {mode!r}")
 
 
 def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
@@ -188,25 +210,12 @@ def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
     samples as jump positions of a jump-plus-drift motion and scans that
     motion exactly; mode is ignored.
     """
-    if not isinstance(path, PathSample):
-        raise ParameterError("path must be a PathSample")
-    times, pts = path.times, path.points
-    if drift is not None:
-        v = np.asarray(drift, dtype=np.float64)
-        if v.shape != (pts.shape[1],):
-            raise ParameterError("drift must match the path dimension")
-        out_t, out_p = _exits_with_drift(times, pts, v)
-    elif mode == "grid":
-        out_t, out_p = _exits_grid(times, pts)
-    elif mode == "linear":
-        out_t, out_p = _exits_linear(times, pts)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    d = pts.shape[1]
+    exits = list(_exits(path, drift, mode))
+    d = path.points.shape[1]
     return ExitRecord(
-        np.asarray(out_t, dtype=np.float64),
-        np.asarray(out_p, dtype=np.float64).reshape(len(out_t), d),
-        horizon=float(times[-1]),
+        np.array([t for t, _ in exits], dtype=np.float64),
+        np.array([p for _, p in exits], dtype=np.float64).reshape(len(exits), d),
+        horizon=float(path.times[-1]),
     )
 
 
@@ -216,14 +225,26 @@ def _sample_any_path(spec: StableSpec, horizon: float, n_steps: int, rng):
     return sample_walk_path(spec, n_steps, horizon, rng)
 
 
-def _record_for(spec: StableSpec, horizon: float, n_steps: int, rng) -> ExitRecord:
+def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
+    """Sample one path of ``spec`` and hand it to ``scan`` in the exit
+    convention that is exact for that path."""
     path = _sample_any_path(spec, horizon, n_steps, rng)
     if spec.flavor == "cpp":
         drift = np.asarray(spec.drift, dtype=np.float64)
         if float(np.abs(drift).max()) > 0.0:
-            return exit_times(path, drift=drift)
-        return exit_times(path, mode="grid")
-    return exit_times(path, mode="linear")
+            return scan(path, drift=drift)
+        return scan(path, mode="grid")
+    return scan(path, mode="linear")
+
+
+def _record_for(spec: StableSpec, horizon: float, n_steps: int, rng) -> ExitRecord:
+    return _scan_for(spec, horizon, n_steps, rng, exit_times)
+
+
+def _first_exit(spec: StableSpec, horizon: float, n_steps: int, rng):
+    """(time, point) of the first unit-ball exit of one sampled path, or
+    None; the scan stops at that exit."""
+    return next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
 
 
 def estimate_mean_exit_time(
@@ -244,9 +265,9 @@ def estimate_mean_exit_time(
     vals = np.full(trials, np.nan)
 
     def one(t: int):
-        rec = _record_for(spec, horizon, n_steps, trial_rng(seed, stream, t))
-        if rec.n_exits:
-            vals[t] = rec.exit_times[0]
+        first = _first_exit(spec, horizon, n_steps, trial_rng(seed, stream, t))
+        if first is not None:
+            vals[t] = first[0]
 
     _map_trials(one, trials, threads)
     got = vals[~np.isnan(vals)]
@@ -439,9 +460,9 @@ def exit_value_tail_experiment(
     vals = np.full(trials, np.nan)
 
     def one(t: int):
-        rec = _record_for(spec, horizon, 1, trial_rng(seed, stream, t))
-        if rec.n_exits:
-            vals[t] = float(np.linalg.norm(rec.exit_points[0]))
+        first = _first_exit(spec, horizon, 1, trial_rng(seed, stream, t))
+        if first is not None:
+            vals[t] = float(np.linalg.norm(first[1]))
 
     _map_trials(one, trials, threads)
     got = vals[~np.isnan(vals)]

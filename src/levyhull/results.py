@@ -54,26 +54,3 @@ class EstimateResult:
             target=target,
             z_score=z,
         )
-
-    @classmethod
-    def from_moments(cls, count, total, sum_sq, seed=0, target=None) -> "EstimateResult":
-        """Build from streamed (count, sum, sum of squares) aggregates."""
-        if count < 1:
-            raise ParameterError("cannot summarise zero samples")
-        mean = total / count
-        if count > 1:
-            var = max(sum_sq - count * mean * mean, 0.0) / (count - 1)
-            stderr = math.sqrt(var / count)
-        else:
-            stderr = 0.0
-        z = None
-        if target is not None and stderr > 0.0:
-            z = (mean - target.value) / stderr
-        return cls(
-            mean=float(mean),
-            stderr=float(stderr),
-            trials=int(count),
-            seed=int(seed),
-            target=target,
-            z_score=z,
-        )

@@ -22,6 +22,7 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from levyhull.closed_form import (
     dirichlet_constant,
@@ -47,6 +48,8 @@ from levyhull.mc_engine import (
 )
 from levyhull.cli_report import plan_experiments, run_all
 from levyhull.rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
+
+pytestmark = pytest.mark.acceptance
 
 BROWNIAN = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
 STABLE15 = StableSpec(alpha=1.5, c=1.0, d=2, flavor="isotropic")

@@ -12,6 +12,8 @@ from levyhull.errors import ConfigError, ParameterError
 from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
+    _first_exit,
+    _record_for,
     estimate_mean_exit_time,
     exit_times,
     exit_value_tail_experiment,
@@ -147,6 +149,159 @@ class TestExitTimes:
             exit_times(path, drift=(1.0, 0.0, 0.0))
         with pytest.raises(ParameterError):
             exit_times(np.zeros((3, 2)))
+
+
+# Frozen oracle: the block-search scanners as they stood before the scans
+# became lazy generators with a scalar search. Do not edit; the scanners
+# in levyhull.limits must reproduce their records bit for bit.
+def _oracle_grid(times, pts):
+    out_t, out_p = [], []
+    anchor = pts[0]
+    start, n = 1, len(pts)
+    block = 2048
+    while start < n:
+        stop = min(start + block, n)
+        d2 = ((pts[start:stop] - anchor) ** 2).sum(axis=1)
+        hits = np.nonzero(d2 >= 1.0)[0]
+        if hits.size == 0:
+            start = stop
+            continue
+        k = start + int(hits[0])
+        out_t.append(times[k])
+        out_p.append(pts[k])
+        anchor = pts[k]
+        start = k + 1
+    return out_t, out_p
+
+
+def _oracle_sphere_crossing(q, v, s_lo, s_hi):
+    vv = float(v @ v)
+    if vv <= 0.0:
+        return None
+    qv = float(q @ v)
+    disc = qv * qv - vv * (float(q @ q) - 1.0)
+    if disc < 0.0:
+        return None
+    s = (-qv + math.sqrt(disc)) / vv
+    if s <= s_lo + 1e-15 or s > s_hi + 1e-12:
+        return None
+    return min(s, s_hi)
+
+
+def _oracle_linear(times, pts):
+    out_t, out_p = [], []
+    anchor = pts[0].copy()
+    start, n = 1, len(pts)
+    block = 2048
+    while start < n:
+        stop = min(start + block, n)
+        d2 = ((pts[start:stop] - anchor) ** 2).sum(axis=1)
+        hits = np.nonzero(d2 >= 1.0)[0]
+        if hits.size == 0:
+            start = stop
+            continue
+        k = start + int(hits[0])
+        a, b = pts[k - 1], pts[k]
+        seg = b - a
+        dt = times[k] - times[k - 1]
+        s_lo = 0.0
+        while True:
+            s = _oracle_sphere_crossing(a - anchor, seg, s_lo, 1.0)
+            if s is None:
+                s = 1.0  # endpoint sits on the sphere within rounding
+            out_t.append(times[k - 1] + s * dt)
+            anchor = a + s * seg
+            out_p.append(anchor.copy())
+            s_lo = s
+            if s >= 1.0 or ((b - anchor) ** 2).sum() < 1.0:
+                break
+        start = k + 1
+    return out_t, out_p
+
+
+_ORACLES = {"grid": _oracle_grid, "linear": _oracle_linear}
+
+
+def _assert_matches_oracle(path, mode):
+    want_t, want_p = _ORACLES[mode](path.times, path.points)
+    d = path.points.shape[1]
+    rec = exit_times(path, mode=mode)
+    assert np.array_equal(rec.exit_times, np.asarray(want_t, dtype=np.float64))
+    assert np.array_equal(
+        rec.exit_points, np.asarray(want_p, dtype=np.float64).reshape(-1, d)
+    )
+    return rec
+
+
+class TestScannersAgainstFrozenOracle:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode", ["grid", "linear"])
+    def test_brownian_walks(self, d, mode):
+        spec = StableSpec(alpha=2.0, c=0.5, d=d, flavor="brownian")
+        for k in range(3):
+            path = sample_walk_path(spec, 5000, 100.0, trial_rng(41, d, k))
+            assert _assert_matches_oracle(path, mode).n_exits > 50
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_heavy_walks_with_several_exits_per_segment(self, d):
+        spec = StableSpec(alpha=0.7, c=0.5, d=d)
+        most = 0
+        for k in range(5):
+            path = sample_walk_path(spec, 2000, 4.0, trial_rng(3, d, k))
+            _assert_matches_oracle(path, "grid")
+            rec = _assert_matches_oracle(path, "linear")
+            seg = np.searchsorted(path.times, rec.exit_times, side="left")
+            most = max(most, int(np.bincount(seg).max()))
+        assert most >= 4
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pareto_jump_paths(self, d):
+        spec = StableSpec(
+            alpha=1.5, c=1.0, d=d, flavor="cpp", tail_alpha=1.5, jump_rate=3.0
+        )
+        for k in range(30):
+            path = sample_cpp_path(spec, 20.0, trial_rng(42, d, k))
+            for mode in ("grid", "linear"):
+                _assert_matches_oracle(path, mode)
+
+    @pytest.mark.parametrize("mode", ["grid", "linear"])
+    def test_edge_paths(self, mode):
+        never = sample_walk_path(BROWNIAN2, 50, 1e-6, np.random.default_rng(1))
+        assert _assert_matches_oracle(never, mode).n_exits == 0
+        last = _assert_matches_oracle(_line_path([0.0, 0.4, 0.8, 1.0]), mode)
+        assert last.n_exits == 1
+        assert last.exit_times[0] == pytest.approx(3.0, abs=1e-12)
+        # squared distances of exactly 1.0 from the anchor, in d = 2 and 4
+        square = np.array(
+            [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 1.0], [2.0, 1.0]]
+        )
+        rec = _assert_matches_oracle(PathSample(np.arange(6.0), square), mode)
+        assert rec.n_exits == 3
+        diag = np.array([[0.0] * 4, [0.25] * 4, [0.5] * 4, [1.0] * 4])
+        rec = _assert_matches_oracle(PathSample(np.arange(4.0), diag), mode)
+        assert rec.n_exits == 2
+
+    def test_first_exit_is_element_zero_of_the_record(self):
+        heavy_drift = StableSpec(
+            alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=1.0,
+            drift=(0.3, 0.0),
+        )
+        specs = [
+            (BROWNIAN2, 40.0, 2000),
+            (StableSpec(alpha=0.7, c=0.5, d=3), 4.0, 2000),
+            (HEAVY, 20.0, 1),
+            (heavy_drift, 20.0, 1),
+            (BROWNIAN2, 1e-6, 50),  # never exits
+        ]
+        for spec, horizon, n_steps in specs:
+            for k in range(5):
+                rec = _record_for(spec, horizon, n_steps, trial_rng(43, 0, k))
+                first = _first_exit(spec, horizon, n_steps, trial_rng(43, 0, k))
+                if rec.n_exits == 0:
+                    assert first is None
+                    continue
+                assert first[0] == rec.exit_times[0]
+                assert np.array_equal(first[1], rec.exit_points[0])
 
 
 class TestMeanExitTime:
