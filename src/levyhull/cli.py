@@ -3,14 +3,14 @@
 Subcommands: `run <config.json>` executes a JSON experiment plan,
 `smoke` runs the fast built-in suite, `list-experiments` prints the
 known experiment kinds. Exit codes: 0 all non-INFO verdicts PASS,
-1 any FAIL, 2 configuration error, 3 I/O error. The LEVYHULL_THREADS
-environment variable overrides --threads when set.
+1 any FAIL, 2 configuration error, 3 I/O error. --threads is accepted
+for compatibility and has no effect: every experiment runs its trials
+serially in trial-index order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .cli_report import (
@@ -36,7 +36,7 @@ def _add_run_options(parser):
         "--threads",
         type=int,
         default=1,
-        help="worker threads per experiment (default 1)",
+        help="accepted for compatibility; has no effect (trials run serially)",
     )
     parser.add_argument(
         "--dump-polytopes",
@@ -68,22 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("LEVYHULL_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise LevyHullError(
-                f"LEVYHULL_THREADS must be an integer, got {env!r}"
-            ) from None
-    else:
-        value = args.threads
-    if value < 1:
-        raise LevyHullError(f"thread count must be >= 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-experiments":
@@ -91,13 +75,11 @@ def main(argv=None) -> int:
             print(f"{kind:24s} {description}")
         return 0
     try:
-        threads = _resolve_threads(args)
         plans = load_config(args.config) if args.command == "run" else smoke_plans()
         manifest = run_all(
             plans,
             args.out,
             master_seed=args.seed,
-            threads=threads,
             dump_polytopes=args.dump_polytopes,
         )
     except LevyHullError as exc:

@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -465,22 +465,20 @@ def _n_series(p):
     return p["n_values"] if p.get("n_values") else [p["n_steps"]]
 
 
-def _run_intrinsic(plan, seed, threads):
+def _run_intrinsic(plan, seed):
     p = plan.params
     spec = _walk_spec(p)
     rows = []
     for n in _n_series(p):
         cfg = ExperimentConfig(
-            "intrinsic_volumes",
             spec,
             n_steps=n,
             trials=p["trials"],
             j_orders=tuple(p["j_orders"]),
             horizon=p["horizon"],
             master_seed=seed,
-            tolerance_sigma=p["tolerance_sigma"],
         )
-        results = run_intrinsic_volume_experiment(cfg, threads=threads)
+        results = run_intrinsic_volume_experiment(cfg)
         for j, r in zip(p["j_orders"], results):
             limit = r.target.value
             scale = p["horizon"] ** (j / p["alpha"])
@@ -517,11 +515,9 @@ def _run_intrinsic(plan, seed, threads):
     return rows, {}
 
 
-def _run_gram(plan, seed, threads):
+def _run_gram(plan, seed):
     p = plan.params
-    r = run_gram_experiment(
-        p["d"], p["j"], trials=p["trials"], seed=seed, threads=threads
-    )
+    r = run_gram_experiment(p["d"], p["j"], trials=p["trials"], seed=seed)
     verdict = _two_sided(r.mean, r.stderr, r.target.value, p["tolerance_sigma"])
     row = _row(
         plan.label,
@@ -537,20 +533,18 @@ def _run_gram(plan, seed, threads):
     return [row], {}
 
 
-def _run_boundary(plan, seed, threads):
+def _run_boundary(plan, seed):
     p = plan.params
     spec = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
     rows = []
     for n in _n_series(p):
         cfg = ExperimentConfig(
-            "boundary_origin",
             spec,
             n_steps=n,
             trials=p["trials"],
             master_seed=seed,
-            tolerance_sigma=p["tolerance_sigma"],
         )
-        r, bound = run_boundary_origin_experiment(cfg, threads=threads)
+        r, bound = run_boundary_origin_experiment(cfg)
         # the face-count mean bounds the boundary probability from above
         ok = r.mean <= bound + p["tolerance_sigma"] * r.stderr
         rows.append(
@@ -569,21 +563,19 @@ def _run_boundary(plan, seed, threads):
     return rows, {}
 
 
-def _run_interior(plan, seed, threads):
+def _run_interior(plan, seed):
     p = plan.params
     spec = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
     rows = []
     means = []
     for n in _n_series(p):
         cfg = ExperimentConfig(
-            "interior_endpoint",
             spec,
             n_steps=n,
             trials=p["trials"],
             master_seed=seed,
-            tolerance_sigma=p["tolerance_sigma"],
         )
-        r = run_interior_endpoint_experiment(cfg, threads=threads)
+        r = run_interior_endpoint_experiment(cfg)
         means.append(r.mean)
         rows.append(
             _row(
@@ -604,20 +596,18 @@ def _run_interior(plan, seed, threads):
     return rows, trend
 
 
-def _run_faces(plan, seed, threads):
+def _run_faces(plan, seed):
     p = plan.params
     spec = StableSpec(alpha=2.0, c=0.5, d=p["d"], flavor="brownian")
     rows = []
     for n in _n_series(p):
         cfg = ExperimentConfig(
-            "faces_count",
             spec,
             n_steps=n,
             trials=p["trials"],
             master_seed=seed,
-            tolerance_sigma=p["tolerance_sigma"],
         )
-        r = run_faces_experiment(cfg, threads=threads)
+        r = run_faces_experiment(cfg)
         target = r.target.value
         # the d=3 counting formula is kept informational
         verdict = (
@@ -641,20 +631,18 @@ def _run_faces(plan, seed, threads):
     return rows, {}
 
 
-def _run_tail_index(plan, seed, threads):
+def _run_tail_index(plan, seed):
     p = plan.params
     spec = _walk_spec(p)
     cfg = ExperimentConfig(
-        "tail_index",
         spec,
         n_steps=p["n_steps"],
         trials=p["trials"],
         j_orders=(p["j"],),
         master_seed=seed,
-        tolerance_sigma=p["tolerance_sigma"],
         hill_k=p["hill_k"],
     )
-    r = run_tail_index_experiment(cfg, threads=threads)
+    r = run_tail_index_experiment(cfg)
     row = _row(
         plan.label,
         {"alpha": p["alpha"], "c": p["c"], "d": p["d"], "n": p["n_steps"]},
@@ -669,7 +657,7 @@ def _run_tail_index(plan, seed, threads):
     return [row], {}
 
 
-def _run_lp_brownian(plan, seed, threads):
+def _run_lp_brownian(plan, seed):
     p = plan.params
     r = verify_lp_brownian(
         p["p"],
@@ -696,7 +684,7 @@ def _run_lp_brownian(plan, seed, threads):
     return [row], {}
 
 
-def _run_lp_consistency(plan, seed, threads):
+def _run_lp_consistency(plan, seed):
     p = plan.params
     hull, sup = verify_lp_stable_consistency(
         p["alpha"],
@@ -740,7 +728,7 @@ def _run_lp_consistency(plan, seed, threads):
     return rows, {plan.label: {"gap_z": gap_z}}
 
 
-def _run_renewal(plan, seed, threads):
+def _run_renewal(plan, seed):
     p = plan.params
     if p["flavor"] == "cpp":
         spec = _cpp_spec(
@@ -755,7 +743,6 @@ def _run_renewal(plan, seed, threads):
         seed=seed,
         dt=p["dt"],
         et1_trials=p["et1_trials"],
-        threads=threads,
     )
     rows = []
     gaps = []
@@ -784,7 +771,7 @@ def _run_renewal(plan, seed, threads):
     return rows, trend
 
 
-def _run_scaled_hull(plan, seed, threads):
+def _run_scaled_hull(plan, seed):
     p = plan.params
     spec = _cpp_spec(p)
     rows = []
@@ -796,7 +783,6 @@ def _run_scaled_hull(plan, seed, threads):
             trials=p["trials"],
             seed=seed,
             n_steps_limit=p["n_steps_limit"],
-            threads=threads,
         )
         stats.append(stat)
         rows.append(
@@ -827,11 +813,11 @@ def _run_scaled_hull(plan, seed, threads):
     return rows, trend
 
 
-def _run_exit_tail(plan, seed, threads):
+def _run_exit_tail(plan, seed):
     p = plan.params
     spec = _cpp_spec(p)
     est = exit_value_tail_experiment(
-        spec, trials=p["trials"], seed=seed, k=p["hill_k"], threads=threads
+        spec, trials=p["trials"], seed=seed, k=p["hill_k"]
     )
     target = p["tail_alpha"] if p["jump_law"] == "pareto" else ""
     row = _row(
@@ -936,8 +922,10 @@ def run_all(
     threads: int = 1,
     dump_polytopes: bool = False,
 ) -> RunManifest:
-    """Execute plans sequentially (trials run concurrently inside each),
-    then write results.csv, summary.json, and manifest.json to out_dir."""
+    """Execute plans in order, each running its trials in one serial loop,
+    then write results.csv, summary.json, and manifest.json to out_dir.
+    ``threads`` is accepted for compatibility and has no effect: trials
+    always run serially in trial-index order."""
     if not plans:
         raise ConfigError("no experiments to run")
     out = Path(out_dir)
@@ -946,7 +934,7 @@ def run_all(
     verdicts = {}
     trends = {}
     for plan in plans:
-        plan_rows, plan_trends = _RUNNERS[plan.kind](plan, master_seed, threads)
+        plan_rows, plan_trends = _RUNNERS[plan.kind](plan, master_seed)
         rows.extend(plan_rows)
         trends.update(plan_trends)
         labels = {r["verdict"] for r in plan_rows}
@@ -969,12 +957,9 @@ def run_all(
         trends=trends,
     )
     write_results_csv(rows, out / "results.csv")
+    payload = asdict(manifest)
     summary = {
-        "run_id": run_id,
-        "timestamp": timestamp,
-        "config_digest": digest,
-        "verdicts": verdicts,
-        "trends": trends,
+        **{k: v for k, v in payload.items() if k != "results"},
         "counts": {
             v: sum(1 for x in verdicts.values() if x == v)
             for v in ("PASS", "FAIL", "INFO")
@@ -984,14 +969,6 @@ def run_all(
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    payload = {
-        "run_id": run_id,
-        "timestamp": timestamp,
-        "config_digest": digest,
-        "results": rows,
-        "verdicts": verdicts,
-        "trends": trends,
-    }
     (out / "manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

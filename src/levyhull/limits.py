@@ -24,7 +24,7 @@ import numpy as np
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError
 from .hullgeom import hausdorff, hull2d, hull3d, intrinsic_volumes_2d
-from .mc_engine import _map_trials, hill_tail_index, ks_two_sample
+from .mc_engine import hill_tail_index, ks_two_sample
 from .results import EstimateResult
 from .rng_stable import (
     PathSample,
@@ -253,7 +253,6 @@ def estimate_mean_exit_time(
     seed: int = 0,
     horizon: float = 40.0,
     dt: float = 0.01,
-    threads: int = 1,
 ) -> EstimateResult:
     """Mean first exit time from the unit ball, from an independent batch
     of paths. Paths that never exit within the horizon are dropped (their
@@ -262,15 +261,12 @@ def estimate_mean_exit_time(
         raise ParameterError("need at least 2 trials")
     stream = stream_id("mean_exit_time")
     n_steps = max(1, int(round(horizon / dt)))
-    vals = np.full(trials, np.nan)
-
-    def one(t: int):
-        first = _first_exit(spec, horizon, n_steps, trial_rng(seed, stream, t))
-        if first is not None:
-            vals[t] = first[0]
-
-    _map_trials(one, trials, threads)
-    got = vals[~np.isnan(vals)]
+    # a generator, so no trial's exit (possibly a view of its path) outlives it
+    firsts = (
+        _first_exit(spec, horizon, n_steps, trial_rng(seed, stream, t))
+        for t in range(trials)
+    )
+    got = np.array([f[0] for f in firsts if f is not None], dtype=np.float64)
     if got.size < 2:
         raise ConfigError("almost no paths exited; increase the horizon")
     return EstimateResult.from_samples(got, seed=seed)
@@ -283,7 +279,6 @@ def renewal_ratio_experiment(
     seed: int = 0,
     dt: float = 0.01,
     et1_trials: int | None = None,
-    threads: int = 1,
 ):
     """E[N_t / t] for each t, against the renewal rate 1/E(T_1) estimated
     from an independent batch. Both sides scan paths sampled at the same
@@ -299,20 +294,18 @@ def renewal_ratio_experiment(
         trials=et1_trials or max(trials, 1000),
         seed=seed + 1,
         dt=dt,
-        threads=threads,
     )
     rate = 1.0 / et1.mean
     out = []
     for t_idx, t in enumerate(t_values):
         stream = stream_id(f"renewal_ratio_{t_idx}")
         n_steps = max(1, int(round(t / dt)))
-        vals = np.empty(trials)
-
-        def one(k: int, t=t, n_steps=n_steps, stream=stream, vals=vals):
-            rec = _record_for(spec, t, n_steps, trial_rng(seed, stream, k))
-            vals[k] = rec.n_exits / t
-
-        _map_trials(one, trials, threads)
+        vals = np.array(
+            [
+                _record_for(spec, t, n_steps, trial_rng(seed, stream, k)).n_exits / t
+                for k in range(trials)
+            ]
+        )
         target = ClosedFormTarget(
             "renewal_rate",
             rate,
@@ -361,7 +354,6 @@ def scaled_hull_convergence(
     trials: int = 400,
     seed: int = 0,
     n_steps_limit: int = 2000,
-    threads: int = 1,
 ):
     """Compare V_1 of the rescaled long-horizon hull t^(-1/alpha) Z_t with
     V_1 of a fitted stable-walk hull run to time 1/E(T_1). Returns
@@ -386,46 +378,39 @@ def scaled_hull_convergence(
     # pooled across paths (the renewal increments are i.i.d.)
     stream_fit = stream_id("scaled_hull_fit")
     fit_trials = max(300, trials)
-    spans = [None] * fit_trials
-    incs = [None] * fit_trials
     fit_horizon = 60.0 / max(spec.jump_rate, 1e-12)
-
-    def fit_one(k: int):
-        rec = _record_for(spec, fit_horizon, 1, trial_rng(seed, stream_fit, k))
-        if rec.n_exits:
-            spans[k] = np.diff(rec.exit_times, prepend=0.0)
-            anchors = np.vstack([np.zeros(spec.d), rec.exit_points])
-            incs[k] = np.diff(anchors, axis=0)[:, 0]
-
-    _map_trials(fit_one, fit_trials, threads)
-    if sum(s is not None for s in spans) < 10:
+    recs = [
+        _record_for(spec, fit_horizon, 1, trial_rng(seed, stream_fit, k))
+        for k in range(fit_trials)
+    ]
+    recs = [rec for rec in recs if rec.n_exits]
+    if len(recs) < 10:
         raise ConfigError("almost no paths exited; raise jump_rate or horizon")
-    all_spans = np.concatenate([s for s in spans if s is not None])
-    all_incs = np.concatenate([v for v in incs if v is not None])
+    all_spans = np.concatenate([np.diff(rec.exit_times, prepend=0.0) for rec in recs])
+    anchors = [np.vstack([np.zeros(spec.d), rec.exit_points]) for rec in recs]
+    all_incs = np.concatenate([np.diff(a, axis=0)[:, 0] for a in anchors])
     et1 = float(all_spans.mean())
     c_fit = _fit_attractor_scale(all_incs, alpha)
     limit_spec = StableSpec(alpha=alpha, c=c_fit, d=2)
 
     stream_a = stream_id("scaled_hull_long")
     stream_b = stream_id("scaled_hull_limit")
-    va = np.empty(trials)
-    vb = np.empty(trials)
     factor = t_large ** (-1.0 / alpha)
 
     def one_long(k: int):
         rng = trial_rng(seed, stream_a, k)
         path = sample_cpp_path(spec, t_large, rng)
         poly = hull2d(factor * path.points)
-        va[k] = intrinsic_volumes_2d(poly)[1]
+        return intrinsic_volumes_2d(poly)[1]
 
     def one_limit(k: int):
         rng = trial_rng(seed, stream_b, k)
         path = sample_walk_path(limit_spec, n_steps_limit, 1.0 / et1, rng)
         poly = hull2d(path.points)
-        vb[k] = intrinsic_volumes_2d(poly)[1]
+        return intrinsic_volumes_2d(poly)[1]
 
-    _map_trials(one_long, trials, threads)
-    _map_trials(one_limit, trials, threads)
+    va = np.array([one_long(k) for k in range(trials)])
+    vb = np.array([one_limit(k) for k in range(trials)])
     stat, p = ks_two_sample(va, vb)
     report = {
         "alpha": alpha,
@@ -446,7 +431,6 @@ def exit_value_tail_experiment(
     trials: int = 10_000,
     seed: int = 0,
     k: int | None = None,
-    threads: int = 1,
 ) -> float:
     """Hill tail index of the first-exit displacement norm ||X(T_1)||.
     Heavy pareto jumps hand their tail to the overshoot; returns inf for
@@ -457,15 +441,13 @@ def exit_value_tail_experiment(
         raise ParameterError("need at least 10 trials")
     stream = stream_id("exit_value_tail")
     horizon = 60.0 / max(spec.jump_rate, 1e-12) if spec.jump_rate > 0 else 10.0
-    vals = np.full(trials, np.nan)
-
-    def one(t: int):
-        first = _first_exit(spec, horizon, 1, trial_rng(seed, stream, t))
-        if first is not None:
-            vals[t] = float(np.linalg.norm(first[1]))
-
-    _map_trials(one, trials, threads)
-    got = vals[~np.isnan(vals)]
+    firsts = (
+        _first_exit(spec, horizon, 1, trial_rng(seed, stream, t))
+        for t in range(trials)
+    )
+    got = np.array(
+        [np.linalg.norm(f[1]) for f in firsts if f is not None], dtype=np.float64
+    )
     if got.size < 10:
         raise ConfigError("almost no paths exited within the horizon")
     if float(got.std()) < 1e-12:

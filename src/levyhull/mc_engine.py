@@ -4,16 +4,15 @@ Each experiment draws independent trials, pushes them through the hull
 pipeline, and reduces to an EstimateResult, attaching the matching
 closed-form target when one exists. Reproducibility contract: every trial
 seeds its own generator from (master_seed, experiment stream, trial
-index), and results land in index-addressed slots, so the output is
-bit-identical for any thread count.
+index) and returns its value, and the runner collects the values in
+trial-index order in one serial loop, so a config and seed always give
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentKind",
     "hill_tail_index",
     "ks_two_sample",
     "run_boundary_origin_experiment",
@@ -49,34 +47,19 @@ __all__ = [
 ]
 
 
-class ExperimentKind(str, Enum):
-    INTRINSIC_VOLUMES = "intrinsic_volumes"
-    GRAM_DETERMINANT = "gram_determinant"
-    BOUNDARY_ORIGIN = "boundary_origin"
-    INTERIOR_ENDPOINT = "interior_endpoint"
-    TAIL_INDEX = "tail_index"
-    FACES_COUNT = "faces_count"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment request: which statistic, which process, how hard."""
+    """One experiment request: which process, how long, how many trials."""
 
-    experiment: ExperimentKind
     spec: StableSpec
     n_steps: int = 10_000
     trials: int = 10_000
     j_orders: tuple = ()
     horizon: float = 1.0
     master_seed: int = 0
-    tolerance_sigma: float = 4.0
     hill_k: int | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "experiment", ExperimentKind(self.experiment))
-        except ValueError:
-            raise ConfigError(f"unknown experiment {self.experiment!r}") from None
         if not isinstance(self.spec, StableSpec):
             raise ConfigError("spec must be a StableSpec")
         if int(self.trials) < 100:
@@ -93,37 +76,11 @@ class ExperimentConfig:
         object.__setattr__(self, "j_orders", js)
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
-        if not self.tolerance_sigma > 0.0:
-            raise ConfigError(
-                f"tolerance_sigma must be > 0, got {self.tolerance_sigma!r}"
-            )
         if self.hill_k is not None and int(self.hill_k) < 1:
             raise ConfigError(f"hill_k must be >= 1, got {self.hill_k!r}")
 
     def orders(self) -> tuple:
         return self.j_orders or tuple(range(1, self.spec.d + 1))
-
-
-def _map_trials(fn, trials: int, threads: int = 1):
-    """Run fn(t) for t in range(trials); any thread count, same output
-    order because each result is written to its own index."""
-    if threads <= 1:
-        for t in range(trials):
-            fn(t)
-        return
-    block = max(1, -(-trials // (threads * 8)))
-
-    def run_block(lo: int, hi: int):
-        for t in range(lo, hi):
-            fn(t)
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [
-            ex.submit(run_block, lo, min(lo + block, trials))
-            for lo in range(0, trials, block)
-        ]
-        for f in futs:
-            f.result()
 
 
 def _require_walk_spec(spec: StableSpec, dims=(2, 3)):
@@ -203,26 +160,23 @@ def _count_incident_faces(poly, x: np.ndarray, tol: float) -> int:
     return int((d <= tol).sum())
 
 
-def run_intrinsic_volume_experiment(cfg: ExperimentConfig, threads: int = 1):
+def run_intrinsic_volume_experiment(cfg: ExperimentConfig):
     """Mean V_j of walk hulls, one EstimateResult per requested j, each
     with its closed-form target scaled by horizon^(j/alpha)."""
     _require_walk_spec(cfg.spec)
     spec = cfg.spec
-    js = cfg.orders()
+    js = tuple(dict.fromkeys(cfg.orders()))  # each order once
     stream = stream_id("intrinsic_volumes")
-    vals = np.empty((cfg.trials, len(js)))
-    cols = {j: k for k, j in enumerate(js)}
 
     def one(t: int):
         rng = trial_rng(cfg.master_seed, stream, t)
         path = sample_walk_path(spec, cfg.n_steps, cfg.horizon, rng)
         iv = _intrinsic_values(_hull_of(path.points, spec.d))
-        for j, k in cols.items():
-            vals[t, k] = iv[j - 1]
+        return [iv[j - 1] for j in js]
 
-    _map_trials(one, cfg.trials, threads)
+    vals = np.array([one(t) for t in range(cfg.trials)])
     out = []
-    for j, k in cols.items():
+    for k, j in enumerate(js):
         limit = ev_intrinsic_isotropic(spec.alpha, spec.c, spec.d, j)
         tgt = ClosedFormTarget(
             "ev_intrinsic",
@@ -251,7 +205,6 @@ def run_gram_experiment(
     dist: str = "gaussian",
     trials: int = 10_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> EstimateResult:
     """E sqrt(det M^T M) for M with j i.i.d. standard Gaussian columns in
     R^d, against the target j! V_j((2 pi)^(-1/2) B^d)."""
@@ -269,27 +222,24 @@ def run_gram_experiment(
         {"d": d, "j": j, "dist": dist},
     )
     stream = stream_id("gram_determinant")
-    out = np.empty(trials)
 
-    def block(b: int):
-        lo = b * _GRAM_CHUNK
+    def block(lo: int):
         n = min(_GRAM_CHUNK, trials - lo)
         rng = trial_rng(seed, stream, lo)
         x = rng.standard_normal((n, j, d))
         dets = np.linalg.det(x @ np.swapaxes(x, 1, 2))
-        out[lo : lo + n] = np.sqrt(np.maximum(dets, 0.0))
+        return np.sqrt(np.maximum(dets, 0.0))
 
-    _map_trials(block, -(-trials // _GRAM_CHUNK), threads)
+    out = np.concatenate([block(lo) for lo in range(0, trials, _GRAM_CHUNK)])
     return EstimateResult.from_samples(out, seed=seed, target=target)
 
 
-def run_boundary_origin_experiment(cfg: ExperimentConfig, threads: int = 1):
+def run_boundary_origin_experiment(cfg: ExperimentConfig):
     """Frequency of the origin lying on the hull boundary, plus the
     Markov bound E(faces at origin); the frequency can never exceed the
     bound beyond noise since the face count is >= 1 on that event."""
     _require_walk_spec(cfg.spec, dims=(2,))
     stream = stream_id("boundary_origin")
-    vals = np.empty(cfg.trials)
     origin = np.zeros(2)
 
     def one(t: int):
@@ -297,22 +247,19 @@ def run_boundary_origin_experiment(cfg: ExperimentConfig, threads: int = 1):
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
         poly = hull2d(path.points)
         tol = geom_eps(poly.vertices)
-        vals[t] = 1.0 if _boundary_distance(poly, origin) <= tol else 0.0
+        return 1.0 if _boundary_distance(poly, origin) <= tol else 0.0
 
-    _map_trials(one, cfg.trials, threads)
+    vals = np.array([one(t) for t in range(cfg.trials)])
     freq = EstimateResult.from_samples(vals, seed=cfg.master_seed)
     return freq, expected_faces_at_origin(cfg.n_steps, 2)
 
 
-def run_interior_endpoint_experiment(
-    cfg: ExperimentConfig, threads: int = 1
-) -> EstimateResult:
+def run_interior_endpoint_experiment(cfg: ExperimentConfig) -> EstimateResult:
     """Frequency of the walk endpoint falling strictly inside the hull of
     the whole path; tends to 1 as n_steps grows. Ties with the boundary
     tolerance count as non-interior."""
     _require_walk_spec(cfg.spec)
     stream = stream_id("interior_endpoint")
-    vals = np.empty(cfg.trials)
     d = cfg.spec.d
 
     def one(t: int):
@@ -320,22 +267,20 @@ def run_interior_endpoint_experiment(
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
         poly = _hull_of(path.points, d)
         if poly.intrinsic_dim < d:
-            vals[t] = 0.0
-            return
+            return 0.0
         tol = geom_eps(poly.vertices)
-        vals[t] = 1.0 if _boundary_distance(poly, path.points[-1]) > tol else 0.0
+        return 1.0 if _boundary_distance(poly, path.points[-1]) > tol else 0.0
 
-    _map_trials(one, cfg.trials, threads)
+    vals = np.array([one(t) for t in range(cfg.trials)])
     return EstimateResult.from_samples(vals, seed=cfg.master_seed)
 
 
-def run_faces_experiment(cfg: ExperimentConfig, threads: int = 1) -> EstimateResult:
+def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
     """Mean number of hull faces containing the origin, against the exact
     combinatorial formula. The 3D formula is a validation gate rather than
     a settled identity, so reporting layers mark d = 3 as informational."""
     _require_walk_spec(cfg.spec)
     stream = stream_id("faces_count")
-    vals = np.empty(cfg.trials)
     d = cfg.spec.d
     origin = np.zeros(d)
 
@@ -344,9 +289,9 @@ def run_faces_experiment(cfg: ExperimentConfig, threads: int = 1) -> EstimateRes
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
         poly = _hull_of(path.points, d)
         tol = geom_eps(poly.vertices)
-        vals[t] = float(_count_incident_faces(poly, origin, tol))
+        return float(_count_incident_faces(poly, origin, tol))
 
-    _map_trials(one, cfg.trials, threads)
+    vals = np.array([one(t) for t in range(cfg.trials)])
     target = ClosedFormTarget(
         "expected_faces_at_origin",
         expected_faces_at_origin(cfg.n_steps, d),
@@ -375,22 +320,21 @@ def hill_tail_index(samples, k: int | None = None) -> float:
     return k / s
 
 
-def run_tail_index_experiment(cfg: ExperimentConfig, threads: int = 1):
+def run_tail_index_experiment(cfg: ExperimentConfig):
     """Hill tail index of per-trial V_j samples (first requested j). Heavy
     stable jumps should reproduce the index alpha; the stderr is the
     asymptotic hill deviation estimate / sqrt(k)."""
     _require_walk_spec(cfg.spec)
     j = cfg.orders()[0]
     stream = stream_id("tail_index")
-    vals = np.empty(cfg.trials)
     col = j - 1
 
     def one(t: int):
         rng = trial_rng(cfg.master_seed, stream, t)
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
-        vals[t] = _intrinsic_values(_hull_of(path.points, cfg.spec.d))[col]
+        return _intrinsic_values(_hull_of(path.points, cfg.spec.d))[col]
 
-    _map_trials(one, cfg.trials, threads)
+    vals = np.array([one(t) for t in range(cfg.trials)])
     k = cfg.hill_k if cfg.hill_k is not None else int(cfg.trials**0.6)
     est = hill_tail_index(vals, k)
     stderr = est / math.sqrt(k) if math.isfinite(est) else 0.0

@@ -7,8 +7,8 @@ heavy-tailed compound Poisson walk used by the exit-time experiments.
 
 Everything takes an explicit ``numpy.random.Generator``; nothing touches
 global random state. ``trial_rng`` derives independent, reproducible
-per-trial generators from a master seed so results do not depend on how
-trials are scheduled across threads.
+per-trial generators from a master seed, so each trial can be reproduced
+on its own, whatever ran before it.
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ def _line(num: int, ok: bool, detail: str) -> str:
 @lru_cache(maxsize=None)
 def _brownian_intrinsic():
     cfg = ExperimentConfig(
-        experiment="intrinsic_volumes",
         spec=BROWNIAN,
         trials=10_000,
         n_steps=10_000,
@@ -105,7 +104,6 @@ def test_criterion_02_brownian_half_perimeter():
 
 def test_criterion_03_stable_intrinsic_means():
     cfg = ExperimentConfig(
-        experiment="intrinsic_volumes",
         spec=STABLE15,
         trials=3000,
         n_steps=10_000,
@@ -209,7 +207,6 @@ def test_criterion_08_boundary_frequency_bound_and_decay():
     runs = []
     for n, trials in ((100, 10_000), (1000, 10_000), (10_000, 6000)):
         cfg = ExperimentConfig(
-            experiment="boundary_origin",
             spec=BROWNIAN,
             trials=trials,
             n_steps=n,
@@ -234,7 +231,6 @@ def test_criterion_09_endpoint_interior_frequency():
     out = {}
     for n in (100, 10_000):
         cfg = ExperimentConfig(
-            experiment="interior_endpoint",
             spec=BROWNIAN,
             trials=3000,
             n_steps=n,
@@ -315,7 +311,6 @@ def test_criterion_12_renewal_rate_convergence():
 
 def test_criterion_13_tail_index_probes():
     cfg = ExperimentConfig(
-        experiment="tail_index",
         spec=STABLE15,
         trials=100_000,
         n_steps=300,

@@ -341,15 +341,14 @@ class TestCli:
         assert main(["run", cfg, "--out", str(blocker / "out")]) == 3
         assert "i/o error:" in capsys.readouterr().err
 
-    def test_threads_env_override(self, tmp_path, capsys, monkeypatch):
-        cfg = self._write_cfg(tmp_path, _cfg(GRAM))
-        monkeypatch.setenv("LEVYHULL_THREADS", "2")
-        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("LEVYHULL_THREADS", "zero")
-        assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 2
-        assert "configuration error:" in capsys.readouterr().err
-        monkeypatch.setenv("LEVYHULL_THREADS", "0")
-        assert main(["run", cfg, "--out", str(tmp_path / "c")]) == 2
+    def test_threads_flag_accepted_and_ignored(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, _cfg(GRAM, INTRINSIC))
+        assert main(["run", cfg, "--threads", "2", "--out", str(tmp_path / "t2")]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "plain")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "t2" / "results.csv").read_bytes() == (
+            tmp_path / "plain" / "results.csv"
+        ).read_bytes()
 
     def test_cli_seed_matches_library(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, _cfg(GRAM))

@@ -1,5 +1,5 @@
 """Experiment runners: statistical agreement with closed forms at small
-scale, exact reproducibility across thread counts, and the estimator
+scale, exact reproducibility on rerun, and the estimator
 plumbing (Hill, KS)."""
 
 import math
@@ -16,7 +16,6 @@ from levyhull import (
 )
 from levyhull.mc_engine import (
     ExperimentConfig,
-    ExperimentKind,
     hill_tail_index,
     ks_two_sample,
     run_boundary_origin_experiment,
@@ -32,39 +31,31 @@ BROWNIAN3 = StableSpec(flavor="brownian", c=0.5, d=3)
 STABLE2 = StableSpec(alpha=1.5, c=1.0, d=2)
 
 
-def _cfg(kind, spec=BROWNIAN2, **kw):
+def _cfg(spec=BROWNIAN2, **kw):
     kw.setdefault("n_steps", 1000)
     kw.setdefault("trials", 200)
-    return ExperimentConfig(kind, spec, **kw)
+    return ExperimentConfig(spec, **kw)
 
 
 class TestExperimentConfig:
-    def test_accepts_string_kind(self):
-        cfg = _cfg("intrinsic_volumes")
-        assert cfg.experiment is ExperimentKind.INTRINSIC_VOLUMES
-
     def test_default_orders_span_dimension(self):
-        assert _cfg("intrinsic_volumes").orders() == (1, 2)
-        assert _cfg("intrinsic_volumes", spec=BROWNIAN3).orders() == (1, 2, 3)
-        assert _cfg("intrinsic_volumes", j_orders=(2,)).orders() == (2,)
+        assert _cfg().orders() == (1, 2)
+        assert _cfg(spec=BROWNIAN3).orders() == (1, 2, 3)
+        assert _cfg(j_orders=(2,)).orders() == (2,)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            _cfg("no_such_experiment")
+            _cfg(trials=99)
         with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", trials=99)
+            _cfg(n_steps=0)
         with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", n_steps=0)
+            _cfg(j_orders=(3,))  # d = 2
         with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", j_orders=(3,))  # d = 2
+            _cfg(horizon=0.0)
         with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", horizon=0.0)
+            _cfg(hill_k=0)
         with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", tolerance_sigma=0.0)
-        with pytest.raises(ConfigError):
-            _cfg("intrinsic_volumes", hill_k=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig("intrinsic_volumes", "not a spec", trials=100)
+            ExperimentConfig("not a spec", trials=100)
 
 
 class TestIntrinsicVolumeExperiment:
@@ -72,7 +63,7 @@ class TestIntrinsicVolumeExperiment:
         # at n = 100 the exact expectation of V_1 for the embedded walk is
         # available, so no bias allowance is needed at all
         cfg = _cfg(
-            "intrinsic_volumes", n_steps=100, trials=2000, master_seed=11,
+            n_steps=100, trials=2000, master_seed=11,
             j_orders=(1,),
         )
         r = run_intrinsic_volume_experiment(cfg)[0]
@@ -81,7 +72,7 @@ class TestIntrinsicVolumeExperiment:
         assert abs(r.mean - exact) < 4.0 * r.stderr
 
     def test_brownian_2d_near_limit_targets(self):
-        cfg = _cfg("intrinsic_volumes", n_steps=2000, trials=300, master_seed=5)
+        cfg = _cfg(n_steps=2000, trials=300, master_seed=5)
         r1, r2 = run_intrinsic_volume_experiment(cfg)
         assert r1.target.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
         assert r2.target.value == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -92,7 +83,7 @@ class TestIntrinsicVolumeExperiment:
 
     def test_brownian_3d_small_scale(self):
         cfg = _cfg(
-            "intrinsic_volumes", spec=BROWNIAN3, n_steps=1000, trials=150,
+            spec=BROWNIAN3, n_steps=1000, trials=150,
             master_seed=3,
         )
         rs = run_intrinsic_volume_experiment(cfg)
@@ -107,7 +98,7 @@ class TestIntrinsicVolumeExperiment:
 
     def test_stable_walk_small_scale(self):
         cfg = _cfg(
-            "intrinsic_volumes", spec=STABLE2, n_steps=2000, trials=400,
+            spec=STABLE2, n_steps=2000, trials=400,
             master_seed=9, j_orders=(1,),
         )
         r = run_intrinsic_volume_experiment(cfg)[0]
@@ -116,9 +107,9 @@ class TestIntrinsicVolumeExperiment:
         )
 
     def test_horizon_scaling_exact_for_shared_seed(self):
-        base = _cfg("intrinsic_volumes", trials=150, master_seed=5, j_orders=(1,))
+        base = _cfg(trials=150, master_seed=5, j_orders=(1,))
         quad = _cfg(
-            "intrinsic_volumes", trials=150, master_seed=5, j_orders=(1,),
+            trials=150, master_seed=5, j_orders=(1,),
             horizon=4.0,
         )
         r1 = run_intrinsic_volume_experiment(base)[0]
@@ -133,7 +124,7 @@ class TestIntrinsicVolumeExperiment:
         errs = []
         for n in (100, 1000):
             cfg = _cfg(
-                "intrinsic_volumes", n_steps=n, trials=400, master_seed=21,
+                n_steps=n, trials=400, master_seed=21,
                 j_orders=(1,),
             )
             r = run_intrinsic_volume_experiment(cfg)[0]
@@ -142,19 +133,20 @@ class TestIntrinsicVolumeExperiment:
         assert means[1] > means[0] - 3.0 * math.hypot(*errs)
 
     def test_deterministic_across_threads(self):
-        cfg = _cfg("intrinsic_volumes", trials=120, master_seed=8)
-        a = run_intrinsic_volume_experiment(cfg, threads=1)
-        b = run_intrinsic_volume_experiment(cfg, threads=4)
+        # trials run serially in index order; a rerun gives the same bits
+        cfg = _cfg(trials=120, master_seed=8)
+        a = run_intrinsic_volume_experiment(cfg)
+        b = run_intrinsic_volume_experiment(cfg)
         for ra, rb in zip(a, b):
             assert ra.mean == rb.mean and ra.stderr == rb.stderr
 
     def test_rejects_bad_specs(self):
         cpp = StableSpec(flavor="cpp", d=2, jump_rate=1.0, tail_alpha=1.5)
         with pytest.raises(ConfigError):
-            run_intrinsic_volume_experiment(_cfg("intrinsic_volumes", spec=cpp))
+            run_intrinsic_volume_experiment(_cfg(spec=cpp))
         d1 = StableSpec(flavor="brownian", c=0.5, d=1)
         with pytest.raises(ConfigError):
-            run_intrinsic_volume_experiment(_cfg("intrinsic_volumes", spec=d1))
+            run_intrinsic_volume_experiment(_cfg(spec=d1))
 
 
 class TestGramExperiment:
@@ -174,8 +166,9 @@ class TestGramExperiment:
             assert abs(r.z_score) < 5.0
 
     def test_deterministic_across_threads(self):
-        a = run_gram_experiment(3, 2, trials=30_000, seed=1, threads=1)
-        b = run_gram_experiment(3, 2, trials=30_000, seed=1, threads=8)
+        # trials run serially in index order; a rerun gives the same bits
+        a = run_gram_experiment(3, 2, trials=30_000, seed=1)
+        b = run_gram_experiment(3, 2, trials=30_000, seed=1)
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_validation(self):
@@ -191,7 +184,7 @@ class TestGramExperiment:
 
 class TestBoundaryOriginExperiment:
     def test_markov_bound_holds(self):
-        cfg = _cfg("boundary_origin", n_steps=10, trials=20_000, master_seed=7)
+        cfg = _cfg(n_steps=10, trials=20_000, master_seed=7)
         freq, bound = run_boundary_origin_experiment(cfg)
         assert freq.mean <= bound + 4.0 * freq.stderr
         assert 0.0 < freq.mean < 1.0
@@ -199,7 +192,7 @@ class TestBoundaryOriginExperiment:
     def test_frequency_decreases_with_steps(self):
         out = []
         for n in (100, 1000):
-            cfg = _cfg("boundary_origin", n_steps=n, trials=3000, master_seed=13)
+            cfg = _cfg(n_steps=n, trials=3000, master_seed=13)
             out.append(run_boundary_origin_experiment(cfg)[0])
         gap = out[0].mean - out[1].mean
         assert gap > 3.0 * math.hypot(out[0].stderr, out[1].stderr)
@@ -207,21 +200,21 @@ class TestBoundaryOriginExperiment:
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
             run_boundary_origin_experiment(
-                _cfg("boundary_origin", spec=BROWNIAN3)
+                _cfg(spec=BROWNIAN3)
             )
 
 
 class TestInteriorEndpointExperiment:
     def test_single_step_is_never_interior(self):
-        cfg = _cfg("interior_endpoint", n_steps=1, trials=150, master_seed=1)
+        cfg = _cfg(n_steps=1, trials=150, master_seed=1)
         assert run_interior_endpoint_experiment(cfg).mean == 0.0
 
     def test_frequency_grows_with_steps(self):
         small = run_interior_endpoint_experiment(
-            _cfg("interior_endpoint", n_steps=10, trials=800, master_seed=2)
+            _cfg(n_steps=10, trials=800, master_seed=2)
         )
         large = run_interior_endpoint_experiment(
-            _cfg("interior_endpoint", n_steps=2000, trials=400, master_seed=2)
+            _cfg(n_steps=2000, trials=400, master_seed=2)
         )
         assert large.mean > small.mean + 3.0 * math.hypot(small.stderr, large.stderr)
         assert large.mean > 0.8
@@ -229,13 +222,13 @@ class TestInteriorEndpointExperiment:
 
 class TestFacesExperiment:
     def test_2d_agrees_with_formula(self):
-        cfg = _cfg("faces_count", n_steps=10, trials=20_000, master_seed=2)
+        cfg = _cfg(n_steps=10, trials=20_000, master_seed=2)
         r = run_faces_experiment(cfg)
         assert abs(r.z_score) < 4.0
 
     def test_3d_runs_and_attaches_formula(self):
         cfg = _cfg(
-            "faces_count", spec=BROWNIAN3, n_steps=50, trials=400, master_seed=4
+            spec=BROWNIAN3, n_steps=50, trials=400, master_seed=4
         )
         r = run_faces_experiment(cfg)
         assert r.target is not None and r.target.params["d"] == 3
@@ -277,7 +270,7 @@ class TestHillTailIndex:
 class TestTailIndexExperiment:
     def test_stable_hull_v1_index_near_alpha(self):
         cfg = _cfg(
-            "tail_index", spec=STABLE2, n_steps=500, trials=2000,
+            spec=STABLE2, n_steps=500, trials=2000,
             master_seed=17, j_orders=(1,),
         )
         r = run_tail_index_experiment(cfg)
@@ -327,7 +320,7 @@ class TestKsTwoSample:
 
 class TestReproducibility:
     def test_same_config_bitwise_identical(self):
-        cfg = _cfg("boundary_origin", n_steps=200, trials=300, master_seed=77)
-        a = run_boundary_origin_experiment(cfg, threads=1)[0]
-        b = run_boundary_origin_experiment(cfg, threads=4)[0]
+        cfg = _cfg(n_steps=200, trials=300, master_seed=77)
+        a = run_boundary_origin_experiment(cfg)[0]
+        b = run_boundary_origin_experiment(cfg)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
