@@ -24,6 +24,7 @@ __all__ = [
     "dirichlet_constant",
     "lattice_sum_partial",
     "expected_faces_at_origin",
+    "expected_hull_vertices",
     "walk_ev_intrinsic",
     "ev_sup_brownian_pow",
     "ClosedFormTarget",
@@ -260,6 +261,25 @@ def expected_faces_at_origin(n: int, d: int) -> float:
     t = np.arange(2, n + 1, dtype=np.float64)
     inner = 2.0 / t * harmonic[1:n]
     return 2.0 * float((r[n - 2 :: -1] * inner).sum())
+
+
+def expected_hull_vertices(n: int, d: int) -> float:
+    """Expected vertex count of conv(S_0, ..., S_n) for an n-step walk in
+    R^d, d in {2, 3}, with symmetric exchangeable increments in general
+    position, whatever the step law: 2 H_n for d = 2 (Baxter 1961) and
+    H_n^2 - H_n^(2) + 2 for d = 3 (Kabluchko, Vysotsky & Zaporozhets 2017),
+    H_n^(r) = sum_k k^-r. Both are n + 1 while n <= d."""
+    if d not in (2, 3):
+        raise ParameterError(f"d must be 2 or 3, got {d!r}")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    if n > 10**7:
+        raise ResourceError(f"harmonic sums capped at n=10^7, got {n}")
+    inv = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    if d == 2:
+        return 2.0 * float(inv.sum())
+    # H_n^2 - H_n^(2) = 2 sum_{i < j} 1/(i j) = 2 sum_j H_{j-1} / j
+    return 2.0 * float(inv[1:] @ np.cumsum(inv)[:-1]) + 2.0
 
 
 def walk_ev_intrinsic(n: int, j: int, alpha: float, vj_zonoid: float) -> float:

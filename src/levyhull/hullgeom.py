@@ -1,24 +1,25 @@
 """Exact convex hulls and hull functionals in R^2 and R^3.
 
-Hulls are computed in plain double precision with a relative tolerance
-eps = 1e-9 * input diameter for orientation and side-of-plane predicates.
-Adaptive exact predicates are deliberately not used: heavy-tailed inputs
-would make them attractive, but the statistical layers tolerate the rare
-borderline misclassification. Degenerate inputs (all points equal,
-collinear, or coplanar) come back as lower-dimensional polytopes instead
-of raising.
+All arithmetic is plain double precision. ``hull2d`` is a Quickhull with a
+strict sign test and no tolerance: duplicates and exactly collinear points
+drop out, every other extreme point stays. ``hull3d`` keeps the relative
+tolerance eps = 1e-9 * bounding-box diagonal (``geom_eps``) in its
+visibility, planarity and seed tests, so it drops vertices within eps of
+its surface. Degenerate inputs (all points equal, collinear, or coplanar)
+come back as lower-dimensional polytopes instead of raising.
 
-The R^3 hull keeps its facets in numpy arrays (``_FacetStore``): index
-triples, facet planes and an alive mask, grown in place. An insertion
-finds its visible facets with one matrix-vector product and cones the
-whole horizon in one batched cross product; each round measures all
-outside points against all facets with one matrix product.
-``intrinsic_volumes_3d`` pairs the two facets of every edge by sorting
-edge keys, so the dihedral angles come from batched array operations.
+The R^3 hull keeps its facets in numpy arrays (``_FacetStore``). An
+insertion finds its visible facets with one matrix-vector product and
+writes the cone over their horizon, from one batched cross product, into
+their rows; each round measures all outside points against all facets
+with one matrix product. ``intrinsic_volumes_3d`` pairs the two facets of
+every edge by sorting edge keys, so the dihedral angles come from batched
+array operations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,18 +44,12 @@ __all__ = [
 ]
 
 
-def _bbox_diag(pts: np.ndarray) -> float:
-    """Bounding-box diagonal of a nonempty (n, d) float array."""
-    cols = np.ascontiguousarray(pts.T)  # per-coordinate extremes, contiguous
-    return float(np.linalg.norm(cols.max(axis=-1) - cols.min(axis=-1)))
-
-
 def geom_eps(points: np.ndarray) -> float:
     """Length tolerance: 1e-9 times the bounding-box diagonal."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    if cols.size == 0:
         return 0.0
-    return 1e-9 * _bbox_diag(pts)
+    return 1e-9 * float(np.linalg.norm(cols.max(axis=-1) - cols.min(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -88,9 +83,8 @@ class Polytope:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         if self.facets is not None:
-            object.__setattr__(
-                self, "facets", tuple(tuple(int(i) for i in f) for f in self.facets)
-            )
+            rows = np.asarray(self.facets, dtype=np.int64).tolist()
+            object.__setattr__(self, "facets", tuple(map(tuple, rows)))
 
     @property
     def n_vertices(self) -> int:
@@ -128,104 +122,99 @@ class IntrinsicVolumes:
         return len(self.values)
 
 
-def _cross2(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _lex_end(x: np.ndarray, y: np.ndarray, i: int, pick) -> int:
+    """Among the points sharing x[i], the one ``pick`` selects by y."""
+    tied = x == x[i]
+    if np.count_nonzero(tied) == 1:
+        return i
+    return int(tied.nonzero()[0][pick(y[tied])])
 
 
-def _octagon_prefilter(pts: np.ndarray, eps_cross: float) -> np.ndarray:
-    """Drop points strictly inside the octagon spanned by the 8 extreme
-    points in the axis and diagonal directions. Inscribed in the hull, so
-    dropped points are never hull vertices."""
-    x, y = pts[:, 0], pts[:, 1]
-    s, t = x + y, x - y
-    idx = [
-        int(np.argmax(x)), int(np.argmax(s)), int(np.argmax(y)), int(np.argmin(t)),
-        int(np.argmin(x)), int(np.argmin(s)), int(np.argmin(y)), int(np.argmax(t)),
-    ]
-    corners = []
-    for i in idx:
-        if not corners or not np.array_equal(pts[i], corners[-1]):
-            corners.append(pts[i])
-    if len(corners) > 1 and np.array_equal(corners[0], corners[-1]):
-        corners.pop()
-    if len(corners) < 3:
-        return pts
-    corners = np.asarray(corners)
-    inside = np.ones(len(pts), dtype=bool)
-    for k in range(len(corners)):
-        a = corners[k]
-        b = corners[(k + 1) % len(corners)]
-        cr = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-        inside &= cr > eps_cross
-    return pts[~inside]
+def _cands(cr: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Candidates as arrays; 64 or fewer as (cr, x, y) tuples, which Python splits faster."""
+    if len(cr) > 64:
+        return cr, xs, ys
+    return list(zip(cr.tolist(), xs.tolist(), ys.tolist()))
 
 
 def hull2d(points) -> Polytope:
-    """Convex hull in the plane via monotone chain, counterclockwise,
-    collinear and duplicate points removed. Degenerate inputs produce a
-    point or segment polytope with the matching intrinsic_dim."""
+    """Convex hull in the plane by Quickhull (Barber, Dobkin & Huhdanpaa,
+    ACM TOMS 1996), counterclockwise from the lexicographic minimum a.
+
+    Each subproblem is an edge p -> q with the candidates strictly right of
+    it (cross product < 0); the farthest, lexicographically smallest on a
+    tie, is a vertex c, and p -> c and c -> q follow. Duplicates and exactly
+    collinear points have cross product 0 and drop out. Subproblems run on
+    an explicit stack, in numpy and then, once small, in Python floats with
+    the same arithmetic. Degenerate inputs give a point or the segment from
+    a to the lexicographic maximum, with intrinsic_dim 0 or 1."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ParameterError("hull2d needs a nonempty (n, 2) array")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ParameterError("hull2d needs finite coordinates")
-    diag = _bbox_diag(pts)
-    if diag == 0.0:
-        return Polytope(2, pts[:1].copy(), 0)
-    # Orientation predicate works on cross products, which scale as
-    # length^2, so the 1e-9-relative tolerance is squared with the diameter.
-    eps_cross = 1e-9 * diag * diag
-    if len(pts) > 64:
-        pts = _octagon_prefilter(pts, eps_cross)
-    uniq = sorted(set(map(tuple, pts.tolist())))
-    if len(uniq) == 1:
-        return Polytope(2, np.array(uniq), 0)
+    x, y = np.ascontiguousarray(pts.T)
+    ia = _lex_end(x, y, int(x.argmin()), np.argmin)
+    ib = _lex_end(x, y, int(x.argmax()), np.argmax)
+    a, b = (float(x[ia]), float(y[ia])), (float(x[ib]), float(y[ib]))
+    if a == b:
+        return Polytope(2, pts[ia : ia + 1].copy(), 0)
+    cr = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+    up, lo = cr > 0, cr < 0
+    stack = [(b, a, _cands(-cr[up], x[up], y[up])), b, (a, b, _cands(cr[lo], x[lo], y[lo]))]
+    out = [a]
+    while stack:
+        item = stack.pop()
+        if len(item) == 2:  # a vertex, in counterclockwise turn
+            out.append(item)
+            continue
+        p, q, cand = item
+        if not cand:
+            continue
+        (px, py), (qx, qy) = p, q
+        if isinstance(cand, list):
+            _, cx, cy = min(cand)
+            ux, uy, vx, vy = cx - px, cy - py, qx - cx, qy - cy
+            left, right = [], []
+            for _, sx, sy in cand:
+                d = ux * (sy - py) - uy * (sx - px)
+                if d < 0:
+                    left.append((d, sx, sy))
+                elif (e := vx * (sy - cy) - vy * (sx - cx)) < 0:
+                    right.append((e, sx, sy))
+        else:
+            cr, xs, ys = cand
+            k = int(cr.argmin())
+            t = np.flatnonzero(cr == cr[k])
+            if len(t) > 1:
+                k = int(t[np.lexsort((ys[t], xs[t]))[0]])
+            cx, cy = float(xs[k]), float(ys[k])
+            d1 = (cx - px) * (ys - py) - (cy - py) * (xs - px)
+            d2 = (qx - cx) * (ys - cy) - (qy - cy) * (xs - cx)
+            m1, m2 = d1 < 0, d2 < 0
+            m2[m1] = False  # round-off can put a point right of both
+            left, right = _cands(d1[m1], xs[m1], ys[m1]), _cands(d2[m2], xs[m2], ys[m2])
+        c = (cx, cy)
+        stack += [(c, q, right), c, (p, c, left)]
+    return Polytope(2, np.array(out), 2 if len(out) > 2 else 1)
 
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(out[-2], out[-1], p) <= eps_cross:
-                out.pop()
-            out.append(p)
-        return out
 
-    lower = chain(uniq)
-    upper = chain(reversed(uniq))
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 3:
-        ends = np.array([lower[0], lower[-1]] if len(lower) > 1 else verts)
-        return Polytope(2, ends, 1)
-    return Polytope(2, np.array(verts), 2)
-
-
-_SEED_DIRS_3D = None
-
-
+@functools.cache
 def _seed_directions() -> np.ndarray:
-    global _SEED_DIRS_3D
-    if _SEED_DIRS_3D is None:
-        axes = np.vstack([np.eye(3), -np.eye(3)])
-        k = np.arange(26, dtype=np.float64)
-        # deterministic spiral covering the sphere
-        z = 1.0 - 2.0 * (k + 0.5) / 26.0
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        th = math.pi * (3.0 - math.sqrt(5.0)) * k
-        spiral = np.column_stack([r * np.cos(th), r * np.sin(th), z])
-        _SEED_DIRS_3D = np.vstack([axes, spiral])
-    return _SEED_DIRS_3D
+    """The six axis directions, then a deterministic 26-point spiral
+    covering the sphere."""
+    k = np.arange(26, dtype=np.float64)
+    z = 1.0 - 2.0 * (k + 0.5) / 26.0
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    th = math.pi * (3.0 - math.sqrt(5.0)) * k
+    spiral = np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    return np.vstack([np.eye(3), -np.eye(3), spiral])
 
 
 def _lex_sorted(pts: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """``cand`` ordered lexicographically by point, equal points by index."""
     sub = pts[cand]
     return cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))]
-
-
-def _lex_min(pts: np.ndarray) -> int:
-    """First index of the lexicographically smallest point: an argmin on x
-    with a tie-break, not a full lexsort."""
-    x = pts[:, 0]
-    return int(_lex_sorted(pts, np.flatnonzero(x == x.min()))[0])
 
 
 def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
@@ -245,26 +234,21 @@ def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
     return picks
 
 
-def _planar_hull3d(pts: np.ndarray, origin, basis) -> Polytope:
-    flat = (pts - origin) @ basis.T
-    poly2 = hull2d(flat)
-    lifted = poly2.vertices @ basis + origin
-    return Polytope(3, lifted, poly2.intrinsic_dim)
-
-
 _BLOCK = 2048  # point columns per distance block, sized to stay in cache
 _DEAD_PLANE = np.array([0.0, 0.0, 0.0, np.inf])
 _EDGES = np.array([[0, 1], [1, 2], [2, 0]])  # directed edges of a triangle
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class _FacetStore:
     """Triangle facets of a growing hull, in arrays that grow in place.
 
-    Row k holds an index triple ``tri[k]``, an alive flag, and the facet
-    plane ``plane[k] = (unit outward normal, offset)``; the signed distance
-    of a point x is ``plane[k] @ (x, -1)``. A dead row has the plane
+    Row k holds an index triple ``tri[k]`` and the facet plane
+    ``plane[k] = (unit outward normal, offset)``; the signed distance of a
+    point x is ``plane[k] @ (x, -1)``. A dead row has the plane
     (0, 0, 0, inf): every distance to it is -inf, so it is never visible
-    and never the maximum. New facets reuse dead rows first.
+    and never the maximum. New facets take the rows of the facets they
+    replace, and the two more that Euler's formula adds are appended.
     """
 
     def __init__(self, pts: np.ndarray, interior: np.ndarray, cap: int = 64):
@@ -278,7 +262,6 @@ class _FacetStore:
         self.interior = interior
         self.tri = np.zeros((cap, 3), dtype=np.int64)
         self.plane = np.tile(_DEAD_PLANE, (cap, 1))
-        self.alive = np.zeros(cap, dtype=bool)
         self.m = 0  # rows in use, dead or alive
 
     def worst(self, q4: np.ndarray) -> np.ndarray:
@@ -292,11 +275,11 @@ class _FacetStore:
             out[lo : lo + _BLOCK] = (planes @ q4[:, lo : lo + _BLOCK]).max(axis=0)
         return out
 
-    def add(self, edges: np.ndarray, apex: int) -> None:
-        """Store the triangles (u, v, apex) for the rows (u, v) of edges in
-        one batch. A triangle whose unit normal points toward the interior
-        point is stored as (v, u, apex) with the normal negated; a
-        zero-area triangle gets a zero normal."""
+    def add(self, edges: np.ndarray, apex: int, rows: np.ndarray = _NO_ROWS) -> None:
+        """Store the triangles (u, v, apex), one per row (u, v) of edges, into
+        ``rows`` and then appended rows; rows left over die. A triangle whose
+        normal points toward the interior point is stored as (v, u, apex),
+        and a zero-area one gets a zero normal."""
         c = self.ext[apex]
         rel = self.ext[edges] - c
         u, v = rel[:, 0], rel[:, 1]
@@ -314,47 +297,43 @@ class _FacetStore:
             off[flip] *= -1.0
             edges = np.where(flip[:, None], edges[:, ::-1], edges)
 
-        rows = np.flatnonzero(~self.alive[: self.m])[: len(edges)]
-        if len(rows) < len(edges):
-            top = self.m + len(edges) - len(rows)
-            if top > len(self.alive):
-                self._grow(top)
+        k = len(edges)
+        if k > len(rows):
+            top = self.m + k - len(rows)
+            if top > len(self.plane):
+                extra = max(len(self.plane), top - len(self.plane))
+                self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
+                self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
             rows = np.concatenate([rows, np.arange(self.m, top)])
             self.m = top
+        elif k < len(rows):
+            self.plane[rows[k:]] = _DEAD_PLANE
+            rows = rows[:k]
         self.tri[rows, :2] = edges
         self.tri[rows, 2] = apex
         self.plane[rows, :3] = n
         self.plane[rows, 3] = off
-        self.alive[rows] = True
-
-    def _grow(self, need: int) -> None:
-        extra = max(len(self.alive), need - len(self.alive))
-        self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
-        self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
-        self.alive = np.concatenate([self.alive, np.zeros(extra, dtype=bool)])
 
     def insert(self, p: int, eps: float) -> None:
-        """Add point p: drop the facets it sees beyond eps and cone their
-        horizon to p. A horizon edge is a directed edge (u, v) of a visible
-        facet whose reverse belongs to no visible facet; the new facet
-        (u, v, p) keeps the mesh orientation."""
-        vis = np.flatnonzero(self.plane[: self.m] @ self.hom[p] > eps)
+        """Add point p: replace the facets it sees beyond eps by the cone
+        from p over their horizon. A horizon edge is a directed edge (u, v)
+        of a visible facet whose reverse belongs to no visible facet; the
+        new facet (u, v, p) keeps the mesh orientation."""
+        vis = (self.plane[: self.m] @ self.hom[p] > eps).nonzero()[0]
         if len(vis) == 0:
             return
         edges = self.tri[vis[:, None, None], _EDGES].reshape(-1, 2)
         fwd, back = (edges @ self.key).T
         fwd.sort()
-        rim = edges[fwd.take(np.searchsorted(fwd, back), mode="clip") != back]
-        if np.any(fwd[1:] == fwd[:-1]):
+        rim = edges[fwd.take(fwd.searchsorted(back), mode="clip") != back]
+        if (fwd[1:] == fwd[:-1]).any():
             # a directed edge in two visible facets: round-off has broken the
             # mesh, so cone each rim edge once
             rim = np.unique(rim, axis=0)
-        self.alive[vis] = False
-        self.plane[vis] = _DEAD_PLANE
-        self.add(rim, p)
+        self.add(rim, p, vis)
 
     def facets(self) -> np.ndarray:
-        return self.tri[: self.m][self.alive[: self.m]]
+        return self.tri[: self.m][self.plane[: self.m, 3] < np.inf]
 
 
 def hull3d(points) -> Polytope:
@@ -362,11 +341,7 @@ def hull3d(points) -> Polytope:
 
     Seeds a tetrahedron from extreme points, then inserts the extremes in
     32 fixed directions, then repeatedly the remaining point farthest
-    outside the current hull, retriangulating across its horizon. Facets
-    live in a ``_FacetStore``: each insertion finds its visible facets
-    with one matrix-vector product and adds all horizon facets with one
-    batched cross product; each round measures every outside point
-    against every facet with one matrix product. Coplanar, collinear,
+    outside the current hull (``_FacetStore.insert``). Coplanar, collinear,
     and single-point inputs degrade to planar, segment, and point
     polytopes."""
     pts = np.asarray(points, dtype=np.float64)
@@ -374,30 +349,33 @@ def hull3d(points) -> Polytope:
         raise ParameterError("hull3d needs a nonempty (n, 3) array")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("hull3d needs finite coordinates")
-    eps = geom_eps(pts)
+    cols = np.ascontiguousarray(pts.T)  # per-point work runs along contiguous rows
+    eps = geom_eps(cols.T)
     if eps == 0.0:
         return Polytope(3, pts[:1].copy(), 0)
-    i0 = _lex_min(pts)
-    cols = np.ascontiguousarray(pts.T)  # per-point work runs along contiguous rows
-    rel = cols - cols[:, i0, None]
-    i1 = int(np.argmax(np.linalg.norm(rel, axis=0)))
+    # the lexicographic minimum: an argmin on x with a tie-break, no lexsort
+    i0 = int(_lex_sorted(pts, np.flatnonzero(cols[0] == cols[0].min()))[0])
+    r0, r1, r2 = rel = cols - cols[:, i0, None]
+    i1 = int(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2).argmax())
     axis = pts[i1] - pts[i0]
     axis /= np.linalg.norm(axis)
-    line_dist = np.linalg.norm(np.cross(rel, axis, axisa=0, axisc=0), axis=0)
-    i2 = int(np.argmax(line_dist))
+    a0, a1, a2 = axis.tolist()
+    # |rel x axis| per point, with np.cross's terms in np.cross's order
+    c0, c1, c2 = r1 * a2 - r2 * a1, r2 * a0 - r0 * a2, r0 * a1 - r1 * a0
+    line_dist = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    i2 = int(line_dist.argmax())
     if line_dist[i2] <= eps:
         proj = pts @ axis
-        ends = pts[[int(np.argmin(proj)), int(np.argmax(proj))]]
-        return Polytope(3, ends, 1)
-    normal = np.cross(pts[i1] - pts[i0], pts[i2] - pts[i0])
+        return Polytope(3, pts[[proj.argmin(), proj.argmax()]], 1)
+    normal = np.cross(rel[:, i1], rel[:, i2])
     normal /= np.linalg.norm(normal)
     plane_dist = (pts - pts[i0]) @ normal
     i3 = int(np.argmax(np.abs(plane_dist)))
     if abs(plane_dist[i3]) <= eps:
-        u = pts[i1] - pts[i0]
-        u /= np.linalg.norm(u)
-        v = np.cross(normal, u)
-        return _planar_hull3d(pts, pts[i0], np.vstack([u, v]))
+        u = rel[:, i1] / np.linalg.norm(rel[:, i1])
+        basis = np.vstack([u, np.cross(normal, u)])
+        flat = hull2d((pts - pts[i0]) @ basis.T)
+        return Polytope(3, flat.vertices @ basis + pts[i0], flat.intrinsic_dim)
 
     seed = [i0, i1, i2, i3]
     store = _FacetStore(pts, pts[seed].mean(axis=0))
@@ -419,7 +397,7 @@ def hull3d(points) -> Polytope:
     remaining = np.flatnonzero(todo & (worst > eps))
     q4, worst = store.hom[remaining].T, worst[remaining]
     while len(remaining) > 0:
-        picked = int(np.argmax(worst))
+        picked = int(worst.argmax())
         store.insert(int(remaining[picked]), eps)
         worst = store.worst(q4)
         keep = worst > eps  # points inside the growing hull stay inside
@@ -429,7 +407,7 @@ def hull3d(points) -> Polytope:
     tris = store.facets()
     used = np.unique(tris)
     facets = np.searchsorted(used, tris)
-    return Polytope(3, pts[used], 3, facets.tolist())
+    return Polytope(3, pts[used], 3, facets)
 
 
 def intrinsic_volumes_2d(p: Polytope) -> IntrinsicVolumes:

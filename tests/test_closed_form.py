@@ -1,6 +1,7 @@
 """Closed-form layer: frozen values, brute-force oracles, domain errors."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from levyhull import (
     ev_intrinsic_stable,
     ev_sup_brownian_pow,
     expected_faces_at_origin,
+    expected_hull_vertices,
     gamma_fn,
     lattice_sum_partial,
     unit_ball_volume,
@@ -270,6 +272,54 @@ class TestExpectedFacesAtOrigin:
             expected_faces_at_origin(10, 4)
         with pytest.raises(ParameterError):
             expected_faces_at_origin(0, 2)
+
+
+def _stirling_first(m: int) -> list:
+    """Unsigned Stirling numbers of the first kind [m, k], k = 0..m."""
+    row = [1]
+    for i in range(m):  # [i + 1, k] = i [i, k] + [i, k - 1]
+        row = [i * a + b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
+def _vertices_exact(n: int, d: int) -> Fraction:
+    """E f_0 = (2 / n!) sum_{l >= 0} [n + 1, d - 2l], the Stirling form of
+    the face-count identity, in exact rationals."""
+    s = _stirling_first(n + 1)
+    return Fraction(2 * sum(s[k] for k in range(d, -1, -2) if k <= n + 1), math.factorial(n))
+
+
+class TestExpectedHullVertices:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_point_a_vertex_while_n_at_most_d(self, d):
+        for n in range(1, d + 1):
+            assert _vertices_exact(n, d) == n + 1
+            assert expected_hull_vertices(n, d) == n + 1
+
+    def test_three_steps_in_the_plane(self):
+        assert _vertices_exact(3, 2) == Fraction(11, 3)
+        assert expected_hull_vertices(3, 2) == float(Fraction(11, 3))
+
+    @pytest.mark.parametrize("n", [4, 5, 10, 37, 100, 400])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_stirling_sum(self, n, d):
+        assert expected_hull_vertices(n, d) == pytest.approx(
+            float(_vertices_exact(n, d)), rel=1e-14
+        )
+
+    def test_harmonic_forms(self):
+        h = sum(Fraction(1, k) for k in range(1, 31))
+        h2 = sum(Fraction(1, k * k) for k in range(1, 31))
+        assert _vertices_exact(30, 2) == 2 * h
+        assert _vertices_exact(30, 3) == h * h - h2 + 2
+
+    def test_domain(self):
+        with pytest.raises(ParameterError):
+            expected_hull_vertices(10, 4)
+        with pytest.raises(ParameterError):
+            expected_hull_vertices(0, 2)
+        with pytest.raises(ResourceError):
+            expected_hull_vertices(10**8, 2)
 
 
 class TestWalkEvIntrinsic:

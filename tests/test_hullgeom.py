@@ -20,6 +20,7 @@ from levyhull import (
     Polytope,
     ResourceError,
     StableSpec,
+    expected_hull_vertices,
     geom_eps,
     gram_det,
     hausdorff,
@@ -278,6 +279,120 @@ class TestHull3dAgainstQhull:
         iv = intrinsic_volumes_3d(poly)
         assert iv[1] == pytest.approx(_v1_brute_force(q), rel=1e-10)
         assert iv[3] == pytest.approx(q.volume, rel=1e-10)
+
+
+def _walk2(alpha: float, k: int) -> np.ndarray:
+    """A planar stable walk of 10^4 steps, the size the d = 2 benchmarks use."""
+    spec = StableSpec(alpha=alpha, d=2)
+    return sample_walk_path(spec, 10_000, 1.0, trial_rng(5, 3, k)).points
+
+
+def _assert_strictly_convex_ccw(v: np.ndarray) -> None:
+    """Every turn strictly left, starting at the lexicographic minimum."""
+    assert v.tolist()[0] == min(v.tolist())
+    a, b, c = v, np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)
+    turn = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    assert np.all(turn > 0)
+
+
+class TestHull2dAgainstQhull:
+    """Vertex sets against qhull on long walks, and the output contract on
+    inputs with ties, duplicates and exact collinearity (exact in double
+    precision, so every expected vertex list is exact)."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5, 0.7, 0.5])
+    @pytest.mark.parametrize("k", range(4))
+    def test_vertex_set(self, alpha, k):
+        pts = _walk2(alpha, k)
+        p = hull2d(pts)
+        assert _rows(p.vertices) == _rows(pts[ConvexHull(pts).vertices])
+        assert len(p.vertices) == len(_rows(p.vertices))
+        assert p.vertices.tolist()[0] == min(pts.tolist())
+
+    def test_ties_at_the_x_extremes(self):
+        pts = [[0, 1], [3, 1], [0, 2], [3, -1], [1, 1], [0, 0], [3, 4]]
+        p = hull2d(pts)
+        assert p.vertices.tolist() == [[0, 0], [3, -1], [3, 4], [0, 2]]
+
+    def test_duplicates_and_points_on_edges(self):
+        pts = [[0, 0], [0, 0], [1, 0], [2, 0], [2, 0], [2, 1], [2, 2],
+               [1, 2], [0, 2], [0, 1], [1, 1], [2, 2], [0, 0]]
+        p = hull2d(pts)
+        assert p.intrinsic_dim == 2
+        assert p.vertices.tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
+
+    @pytest.mark.parametrize("interior", [3, 300])  # Python and numpy subproblems
+    def test_tied_farthest_candidates(self, interior):
+        # three candidates at the same largest distance below the chord:
+        # the two ends are vertices, the middle one is not
+        rng = np.random.default_rng(interior)
+        inner = rng.uniform([1.0, -0.9], [3.0, -0.1], size=(interior, 2))
+        pts = np.vstack([[[0, 0], [4, 0], [2, -1], [3, -1], [1, -1]], inner])
+        assert hull2d(pts).vertices.tolist() == [[0, 0], [1, -1], [3, -1], [4, 0]]
+
+    def test_exactly_collinear_input(self):
+        p = hull2d([[2, 1], [0, 0], [4, 2], [1, 0.5], [4, 2], [-2, -1]])
+        assert p.intrinsic_dim == 1
+        assert p.vertices.tolist() == [[-2, -1], [4, 2]]
+        vertical = hull2d([[1, 3], [1, -1], [1, 0], [1, 3]])
+        assert vertical.intrinsic_dim == 1
+        assert vertical.vertices.tolist() == [[1, -1], [1, 3]]
+
+    def test_two_points(self):
+        p = hull2d([[1.0, 1.0], [0.0, 0.0]])
+        assert p.intrinsic_dim == 1
+        assert p.vertices.tolist() == [[0, 0], [1, 1]]
+
+    def test_one_repeated_point(self):
+        p = hull2d([[2.0, 5.0]] * 4)
+        assert p.intrinsic_dim == 0
+        assert p.vertices.tolist() == [[2, 5]]
+
+    def test_strictly_convex_output_on_a_lattice(self):
+        rng = np.random.default_rng(8)
+        pts = rng.integers(-20, 21, size=(2000, 2)).astype(np.float64)
+        p = hull2d(pts)
+        _assert_strictly_convex_ccw(p.vertices)
+        assert _rows(p.vertices) == _rows(pts[ConvexHull(pts).vertices])
+
+    def test_every_point_a_vertex_does_not_recurse(self):
+        # 10^4 points on a parabola, all vertices, with integer coordinates
+        # so every cross product is exact
+        x = np.arange(-5000.0, 5000.0)
+        pts = np.column_stack([x, x * x])
+        p = hull2d(pts[np.random.default_rng(1).permutation(len(x))])
+        assert np.array_equal(p.vertices, pts)
+        _assert_strictly_convex_ccw(p.vertices)
+
+
+def _mean_z(counts, exact: float) -> float:
+    c = np.asarray(counts, dtype=np.float64)
+    return (c.mean() - exact) / (c.std(ddof=1) / math.sqrt(len(c)))
+
+
+class TestVertexCountOracle:
+    """Mean vertex counts of walk hulls against the exact values, which hold
+    for every isotropic stable step law (closed_form.expected_hull_vertices).
+    The seeds, trial counts and the 4-sigma band were fixed before the
+    first run."""
+
+    @pytest.mark.parametrize("stream,alpha", enumerate([2.0, 1.5, 0.7, 0.5, 0.3]))
+    def test_hull2d(self, stream, alpha):
+        spec = StableSpec(alpha=alpha, d=2)
+        counts = [
+            hull2d(sample_walk_path(spec, 1000, 1.0, trial_rng(1961, stream, k)).points).n_vertices
+            for k in range(400)
+        ]
+        assert abs(_mean_z(counts, expected_hull_vertices(1000, 2))) <= 4.0
+
+    @pytest.mark.parametrize("stream,alpha", enumerate([2.0, 1.5]))
+    def test_hull3d(self, stream, alpha):
+        spec = StableSpec(alpha=alpha, d=3)
+        counts = [
+            hull3d(sample_walk_path(spec, 2000, 1.0, trial_rng(2017, stream, k)).points).n_vertices
+            for k in range(200)
+        ]
+        assert abs(_mean_z(counts, expected_hull_vertices(2000, 3))) <= 4.0
 
 
 class TestIntrinsicVolumes2d:
@@ -545,6 +660,14 @@ class TestPolytopeType:
         p = hull2d(UNIT_SQUARE)
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 99.0
+
+    def test_facets_become_tuples_of_python_ints(self):
+        verts = _regular_tetrahedron()
+        f = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]], dtype=np.int32)
+        for given in (f, f.tolist(), tuple(map(tuple, f.tolist()))):
+            facets = Polytope(3, verts, 3, given).facets
+            assert facets == ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))
+            assert all(type(i) is int for tri in facets for i in tri)
 
     def test_json_round_trip_fields(self):
         p = hull3d(np.array(CUBE))
