@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "lattice_sum_partial",
     "expected_faces_at_origin",
     "expected_hull_vertices",
+    "prob_origin_outside_walk_hull",
     "walk_ev_intrinsic",
     "ev_sup_brownian_pow",
     "ClosedFormTarget",
@@ -280,6 +282,31 @@ def expected_hull_vertices(n: int, d: int) -> float:
         return 2.0 * float(inv.sum())
     # H_n^2 - H_n^(2) = 2 sum_{i < j} 1/(i j) = 2 sum_j H_{j-1} / j
     return 2.0 * float(inv[1:] @ np.cumsum(inv)[:-1]) + 2.0
+
+
+def prob_origin_outside_walk_hull(n: int, d: int) -> Fraction:
+    """Exact probability that the origin lies outside conv(S_1, ..., S_n)
+    for an n-step walk in R^d with symmetric exchangeable increments in
+    general position, whatever the step law (Kabluchko, Vysotsky &
+    Zaporozhets 2017):
+
+        2 (B(n, d-1) + B(n, d-3) + ...) / (2^n n!),
+
+    B(n, k) the coefficient of t^k in (t + 1)(t + 3)...(t + 2n - 1). The
+    product is expanded in integers up to t^(d-1), so the result is an
+    exact ``Fraction``; it is 1 while n < d."""
+    for name, v in (("n", n), ("d", d)):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+            raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+    n, d = int(n), int(d)
+    if n > 10**4:
+        raise ResourceError(f"integer expansion capped at n=10^4, got {n}")
+    coef = [1] + [0] * (d - 1)  # B(i, 0..d-1) for i = 0, 1, ..., n
+    for c in range(1, 2 * n, 2):
+        for k in range(d - 1, 0, -1):
+            coef[k] = c * coef[k] + coef[k - 1]
+        coef[0] *= c
+    return Fraction(2 * sum(coef[d - 1 :: -2]), 2**n * math.factorial(n))
 
 
 def walk_ev_intrinsic(n: int, j: int, alpha: float, vj_zonoid: float) -> float:

@@ -8,13 +8,14 @@ visibility, planarity and seed tests, so it drops vertices within eps of
 its surface. Degenerate inputs (all points equal, collinear, or coplanar)
 come back as lower-dimensional polytopes instead of raising.
 
-The R^3 hull keeps its facets in numpy arrays (``_FacetStore``). An
-insertion finds its visible facets with one matrix-vector product and
-writes the cone over their horizon, from one batched cross product, into
-their rows; each round measures all outside points against all facets
-with one matrix product. ``intrinsic_volumes_3d`` pairs the two facets of
-every edge by sorting edge keys, so the dihedral angles come from batched
-array operations.
+The R^3 hull (``_FacetStore``) keeps its facet planes in a numpy array
+and its index triples in a Python list. An insertion finds its visible
+facets with one matrix-vector product; their horizon and the cone over it
+are worked out in Python floats, a handful of facets at a time, and
+written into the visible facets' rows. Each round measures all outside
+points against all facets with one matrix product. ``intrinsic_volumes_3d``
+pairs the two facets of every edge by sorting edge keys, so the dihedral
+angles come from batched array operations.
 """
 
 from __future__ import annotations
@@ -237,37 +238,51 @@ def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
 _BLOCK = 2048  # point columns per distance block, sized to stay in cache
 _DEAD_PLANE = np.array([0.0, 0.0, 0.0, np.inf])
 _EDGES = np.array([[0, 1], [1, 2], [2, 0]])  # directed edges of a triangle
-_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+class _Coords(dict):
+    """Point index -> [x, y, z] as Python floats, fetched on first use."""
+
+    def __init__(self, pts: np.ndarray):
+        super().__init__()
+        self.pts = pts
+
+    def __missing__(self, i: int) -> list:
+        xyz = self[i] = self.pts[i].tolist()
+        return xyz
 
 
 class _FacetStore:
-    """Triangle facets of a growing hull, in arrays that grow in place.
+    """Triangle facets of a growing hull, one row per facet.
 
-    Row k holds an index triple ``tri[k]`` and the facet plane
-    ``plane[k] = (unit outward normal, offset)``; the signed distance of a
-    point x is ``plane[k] @ (x, -1)``. A dead row has the plane
-    (0, 0, 0, inf): every distance to it is -inf, so it is never visible
-    and never the maximum. New facets take the rows of the facets they
-    replace, and the two more that Euler's formula adds are appended.
+    Row k holds an index triple ``tri[k]``, in a Python list, and the facet
+    plane ``plane[k] = (unit outward normal, offset)``, in a numpy array;
+    the signed distance of a point x is ``plane[k] @ (x, -1)``. A dead row
+    has the plane (0, 0, 0, inf): every distance to it is -inf, so it is
+    never visible and never the maximum. New facets take the rows of the
+    facets they replace, and the two more that Euler's formula adds are
+    appended.
+
+    Only the products over all facets run in numpy: one matrix-vector
+    product finds the facets a point sees, and ``worst`` measures points
+    against every facet. An insertion touches a handful of facets, so its
+    horizon and the planes of its new facets are worked out in Python
+    floats and tuples and written back with one row assignment.
     """
 
     def __init__(self, pts: np.ndarray, interior: np.ndarray, cap: int = 64):
-        # (x, y, z, x, y) rows: a cross product is two products of slices
-        self.ext = pts[:, [0, 1, 2, 0, 1]]
         # homogeneous rows (x, y, z, -1): distances are plane @ hom[i]
         self.hom = pts[:, [0, 1, 2, 0]]
         self.hom[:, 3] = -1.0
-        # edge (u, v) has key u * n + v; its reverse, v * n + u
-        self.key = np.array([[len(pts), 1], [1, len(pts)]])
-        self.interior = interior
-        self.tri = np.zeros((cap, 3), dtype=np.int64)
+        self.xyz = _Coords(pts)
+        self.interior = interior.tolist()
+        self.tri = []
         self.plane = np.tile(_DEAD_PLANE, (cap, 1))
-        self.m = 0  # rows in use, dead or alive
 
     def worst(self, q4: np.ndarray) -> np.ndarray:
         """Largest signed distance over all facets for each column of a
         (4, k) array of homogeneous points, in cache-sized column blocks."""
-        planes = self.plane[: self.m]
+        planes = self.plane[: len(self.tri)]
         if q4.shape[1] <= _BLOCK:
             return (planes @ q4).max(axis=0)
         out = np.empty(q4.shape[1])
@@ -275,65 +290,74 @@ class _FacetStore:
             out[lo : lo + _BLOCK] = (planes @ q4[:, lo : lo + _BLOCK]).max(axis=0)
         return out
 
-    def add(self, edges: np.ndarray, apex: int, rows: np.ndarray = _NO_ROWS) -> None:
-        """Store the triangles (u, v, apex), one per row (u, v) of edges, into
+    def add(self, edges, apex: int, rows=()) -> None:
+        """Store the triangles (u, v, apex), one per edge (u, v), into
         ``rows`` and then appended rows; rows left over die. A triangle whose
         normal points toward the interior point is stored as (v, u, apex),
         and a zero-area one gets a zero normal."""
-        c = self.ext[apex]
-        rel = self.ext[edges] - c
-        u, v = rel[:, 0], rel[:, 1]
-        n = u[:, 1:4] * v[:, 2:5] - u[:, 2:5] * v[:, 1:4]
-        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-        if nn.min() < 1e-300:
-            tiny = nn < 1e-300
-            nn[tiny] = 1.0
-            n[tiny] = 0.0
-        n /= nn[:, None]
-        off = n @ c[:3]
-        flip = n @ self.interior > off
-        if flip.any():
-            n[flip] *= -1.0
-            off[flip] *= -1.0
-            edges = np.where(flip[:, None], edges[:, ::-1], edges)
+        xyz = self.xyz
+        cx, cy, cz = xyz[apex]
+        ix, iy, iz = self.interior
+        tris, planes = [], []
+        for u, v in edges:
+            ux, uy, uz = xyz[u]
+            vx, vy, vz = xyz[v]
+            ux, uy, uz = ux - cx, uy - cy, uz - cz
+            vx, vy, vz = vx - cx, vy - cy, vz - cz
+            nx = uy * vz - uz * vy
+            ny = uz * vx - ux * vz
+            nz = ux * vy - uy * vx
+            nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+            if nn < 1e-300:
+                nx = ny = nz = 0.0
+            else:
+                nx, ny, nz = nx / nn, ny / nn, nz / nn
+            off = nx * cx + ny * cy + nz * cz
+            if nx * ix + ny * iy + nz * iz > off:
+                u, v, nx, ny, nz, off = v, u, -nx, -ny, -nz, -off
+            tris.append((u, v, apex))
+            planes += (nx, ny, nz, off)
 
-        k = len(edges)
-        if k > len(rows):
-            top = self.m + k - len(rows)
+        k, r, m = len(tris), len(rows), len(self.tri)
+        for row, t in zip(rows, tris):
+            self.tri[row] = t
+        if k > r:
+            top = m + k - r
             if top > len(self.plane):
                 extra = max(len(self.plane), top - len(self.plane))
-                self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
                 self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
-            rows = np.concatenate([rows, np.arange(self.m, top)])
-            self.m = top
-        elif k < len(rows):
+            rows = [*rows, *range(m, top)]
+            self.tri += tris[r:]
+        elif k < r:
             self.plane[rows[k:]] = _DEAD_PLANE
             rows = rows[:k]
-        self.tri[rows, :2] = edges
-        self.tri[rows, 2] = apex
-        self.plane[rows, :3] = n
-        self.plane[rows, 3] = off
+        if k:
+            self.plane[rows] = np.array(planes).reshape(k, 4)
 
     def insert(self, p: int, eps: float) -> None:
         """Add point p: replace the facets it sees beyond eps by the cone
         from p over their horizon. A horizon edge is a directed edge (u, v)
         of a visible facet whose reverse belongs to no visible facet; the
         new facet (u, v, p) keeps the mesh orientation."""
-        vis = (self.plane[: self.m] @ self.hom[p] > eps).nonzero()[0]
-        if len(vis) == 0:
+        vis = (self.plane[: len(self.tri)] @ self.hom[p] > eps).nonzero()[0].tolist()
+        if not vis:
             return
-        edges = self.tri[vis[:, None, None], _EDGES].reshape(-1, 2)
-        fwd, back = (edges @ self.key).T
-        fwd.sort()
-        rim = edges[fwd.take(fwd.searchsorted(back), mode="clip") != back]
-        if (fwd[1:] == fwd[:-1]).any():
+        edges = []
+        for row in vis:
+            a, b, c = self.tri[row]
+            edges += ((a, b), (b, c), (c, a))
+        seen = set(edges)
+        rim = [(u, v) for u, v in edges if (v, u) not in seen]
+        if len(seen) < len(edges):
             # a directed edge in two visible facets: round-off has broken the
             # mesh, so cone each rim edge once
-            rim = np.unique(rim, axis=0)
+            rim = sorted(set(rim))
         self.add(rim, p, vis)
 
     def facets(self) -> np.ndarray:
-        return self.tri[: self.m][self.plane[: self.m, 3] < np.inf]
+        flat = itertools.chain.from_iterable(self.tri)  # twice as fast as np.array
+        tri = np.fromiter(flat, dtype=np.int64, count=3 * len(self.tri)).reshape(-1, 3)
+        return tri[self.plane[: len(tri), 3] < np.inf]
 
 
 def hull3d(points) -> Polytope:
@@ -380,8 +404,8 @@ def hull3d(points) -> Polytope:
     seed = [i0, i1, i2, i3]
     store = _FacetStore(pts, pts[seed].mean(axis=0))
     # the seed tetrahedron: triangle (i0, i1, i2) and its cone to i3
-    store.add(np.array([[i0, i1]]), i2)
-    store.add(np.array([[i0, i1], [i1, i2], [i2, i0]]), i3)
+    store.add([(i0, i1)], i2)
+    store.add([(i0, i1), (i1, i2), (i2, i0)], i3)
     todo = np.ones(len(pts), dtype=bool)
     todo[seed] = False
 

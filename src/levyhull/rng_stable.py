@@ -239,11 +239,11 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
         jumps = norms[:, None] * dirs
     else:
         jumps = rng.standard_normal((n_jumps, spec.d))
-    uniq, inv = np.unique(jt, return_inverse=True)
-    if len(uniq) < n_jumps:
-        merged = np.zeros((len(uniq), spec.d))
+    if (jt[1:] == jt[:-1]).any():  # jt is sorted, so equal times are neighbors
+        jt, inv = np.unique(jt, return_inverse=True)
+        merged = np.zeros((len(jt), spec.d))
         np.add.at(merged, inv, jumps)
-        jt, jumps = uniq, merged
+        jumps = merged
     times = np.concatenate(([0.0], jt, [horizon])) if jt[-1] < horizon else np.concatenate(([0.0], jt))
     pts = np.zeros((len(times), spec.d))
     pts[1 : len(jt) + 1] = np.cumsum(jumps, axis=0)

@@ -23,6 +23,7 @@ from levyhull import (
     expected_hull_vertices,
     gamma_fn,
     lattice_sum_partial,
+    prob_origin_outside_walk_hull,
     unit_ball_volume,
     walk_ev_intrinsic,
 )
@@ -320,6 +321,65 @@ class TestExpectedHullVertices:
             expected_hull_vertices(0, 2)
         with pytest.raises(ResourceError):
             expected_hull_vertices(10**8, 2)
+
+
+def _absorption_exact(n: int, d: int) -> Fraction:
+    """2 (B(n, d-1) + B(n, d-3) + ...) / (2^n n!) from the full product
+    (t + 1)(t + 3)...(t + 2n - 1), coefficient list lowest power first."""
+    poly = [1]
+    for c in range(1, 2 * n, 2):
+        poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+    top = sum(poly[k] for k in range(d - 1, -1, -2) if k < len(poly))
+    return Fraction(2 * top, 2**n * math.factorial(n))
+
+
+class TestProbOriginOutsideWalkHull:
+    def test_small_walks(self):
+        assert [prob_origin_outside_walk_hull(n, 2) for n in (1, 2, 3)] == [
+            Fraction(1), Fraction(1), Fraction(23, 24)
+        ]
+        assert prob_origin_outside_walk_hull(3, 3) == Fraction(1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_full_product(self, d):
+        for n in (1, 2, 3, 4, 7, 20, 63):
+            assert prob_origin_outside_walk_hull(n, d) == _absorption_exact(n, d)
+
+    def test_one_dimension_is_sparre_andersen(self):
+        # the walk stays on one side of 0: 2 P(S_1, ..., S_n > 0) = 2 C(2n, n) / 4^n
+        for n in (1, 5, 40):
+            want = Fraction(2 * math.comb(2 * n, n), 4**n)
+            assert prob_origin_outside_walk_hull(n, 1) == want
+
+    def test_one_while_fewer_points_than_dimensions(self):
+        for d in (2, 3, 4):
+            for n in range(1, d):
+                assert prob_origin_outside_walk_hull(n, d) == 1
+
+    def test_decreasing_in_n(self):
+        p = [prob_origin_outside_walk_hull(n, 2) for n in range(2, 60)]
+        assert all(a > b for a, b in zip(p, p[1:]))
+
+    def test_gaussian_triangles(self):
+        # conv(S_1, S_2, S_3) holds the origin with probability 1/24; seed and
+        # sample size fixed in advance, 4-sigma band
+        steps = np.random.default_rng(24).standard_normal((200_000, 3, 2))
+        s = np.cumsum(steps, axis=1)
+        a, b, c = s[:, 0], s[:, 1], s[:, 2]
+
+        def side(p, q):
+            return np.sign(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+
+        outside = ~((side(a, b) == side(b, c)) & (side(b, c) == side(c, a)))
+        p = float(prob_origin_outside_walk_hull(3, 2))
+        assert abs(outside.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(s))
+
+    def test_domain(self):
+        for n, d in ((0, 2), (3, 0), (2.0, 2), (True, 2)):
+            with pytest.raises(ParameterError):
+                prob_origin_outside_walk_hull(n, d)
+        with pytest.raises(ResourceError):
+            prob_origin_outside_walk_hull(10**4 + 1, 2)
 
 
 class TestWalkEvIntrinsic:

@@ -281,6 +281,198 @@ class TestHull3dAgainstQhull:
         assert iv[3] == pytest.approx(q.volume, rel=1e-10)
 
 
+# Frozen oracle: hull3d's facet store and insertion loop as they stood when
+# every insertion's bookkeeping ran in small numpy arrays. Do not edit;
+# hull3d must return the same vertices and the same facets in the same order.
+_ORACLE_DEAD_PLANE = np.array([0.0, 0.0, 0.0, np.inf])
+_ORACLE_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
+_ORACLE_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _oracle_seed_directions():
+    k = np.arange(26, dtype=np.float64)
+    z = 1.0 - 2.0 * (k + 0.5) / 26.0
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    th = math.pi * (3.0 - math.sqrt(5.0)) * k
+    spiral = np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    return np.vstack([np.eye(3), -np.eye(3), spiral])
+
+
+def _oracle_lex_sorted(pts, cand):
+    sub = pts[cand]
+    return cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))]
+
+
+def _oracle_seed_extremes(pts, cols, eps):
+    proj = _oracle_seed_directions() @ cols
+    dirs = np.arange(len(proj))
+    picks = np.argmax(proj, axis=1)
+    top = proj[dirs, picks]
+    proj[dirs, picks] = -np.inf
+    tied = proj.max(axis=1) >= top - eps
+    proj[dirs, picks] = top
+    for k in np.flatnonzero(tied):
+        picks[k] = _oracle_lex_sorted(pts, np.flatnonzero(proj[k] >= top[k] - eps))[-1]
+    return picks
+
+
+class _OracleFacetStore:
+    def __init__(self, pts, interior, cap=64):
+        self.ext = pts[:, [0, 1, 2, 0, 1]]
+        self.hom = pts[:, [0, 1, 2, 0]]
+        self.hom[:, 3] = -1.0
+        self.key = np.array([[len(pts), 1], [1, len(pts)]])
+        self.interior = interior
+        self.tri = np.zeros((cap, 3), dtype=np.int64)
+        self.plane = np.tile(_ORACLE_DEAD_PLANE, (cap, 1))
+        self.m = 0
+
+    def worst(self, q4):
+        planes = self.plane[: self.m]
+        if q4.shape[1] <= 2048:
+            return (planes @ q4).max(axis=0)
+        out = np.empty(q4.shape[1])
+        for lo in range(0, q4.shape[1], 2048):
+            out[lo : lo + 2048] = (planes @ q4[:, lo : lo + 2048]).max(axis=0)
+        return out
+
+    def add(self, edges, apex, rows=_ORACLE_NO_ROWS):
+        c = self.ext[apex]
+        rel = self.ext[edges] - c
+        u, v = rel[:, 0], rel[:, 1]
+        n = u[:, 1:4] * v[:, 2:5] - u[:, 2:5] * v[:, 1:4]
+        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+        if nn.min() < 1e-300:
+            tiny = nn < 1e-300
+            nn[tiny] = 1.0
+            n[tiny] = 0.0
+        n /= nn[:, None]
+        off = n @ c[:3]
+        flip = n @ self.interior > off
+        if flip.any():
+            n[flip] *= -1.0
+            off[flip] *= -1.0
+            edges = np.where(flip[:, None], edges[:, ::-1], edges)
+        k = len(edges)
+        if k > len(rows):
+            top = self.m + k - len(rows)
+            if top > len(self.plane):
+                extra = max(len(self.plane), top - len(self.plane))
+                self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
+                self.plane = np.vstack([self.plane, np.tile(_ORACLE_DEAD_PLANE, (extra, 1))])
+            rows = np.concatenate([rows, np.arange(self.m, top)])
+            self.m = top
+        elif k < len(rows):
+            self.plane[rows[k:]] = _ORACLE_DEAD_PLANE
+            rows = rows[:k]
+        self.tri[rows, :2] = edges
+        self.tri[rows, 2] = apex
+        self.plane[rows, :3] = n
+        self.plane[rows, 3] = off
+
+    def insert(self, p, eps):
+        vis = (self.plane[: self.m] @ self.hom[p] > eps).nonzero()[0]
+        if len(vis) == 0:
+            return
+        edges = self.tri[vis[:, None, None], _ORACLE_EDGES].reshape(-1, 2)
+        fwd, back = (edges @ self.key).T
+        fwd.sort()
+        rim = edges[fwd.take(fwd.searchsorted(back), mode="clip") != back]
+        if (fwd[1:] == fwd[:-1]).any():
+            rim = np.unique(rim, axis=0)
+        self.add(rim, p, vis)
+
+    def facets(self):
+        return self.tri[: self.m][self.plane[: self.m, 3] < np.inf]
+
+
+def _oracle_hull3d(pts):
+    """(vertices, facets) of a full-dimensional input; None if it is flat."""
+    cols = np.ascontiguousarray(pts.T)
+    eps = geom_eps(cols.T)
+    i0 = int(_oracle_lex_sorted(pts, np.flatnonzero(cols[0] == cols[0].min()))[0])
+    r0, r1, r2 = rel = cols - cols[:, i0, None]
+    i1 = int(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2).argmax())
+    axis = pts[i1] - pts[i0]
+    axis /= np.linalg.norm(axis)
+    a0, a1, a2 = axis.tolist()
+    c0, c1, c2 = r1 * a2 - r2 * a1, r2 * a0 - r0 * a2, r0 * a1 - r1 * a0
+    line_dist = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    i2 = int(line_dist.argmax())
+    if line_dist[i2] <= eps:
+        return None
+    normal = np.cross(rel[:, i1], rel[:, i2])
+    normal /= np.linalg.norm(normal)
+    plane_dist = (pts - pts[i0]) @ normal
+    i3 = int(np.argmax(np.abs(plane_dist)))
+    if abs(plane_dist[i3]) <= eps:
+        return None
+    seed = [i0, i1, i2, i3]
+    store = _OracleFacetStore(pts, pts[seed].mean(axis=0))
+    store.add(np.array([[i0, i1]]), i2)
+    store.add(np.array([[i0, i1], [i1, i2], [i2, i0]]), i3)
+    todo = np.ones(len(pts), dtype=bool)
+    todo[seed] = False
+    for ei in _oracle_seed_extremes(pts, cols, eps).tolist():
+        if todo[ei]:
+            store.insert(ei, eps)
+            todo[ei] = False
+    worst = store.worst(store.hom.T)
+    remaining = np.flatnonzero(todo & (worst > eps))
+    q4, worst = store.hom[remaining].T, worst[remaining]
+    while len(remaining) > 0:
+        picked = int(worst.argmax())
+        store.insert(int(remaining[picked]), eps)
+        worst = store.worst(q4)
+        keep = worst > eps
+        keep[picked] = False
+        remaining, q4, worst = remaining[keep], q4[:, keep], worst[keep]
+    tris = store.facets()
+    used = np.unique(tris)
+    return pts[used], np.searchsorted(used, tris)
+
+
+def _oracle_corpus():
+    for alpha in (2.0, 1.5, 1.0, 0.7, 0.5):
+        for n in (100, 1000, 10_000):
+            walk = sample_walk_path(StableSpec(alpha=alpha, d=3), n, 1.0, trial_rng(5, 4, n))
+            yield f"walk-alpha{alpha}-n{n}", walk.points
+    # round-off breaks this mesh: insertions see one directed edge twice
+    broken = sample_walk_path(StableSpec(alpha=0.5, d=3), 1000, 1.0, trial_rng(2017, 5, 19))
+    yield "broken-mesh-walk", broken.points
+    rng = np.random.default_rng(11)
+    yield "gaussian", rng.standard_normal((2000, 3))
+    slab = rng.standard_normal((2000, 3))
+    slab[:, 2] *= 1e-8
+    yield "slab-1e-8", slab
+    grid = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float64)
+    yield "grid-4x4x4", grid
+    cloud = rng.standard_normal((300, 3))
+    yield "tripled-points", np.vstack([cloud, cloud, cloud])
+
+
+ORACLE_CORPUS = dict(_oracle_corpus())
+
+
+class TestHull3dAgainstFrozenOracle:
+    @pytest.mark.parametrize("name", ORACLE_CORPUS)
+    def test_same_vertices_and_facets_in_order(self, name):
+        pts = ORACLE_CORPUS[name]
+        want = _oracle_hull3d(pts)
+        assert want is not None
+        p = hull3d(pts)
+        assert p.intrinsic_dim == 3
+        assert np.array_equal(p.vertices, want[0])
+        assert p.facets == tuple(map(tuple, want[1].tolist()))
+
+    def test_corpus_holds_a_broken_mesh(self):
+        # a directed edge in two facets: the rim then goes through the
+        # branch that cones each rim edge once
+        f = hull3d(ORACLE_CORPUS["broken-mesh-walk"]).facets
+        edges = [(a, b) for t in f for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))]
+        assert len(set(edges)) < len(edges)
+
+
 def _walk2(alpha: float, k: int) -> np.ndarray:
     """A planar stable walk of 10^4 steps, the size the d = 2 benchmarks use."""
     spec = StableSpec(alpha=alpha, d=2)

@@ -12,6 +12,7 @@ from levyhull import (
     ParameterError,
     StableSpec,
     ball_intrinsic_volume,
+    prob_origin_outside_walk_hull,
     walk_ev_intrinsic,
 )
 from levyhull.mc_engine import (
@@ -233,6 +234,32 @@ class TestFacesExperiment:
         r = run_faces_experiment(cfg)
         assert r.target is not None and r.target.params["d"] == 3
         assert r.mean > 0.0 and math.isfinite(r.stderr)
+
+
+# mc_engine tests "on the boundary" with tol = geom_eps(poly.vertices), 1e-9
+# times the hull diameter; on heavy-tailed walks that dwarfs the unit scale
+# near the origin, so short edges there count as passing through it.
+_DIAMETER_TOL = pytest.mark.xfail(
+    strict=True,
+    reason="origin-on-boundary tolerance scales with the hull diameter, not the query point",
+)
+HEAVY_TAIL_ALPHAS = [pytest.param(0.3, marks=_DIAMETER_TOL), 0.7]
+
+
+class TestOriginOnBoundaryAtHeavyTails:
+    """Distribution-free targets at n = 1000 in the plane: 300 walks, |z| <= 4."""
+
+    @pytest.mark.parametrize("alpha", HEAVY_TAIL_ALPHAS)
+    def test_faces_at_origin(self, alpha):
+        cfg = _cfg(spec=StableSpec(alpha=alpha, d=2), trials=300, master_seed=77)
+        assert abs(run_faces_experiment(cfg).z_score) <= 4.0
+
+    @pytest.mark.parametrize("alpha", HEAVY_TAIL_ALPHAS)
+    def test_boundary_frequency_is_the_absorption_probability(self, alpha):
+        cfg = _cfg(spec=StableSpec(alpha=alpha, d=2), trials=300, master_seed=77)
+        freq, _ = run_boundary_origin_experiment(cfg)
+        exact = float(prob_origin_outside_walk_hull(1000, 2))
+        assert abs(freq.mean - exact) <= 4.0 * freq.stderr
 
 
 class TestHillTailIndex:

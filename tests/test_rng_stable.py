@@ -184,6 +184,31 @@ class TestCppPath:
         with pytest.raises(ParameterError):
             sample_cpp_path(StableSpec(d=2), 1.0, np.random.default_rng(0))
 
+    def test_equal_jump_times_are_merged(self):
+        class Stub:
+            """Four jumps, two of them at the same time."""
+
+            def __init__(self):
+                times, norms = [0.5, 0.25, 0.5, 0.75], [0.5, 0.25, 0.8, 1.0]
+                self.uniform = [np.array(times), np.array(norms)]
+
+            def poisson(self, lam):
+                return 4
+
+            def random(self, n):
+                return self.uniform.pop(0)[:n]
+
+            def standard_normal(self, shape):
+                return np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [-1.0, 0.0]])
+
+        spec = StableSpec(flavor="cpp", d=2, tail_alpha=1.0, jump_rate=1.0, drift=(1.0, 0.0))
+        p = sample_cpp_path(spec, 2.0, Stub())
+        # sorted times 0.5, 1.0, 1.0, 1.5 get the jumps 2 e1, 4 e2, (1.25/5) (3, 4), -e1
+        assert p.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        cum = [[0.0, 0.0], [2.0, 0.0], [2.75, 5.0], [1.75, 5.0], [1.75, 5.0]]
+        want = np.array(cum) + p.times[:, None] * [1.0, 0.0]
+        assert np.allclose(p.points, want, rtol=0, atol=1e-15)
+
 
 class TestStableSpec:
     def test_brownian_pins_alpha(self):
