@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, ResourceError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "gamma_fn",
@@ -295,6 +298,8 @@ def prob_origin_outside_walk_hull(n: int, d: int) -> Fraction:
     B(n, k) the coefficient of t^k in (t + 1)(t + 3)...(t + 2n - 1). The
     product is expanded in integers up to t^(d-1), so the result is an
     exact ``Fraction``; it is 1 while n < d."""
+    from fractions import Fraction  # here, not at import: it loads decimal
+
     for name, v in (("n", n), ("d", d)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
