@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from levyhull.cli import main
 from levyhull.cli_report import (
     CSV_COLUMNS,
+    _config_digest,
     emit_plot_data,
     list_experiment_kinds,
     load_config,
@@ -158,6 +160,72 @@ class TestPlanning:
         assert kinds == sorted(kinds)
         assert "intrinsic_volumes" in kinds
         assert len(kinds) == 11
+
+
+IV = {"kind": "intrinsic_volumes", "trials": 100}
+RENEWAL = {"kind": "renewal_ratio", "t_values": [2.0]}
+EXIT = {"kind": "exit_tail", "tail_alpha": 1.5}
+LP_STABLE = {"kind": "lp_stable_consistency", "alpha": 1.5}
+
+# (entry, field it breaks): each is rejected before any experiment runs
+PLAN_TIME_REJECTIONS = {
+    "trials_below_2": ({"kind": "lp_brownian", "p": 1.0, "trials": 1}, "trials"),
+    "tolerance_sigma_zero": (dict(GRAM, tolerance_sigma=0.0), "tolerance_sigma"),
+    "n_values_zero": ({"kind": "boundary_origin", "n_values": [10, 0]}, "n_values"),
+    "n_steps_zero": ({"kind": "lp_brownian", "p": 1.0, "n_steps": 0}, "n_steps"),
+    "c_zero": (dict(IV, c=0.0), "c"),
+    "horizon_zero": (dict(IV, horizon=0.0), "horizon"),
+    "j_order_above_d": (dict(IV, j_orders=[1, 3]), "j_orders"),
+    "j_order_zero": (dict(IV, j_orders=[0]), "j_orders"),
+    "intrinsic_d4": (dict(IV, d=4), "d"),
+    "faces_d4": ({"kind": "faces_count", "d": 4, "trials": 100}, "d"),
+    "lp_brownian_d4": ({"kind": "lp_brownian", "p": 1.0, "d": 4}, "d"),
+    "tail_index_alpha_1": ({"kind": "tail_index", "alpha": 1.0, "trials": 100}, "alpha"),
+    "lp_brownian_p_below_1": ({"kind": "lp_brownian", "p": 0.5}, "p"),
+    "lp_stable_d3": (dict(LP_STABLE, d=3), "d"),
+    "lp_stable_alpha_2": (dict(LP_STABLE, alpha=2.0), "alpha"),
+    "renewal_t_zero": (dict(RENEWAL, t_values=[2.0, 0.0]), "t_values"),
+    "renewal_dt_zero": (dict(RENEWAL, dt=0.0), "dt"),
+    "renewal_unknown_flavor": (dict(RENEWAL, flavor="levy"), "flavor"),
+    "exit_tail_no_tail_alpha": ({"kind": "exit_tail"}, "tail_alpha"),
+    "exit_tail_d3": (dict(EXIT, d=3), "d"),
+    "empty_list": (dict(RENEWAL, t_values=[]), "t_values"),
+    "bool_in_list": ({"kind": "boundary_origin", "n_values": [10, True]}, "n_values"),
+}
+
+REPO = Path(__file__).resolve().parent.parent
+
+# sha256 of the resolved plans at master seed 0: planning must keep
+# resolving these configs to the same parameters
+CONFIG_DIGESTS = {
+    "smoke": "a5e9bfb28ba8c21c3770037a457d8104fa301cbb3a9320b9cd35898f7ad9f8fd",
+    "smoke_cli": "a5e9bfb28ba8c21c3770037a457d8104fa301cbb3a9320b9cd35898f7ad9f8fd",
+    "hull_walks": "c8b43faf4a8ec6e42db7bfb6a2f09617b131312d7fc91fcb695f9c38e8543132",
+    "exit_scan": "3d1035bb6c18b4f3d8f6730f94649c1206fcd7cf8017454219b4071b2649ff0a",
+}
+
+
+def _assert_rejected(entry, field):
+    with pytest.raises(ConfigError) as exc:
+        plan_experiments(_cfg({k: v for k, v in entry.items() if v is not None}))
+    assert f"'{entry['kind']}'" in str(exc.value)
+    assert f"'{field}'" in str(exc.value)
+
+
+class TestPlanTimeChecks:
+    @pytest.mark.parametrize(
+        "entry,field", PLAN_TIME_REJECTIONS.values(), ids=PLAN_TIME_REJECTIONS.keys()
+    )
+    def test_rejection_names_kind_and_field(self, entry, field):
+        _assert_rejected(entry, field)
+
+    @pytest.mark.parametrize("name", CONFIG_DIGESTS)
+    def test_config_digest_unchanged(self, name):
+        if name == "smoke":
+            plans = smoke_plans()
+        else:
+            plans = load_config(REPO / "bench" / "workloads" / f"{name}.json")
+        assert _config_digest(plans, 0) == CONFIG_DIGESTS[name]
 
 
 class TestLoadConfig:
