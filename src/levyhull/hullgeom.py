@@ -41,6 +41,7 @@ __all__ = [
     "gram_det",
     "zonotope_intrinsic_volume",
     "projection_intrinsic_estimate",
+    "boundary_distances",
     "hausdorff",
 ]
 
@@ -570,16 +571,6 @@ def projection_intrinsic_estimate(
     return EstimateResult.from_samples(vals)
 
 
-def _point_segment_dist(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    t = float((x - a) @ ab) / denom
-    t = min(max(t, 0.0), 1.0)
-    return float(np.linalg.norm(x - (a + t * ab)))
-
-
 def _point_triangles_dist(x, a, b, c) -> np.ndarray:
     """Distance from x to each triangle in a batch (a, b, c): (F, 3) each."""
     ab, ac, ap = b - a, c - a, x - a
@@ -631,13 +622,34 @@ def _point_triangles_dist(x, a, b, c) -> np.ndarray:
     return np.linalg.norm(x - closest, axis=1)
 
 
+def boundary_distances(poly: Polytope, x) -> np.ndarray:
+    """Distance from the point x to each boundary face of the hull: the
+    edges of a polygon, the facets of a 3-D mesh. A lower-dimensional hull
+    (point, segment, or planar polygon in R^3) has no interior, so it is
+    one face and its entry is the distance to the body itself."""
+    v = poly.vertices
+    x = np.asarray(x, dtype=np.float64)
+    if poly.intrinsic_dim <= 1:  # a point is a segment with equal ends
+        e = v[-1] - v[0]
+        t = float(np.clip((x - v[0]) @ e / max(e @ e, 1e-300), 0.0, 1.0))
+        return np.array([np.linalg.norm(x - (v[0] + t * e))])
+    if poly.dim == 2:
+        e = np.roll(v, -1, axis=0) - v
+        tt = ((x - v) * e).sum(axis=1) / np.maximum((e * e).sum(axis=1), 1e-300)
+        proj = v + np.clip(tt, 0.0, 1.0)[:, None] * e
+        return np.linalg.norm(x - proj, axis=1)
+    if poly.facets is None:  # planar polygon in R^3: fan-triangulate it
+        fan = np.repeat(v[:1], len(v) - 2, axis=0)
+        return np.array([_point_triangles_dist(x, fan, v[1:-1], v[2:]).min()])
+    f = np.asarray(poly.facets)
+    return _point_triangles_dist(x, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
+
+
 def _dist_to_polytope(body: Polytope, x: np.ndarray, eps: float) -> float:
+    """Distance from x to the body: 0 within eps of its interior, else the
+    distance to its nearest boundary face."""
     v = body.vertices
-    if body.intrinsic_dim == 0:
-        return float(np.linalg.norm(x - v[0]))
-    if body.intrinsic_dim == 1:
-        return _point_segment_dist(x, v[0], v[-1])
-    if body.dim == 2:
+    if body.intrinsic_dim == 2 and body.dim == 2:
         nxt = np.roll(v, -1, axis=0)
         cr = (nxt[:, 0] - v[:, 0]) * (x[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (
             x[0] - v[:, 0]
@@ -645,22 +657,14 @@ def _dist_to_polytope(body: Polytope, x: np.ndarray, eps: float) -> float:
         edge_len = np.maximum(np.linalg.norm(nxt - v, axis=1), 1e-300)
         if np.all(cr / edge_len >= -eps):  # signed distance to each edge line
             return 0.0
-        return float(
-            min(_point_segment_dist(x, v[k], nxt[k]) for k in range(len(v)))
-        )
-    if body.facets is not None:
+    elif body.intrinsic_dim == 3:
         f = np.asarray(body.facets, dtype=np.int64)
         a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
         raw_n = np.cross(b - a, c - a)
         unit_n = raw_n / np.maximum(np.linalg.norm(raw_n, axis=1, keepdims=True), 1e-300)
-        side = np.einsum("ij,ij->i", unit_n, x - a)
-        if np.all(side <= eps):
+        if np.all(np.einsum("ij,ij->i", unit_n, x - a) <= eps):
             return 0.0
-        return float(_point_triangles_dist(x, a, b, c).min())
-    # planar polygon living in R^3: fan-triangulate its ordered vertices
-    idx = np.arange(1, len(v) - 1)
-    a = np.repeat(v[:1], len(idx), axis=0)
-    return float(_point_triangles_dist(x, a, v[idx], v[idx + 1]).min())
+    return float(boundary_distances(body, x).min())
 
 
 def hausdorff(pa: Polytope, pb: Polytope) -> float:

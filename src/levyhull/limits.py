@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError
-from .hullgeom import hausdorff, hull2d, hull3d, intrinsic_volumes_2d
+from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import hill_tail_index, ks_two_sample
 from .results import EstimateResult
 from .rng_stable import (
@@ -40,7 +40,6 @@ __all__ = [
     "estimate_mean_exit_time",
     "exit_times",
     "exit_value_tail_experiment",
-    "hull_range_continuity_check",
     "renewal_ratio_experiment",
     "scaled_hull_convergence",
 ]
@@ -454,22 +453,3 @@ def exit_value_tail_experiment(
         return math.inf  # degenerate exit norm, e.g. pure drift
     return hill_tail_index(got, k)
 
-
-def hull_range_continuity_check(path_a: PathSample, path_b: PathSample) -> bool:
-    """Hulls are 1-Lipschitz in the uniform path distance: check that the
-    Hausdorff gap between the two range hulls is at most the largest
-    pointwise gap (plus geometric tolerance) on a shared time grid."""
-    if not isinstance(path_a, PathSample) or not isinstance(path_b, PathSample):
-        raise ParameterError("both arguments must be PathSample")
-    if path_a.points.shape != path_b.points.shape or not np.allclose(
-        path_a.times, path_b.times
-    ):
-        raise ParameterError("paths must share one time grid")
-    d = path_a.points.shape[1]
-    if d not in (2, 3):
-        raise ParameterError("implemented for dimensions 2 and 3")
-    uniform = float(np.linalg.norm(path_a.points - path_b.points, axis=1).max())
-    build = hull2d if d == 2 else hull3d
-    ha, hb = build(path_a.points), build(path_b.points)
-    tol = 1e-9 * (1.0 + float(np.abs(path_a.points).max()))
-    return hausdorff(ha, hb) <= uniform + tol

@@ -24,7 +24,7 @@ from .closed_form import (
 )
 from .errors import ConfigError, ParameterError
 from .hullgeom import (
-    _point_triangles_dist,
+    boundary_distances,
     geom_eps,
     hull2d,
     hull3d,
@@ -115,51 +115,6 @@ def _intrinsic_values(poly) -> tuple:
     return (perim / 2.0, area, 0.0)
 
 
-def _edge_distances_2d(poly, x: np.ndarray) -> np.ndarray:
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    tt = ((x - v) * e).sum(axis=1) / np.maximum((e * e).sum(axis=1), 1e-300)
-    proj = v + np.clip(tt, 0.0, 1.0)[:, None] * e
-    return np.linalg.norm(x - proj, axis=1)
-
-
-def _boundary_distance(poly, x: np.ndarray) -> float:
-    """Distance from x to the hull's boundary. Degenerate hulls are all
-    boundary, so the distance is to the body itself."""
-    v = poly.vertices
-    if poly.intrinsic_dim == 0:
-        return float(np.linalg.norm(x - v[0]))
-    if poly.intrinsic_dim == 1:
-        seg = poly.vertices
-        e = seg[-1] - seg[0]
-        t = float(np.clip((x - seg[0]) @ e / max(e @ e, 1e-300), 0.0, 1.0))
-        return float(np.linalg.norm(x - (seg[0] + t * e)))
-    if poly.dim == 2:
-        return float(_edge_distances_2d(poly, x).min())
-    if poly.intrinsic_dim == 2:
-        return 0.0  # flat body in 3-space has empty interior
-    f = np.asarray(poly.facets)
-    return float(
-        _point_triangles_dist(
-            x, poly.vertices[f[:, 0]], poly.vertices[f[:, 1]], poly.vertices[f[:, 2]]
-        ).min()
-    )
-
-
-def _count_incident_faces(poly, x: np.ndarray, tol: float) -> int:
-    """Number of hull faces (edges in 2D, facets in 3D) passing within tol
-    of x; ties count as incident."""
-    if poly.intrinsic_dim < poly.dim:
-        return 1 if _boundary_distance(poly, x) <= tol else 0
-    if poly.dim == 2:
-        return int((_edge_distances_2d(poly, x) <= tol).sum())
-    f = np.asarray(poly.facets)
-    d = _point_triangles_dist(
-        x, poly.vertices[f[:, 0]], poly.vertices[f[:, 1]], poly.vertices[f[:, 2]]
-    )
-    return int((d <= tol).sum())
-
-
 def run_intrinsic_volume_experiment(cfg: ExperimentConfig):
     """Mean V_j of walk hulls, one EstimateResult per requested j, each
     with its closed-form target scaled by horizon^(j/alpha)."""
@@ -247,7 +202,7 @@ def run_boundary_origin_experiment(cfg: ExperimentConfig):
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
         poly = hull2d(path.points)
         tol = geom_eps(poly.vertices)
-        return 1.0 if _boundary_distance(poly, origin) <= tol else 0.0
+        return 1.0 if boundary_distances(poly, origin).min() <= tol else 0.0
 
     vals = np.array([one(t) for t in range(cfg.trials)])
     freq = EstimateResult.from_samples(vals, seed=cfg.master_seed)
@@ -269,7 +224,7 @@ def run_interior_endpoint_experiment(cfg: ExperimentConfig) -> EstimateResult:
         if poly.intrinsic_dim < d:
             return 0.0
         tol = geom_eps(poly.vertices)
-        return 1.0 if _boundary_distance(poly, path.points[-1]) > tol else 0.0
+        return 1.0 if boundary_distances(poly, path.points[-1]).min() > tol else 0.0
 
     vals = np.array([one(t) for t in range(cfg.trials)])
     return EstimateResult.from_samples(vals, seed=cfg.master_seed)
@@ -289,7 +244,8 @@ def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
         path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
         poly = _hull_of(path.points, d)
         tol = geom_eps(poly.vertices)
-        return float(_count_incident_faces(poly, origin, tol))
+        # faces within tol of the origin; ties count as incident
+        return float((boundary_distances(poly, origin) <= tol).sum())
 
     vals = np.array([one(t) for t in range(cfg.trials)])
     target = ClosedFormTarget(

@@ -20,6 +20,7 @@ from levyhull import (
     Polytope,
     ResourceError,
     StableSpec,
+    boundary_distances,
     expected_hull_vertices,
     geom_eps,
     gram_det,
@@ -33,7 +34,7 @@ from levyhull import (
     trial_rng,
     zonotope_intrinsic_volume,
 )
-from levyhull.hullgeom import _FacetStore, _point_triangles_dist
+from levyhull.hullgeom import _FacetStore
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 CUBE = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
@@ -253,10 +254,8 @@ class TestHull3dAgainstQhull:
         ours, theirs = _rows(p.vertices), _rows(pts[ConvexHull(pts).vertices])
         assert ours <= theirs
         # qhull keeps vertices that lie within hull3d's tolerance of its surface
-        f = np.asarray(p.facets)
-        a, b, c = (p.vertices[f[:, i]] for i in range(3))
         for x in theirs - ours:
-            assert _point_triangles_dist(np.array(x), a, b, c).min() <= geom_eps(pts)
+            assert boundary_distances(p, x).min() <= geom_eps(pts)
 
     @pytest.mark.parametrize("alpha,k", WALKS_3D_V1)
     def test_v1_matches_brute_force_oracle(self, alpha, k):
@@ -808,6 +807,77 @@ class TestProjectionEstimate:
         seg = hull3d(np.outer(np.linspace(0, 1, 4), [1.0, 0.0, 0.0]))
         with pytest.raises(DimensionError):
             projection_intrinsic_estimate(seg, 1, 100, np.random.default_rng(0))
+
+
+class TestBoundaryDistances:
+    """Distances to the boundary faces, against qhull's facet planes for
+    full-dimensional walk hulls and exact constructions otherwise."""
+
+    WALKS = [(d, alpha, k) for d in (2, 3) for alpha in (2.0, 1.5) for k in range(2)]
+
+    @pytest.mark.parametrize("d,alpha,k", WALKS)
+    def test_interior_points_match_qhull_planes(self, d, alpha, k):
+        pts = _walk2(alpha, k) if d == 2 else _walk3(alpha, k)
+        poly = hull2d(pts) if d == 2 else hull3d(pts)
+        eq = ConvexHull(pts).equations  # unit outward normal a, offset b
+        rng = np.random.default_rng(100 * d + k)
+        plane_dist = -(pts @ eq[:, :-1].T + eq[:, -1])
+        inside = pts[plane_dist.min(axis=1) > 0.0]
+        xs = np.vstack(
+            [
+                inside[rng.choice(len(inside), 20, replace=False)],
+                rng.dirichlet(np.ones(poly.n_vertices), 5) @ poly.vertices,
+            ]
+        )
+        tol = geom_eps(pts)
+        for x in xs:
+            want = float((-(eq[:, :-1] @ x + eq[:, -1])).min())
+            assert want > 0.0
+            assert boundary_distances(poly, x).min() == pytest.approx(want, rel=1e-9, abs=tol)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_two_edges_meet_at_each_2d_vertex(self, alpha):
+        poly = hull2d(_walk2(alpha, 0))
+        tol = geom_eps(poly.vertices)
+        for v in poly.vertices:
+            dist = boundary_distances(poly, v)
+            assert len(dist) == poly.n_vertices
+            assert int((dist <= tol).sum()) == 2
+
+    def test_point_hull(self):
+        for p, x, want in (
+            (hull2d([[1.0, 2.0]]), [4.0, 6.0], 5.0),
+            (hull3d([[1.0, 2.0, 3.0]] * 3), [1.0, 5.0, 7.0], 5.0),
+        ):
+            assert p.intrinsic_dim == 0
+            assert boundary_distances(p, x).tolist() == [want]
+
+    @pytest.mark.parametrize(
+        "x,want",
+        [((3.0, 1.0), math.sqrt(2.0)), ((0.0, 2.0), math.sqrt(2.0)),
+         ((-1.0, -3.0), math.sqrt(10.0)), ((0.5, 0.5), 0.0)],
+    )
+    def test_segment_hull(self, x, want):
+        flat = hull2d([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+        lifted = hull3d([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+        assert flat.intrinsic_dim == 1 and lifted.intrinsic_dim == 1
+        for p, pt in ((flat, x), (lifted, (*x, 1.0))):
+            dist = boundary_distances(p, pt)
+            assert len(dist) == 1
+            assert dist[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "x,want",
+        [((0.5, 0.5, 2.0), 2.0), ((2.0, 0.5, 0.0), 1.0), ((2.0, 2.0, 1.0), math.sqrt(3.0)),
+         ((0.3, 0.6, 0.0), 0.0), ((0.3, 0.6, -0.25), 0.25)],
+    )
+    def test_planar_hull_in_3d(self, x, want):
+        square = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+        p = hull3d(square + [[0.5, 0.5, 0.0], [0.2, 0.9, 0.0]])
+        assert p.intrinsic_dim == 2
+        dist = boundary_distances(p, x)
+        assert len(dist) == 1
+        assert dist[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestHausdorff:

@@ -1,12 +1,10 @@
 """Exit-time records, renewal ratios, scaling-limit comparisons, and the
-hull continuity bound."""
+anchor-hull sandwich bound."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levyhull.errors import ConfigError, ParameterError
 from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
@@ -17,7 +15,6 @@ from levyhull.limits import (
     estimate_mean_exit_time,
     exit_times,
     exit_value_tail_experiment,
-    hull_range_continuity_check,
     renewal_ratio_experiment,
     scaled_hull_convergence,
 )
@@ -454,50 +451,6 @@ class TestExitValueTail:
             exit_value_tail_experiment(BROWNIAN2, trials=100, seed=0)
         with pytest.raises(ParameterError):
             exit_value_tail_experiment(HEAVY, trials=5, seed=0)
-
-
-class TestHullRangeContinuity:
-    def _pair(self, seed, scale, d=2):
-        spec = BROWNIAN2 if d == 2 else StableSpec(alpha=2.0, c=0.5, d=3, flavor="brownian")
-        pa = sample_walk_path(spec, 300, 1.0, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed + 1000)
-        delta = scale * (2.0 * rng.random(pa.points.shape) - 1.0)
-        delta[0] = 0.0
-        pb = PathSample(times=pa.times.copy(), points=pa.points + delta)
-        return pa, pb
-
-    def test_identical_paths(self):
-        pa, _ = self._pair(0, 0.0)
-        assert hull_range_continuity_check(pa, pa)
-
-    def test_constant_shift_after_origin(self):
-        pa, _ = self._pair(3, 0.0)
-        shift = np.tile([0.3, -0.1], (pa.points.shape[0], 1))
-        shift[0] = 0.0
-        pb = PathSample(times=pa.times.copy(), points=pa.points + shift)
-        assert hull_range_continuity_check(pa, pb)
-
-    def test_uniform_perturbation_bounded_by_point_one(self):
-        pa, pb = self._pair(7, 0.1)
-        assert hull_range_continuity_check(pa, pb)
-
-    def test_three_dimensional_paths(self):
-        pa, pb = self._pair(11, 0.2, d=3)
-        assert hull_range_continuity_check(pa, pb)
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.0, 0.5))
-    def test_bound_holds_for_random_perturbations(self, seed, scale):
-        pa, pb = self._pair(seed, scale)
-        assert hull_range_continuity_check(pa, pb)
-
-    def test_validation(self):
-        pa, _ = self._pair(0, 0.0)
-        short = sample_walk_path(BROWNIAN2, 100, 1.0, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            hull_range_continuity_check(pa, short)
-        with pytest.raises(ParameterError):
-            hull_range_continuity_check(pa, pa.points)
 
 
 class TestRenewalInvariants:
