@@ -1,16 +1,20 @@
 """Config ingestion, experiment orchestration, result persistence, and
 report emission.
 
+Each experiment kind is one entry of ``_KINDS``: its one-line description,
+its schema (key -> default and type), its plan-time check and its runner.
 A JSON config holds an "experiments" array; each entry names a kind plus
 its parameters (unknown keys are rejected, defaults are trials=10^4,
-n_steps=10^4, tolerance_sigma=4). `run_all` executes the plans, assigns
-one verdict per result row, and writes results.csv / summary.json /
-manifest.json. Experiments with a closed-form target get PASS/FAIL;
-trend and consistency experiments are INFO so automation stays
-deterministic. results.csv has a fixed schema: experiment, param_json,
-j, mean, stderr, trials, target, z, verdict. Files are UTF-8 with LF
-line endings and RFC-4180 quoting; floats are written with repr() so a
-rerun is byte-identical.
+n_steps=10^4, tolerance_sigma=4). Planning checks every entry before any
+experiment runs, so a config that cannot run is refused before a run
+starts. `run_all` executes the plans in order and writes results.csv /
+summary.json / manifest.json. Every row is built by `_row`, whose verdict
+rule is a two-sided band (optionally widened to a relative band), an
+upper bound, or INFO for trend and consistency experiments, so automation
+stays deterministic. results.csv has a fixed schema: experiment,
+param_json, j, mean, stderr, trials, target, z, verdict. Files are UTF-8
+with LF line endings and RFC-4180 quoting; floats are written with repr()
+so a rerun is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .closed_form import (
     ball_intrinsic_volume,
@@ -44,13 +49,13 @@ from .mc_engine import (
     run_tail_index_experiment,
 )
 from .hullgeom import hull2d, hull3d
+from .results import EstimateResult
 from .rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
 
 __all__ = [
     "CSV_COLUMNS",
     "PlannedExperiment",
     "RunManifest",
-    "emit_plot_data",
     "list_experiment_kinds",
     "load_config",
     "manifest_exit_code",
@@ -105,277 +110,222 @@ def manifest_exit_code(manifest: RunManifest) -> int:
 # -- config schema -----------------------------------------------------
 
 _REQUIRED = object()
+# type -> how an error names one value and an array of them
+_WHAT = {
+    float: ("a number", "numbers"),
+    int: ("an integer", "integers"),
+    str: ("a string", "strings"),
+}
 
 
-def _cast_value(kind, key, value, tag):
-    def bad(expected):
+def _cast_value(kind, key, value, typ):
+    """value as ``typ``: float, int or str, or [float] / [int] for a
+    non-empty array of them. A bool is never a number."""
+    many = isinstance(typ, list)
+    base = typ[0] if many else typ
+    allowed = (int, float) if base is float else base
+    items = value if many and isinstance(value, list) else [value]
+    if (many and not (isinstance(value, list) and value)) or any(
+        isinstance(v, bool) or not isinstance(v, allowed) for v in items
+    ):
+        one, plural = _WHAT[base]
+        what = f"a non-empty array of {plural}" if many else one
         raise ConfigError(
-            f"experiment {kind!r}: field {key!r} must be {expected}, "
-            f"got {value!r}"
+            f"experiment {kind!r}: field {key!r} must be {what}, got {value!r}"
         )
-
-    if tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            bad("a number")
-        return float(value)
-    if tag == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            bad("an integer")
-        return int(value)
-    if tag == "str":
-        if not isinstance(value, str):
-            bad("a string")
-        return value
-    if tag == "float_list":
-        if (
-            not isinstance(value, list)
-            or not value
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-        ):
-            bad("a non-empty array of numbers")
-        return [float(v) for v in value]
-    if tag == "int_list":
-        if (
-            not isinstance(value, list)
-            or not value
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-        ):
-            bad("a non-empty array of integers")
-        return [int(v) for v in value]
-    raise AssertionError(tag)
+    return [base(v) for v in value] if many else base(value)
 
 
-# key -> (default, type tag); _REQUIRED marks mandatory keys
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind. ``schema`` maps each key beyond ``_COMMON`` to
+    (default, type), with _REQUIRED for mandatory keys. ``check(p, bad)``
+    rejects what the runner cannot run by calling bad(field, message), and
+    may fill defaults that depend on other fields; ``min_trials`` and
+    ``dims`` (the allowed d, if any) are checked for every kind.
+    ``run(plan, seed)`` returns (rows, trends)."""
+
+    description: str
+    schema: dict
+    run: Callable
+    check: Callable | None = None
+    min_trials: int = 2
+    dims: tuple = ()
+
+
 _COMMON = {
-    "label": (None, "str"),
-    "trials": (DEFAULT_TRIALS, "int"),
-    "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, "float"),
+    "label": (None, str),
+    "trials": (DEFAULT_TRIALS, int),
+    "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, float),
 }
+_N_SERIES = {
+    "n_steps": (DEFAULT_N_STEPS, int),
+    "n_values": (None, [int]),
+}
+_SAMPLED_TRIALS = 100  # ExperimentConfig's floor for the walk-hull kinds
 
-_SCHEMAS = {
-    "intrinsic_volumes": {
-        **_COMMON,
-        "alpha": (2.0, "float"),
-        "c": (None, "float"),
-        "d": (2, "int"),
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "n_values": (None, "int_list"),
-        "j_orders": (None, "int_list"),
-        "horizon": (1.0, "float"),
-        "rel_band": (0.05, "float"),
-    },
-    "gram_determinant": {
-        **_COMMON,
-        "d": (_REQUIRED, "int"),
-        "j": (_REQUIRED, "int"),
-    },
-    "boundary_origin": {
-        **_COMMON,
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "n_values": (None, "int_list"),
-    },
-    "interior_endpoint": {
-        **_COMMON,
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "n_values": (None, "int_list"),
-    },
-    "faces_count": {
-        **_COMMON,
-        "d": (2, "int"),
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "n_values": (None, "int_list"),
-    },
-    "tail_index": {
-        **_COMMON,
-        "alpha": (_REQUIRED, "float"),
-        "c": (1.0, "float"),
-        "d": (2, "int"),
-        "j": (1, "int"),
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "hill_k": (None, "int"),
-    },
-    "lp_brownian": {
-        **_COMMON,
-        "p": (_REQUIRED, "float"),
-        "d": (2, "int"),
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "quad_points": (4096, "int"),
-        "rel_band": (0.02, "float"),
-    },
-    "lp_stable_consistency": {
-        **_COMMON,
-        "alpha": (_REQUIRED, "float"),
-        "c": (1.0, "float"),
-        "p": (1.0, "float"),
-        "d": (2, "int"),
-        "n_steps": (DEFAULT_N_STEPS, "int"),
-        "grid_n": (20_000, "int"),
-        "sup_paths": (20_000, "int"),
-        "quad_points": (4096, "int"),
-    },
-    "renewal_ratio": {
-        **_COMMON,
-        "t_values": (_REQUIRED, "float_list"),
-        "dt": (0.02, "float"),
-        "et1_trials": (None, "int"),
-        "alpha": (2.0, "float"),
-        "c": (0.5, "float"),
-        "d": (2, "int"),
-        "flavor": ("brownian", "str"),
-        "jump_law": ("pareto", "str"),
-        "jump_rate": (None, "float"),
-        "tail_alpha": (None, "float"),
-        "drift": (None, "float_list"),
-    },
-    "scaled_hull": {
-        **_COMMON,
-        "tail_alpha": (None, "float"),
-        "jump_law": ("pareto", "str"),
-        "jump_rate": (1.0, "float"),
-        "d": (2, "int"),
-        "t_values": ([1e2, 1e4], "float_list"),
-        "n_steps_limit": (2000, "int"),
-    },
-    "exit_tail": {
-        **_COMMON,
-        "tail_alpha": (None, "float"),
-        "jump_law": ("pareto", "str"),
-        "jump_rate": (3.0, "float"),
-        "d": (2, "int"),
-        "drift": (None, "float_list"),
-        "hill_k": (None, "int"),
-    },
-}
 
-_KIND_DESCRIPTIONS = {
-    "intrinsic_volumes": "mean intrinsic volumes of walk hulls vs exact finite-n and limit values",
-    "gram_determinant": "Gaussian Gram determinant mean vs j! * V_j of the scaled ball",
-    "boundary_origin": "frequency of the origin on the hull boundary vs the face-count bound",
-    "interior_endpoint": "frequency of the endpoint interior to the hull (trend, INFO)",
-    "faces_count": "mean number of hull faces at the origin vs the exact formula",
-    "tail_index": "Hill tail index of hull functional samples (INFO)",
-    "lp_brownian": "p-mean mixed volume of Brownian hulls vs the closed form",
-    "lp_stable_consistency": "hull-route vs sup-route p-mean mixed volume for stable paths (INFO)",
-    "renewal_ratio": "unit-ball exit counts per unit time vs the independent renewal rate (INFO)",
-    "scaled_hull": "KS comparison of rescaled long-horizon hulls with the fitted limit walk (INFO)",
-    "exit_tail": "Hill tail index of the first-exit displacement norm (INFO)",
-}
+def _check_common(p, bad, kind: _Kind):
+    if p["trials"] < kind.min_trials:
+        bad("trials", f"must be >= {kind.min_trials}")
+    if kind.dims and p["d"] not in kind.dims:
+        bad("d", "must be " + " or ".join(map(str, kind.dims)))
+    if p["tolerance_sigma"] <= 0:
+        bad("tolerance_sigma", "must be > 0")
+    if any(n < 1 for n in p.get("n_values") or ()):
+        bad("n_values", "must contain integers >= 1")
+    if p.get("n_steps", 1) < 1:
+        bad("n_steps", "must be >= 1")
+
+
+def _check_formula_walk(p, bad):
+    # the closed-form expectation formulas need Gamma(1 - 1/alpha)
+    if not 1.0 < p["alpha"] <= 2.0:
+        bad("alpha", "must lie in (1, 2] for formula experiments")
+    if p["c"] <= 0:
+        bad("c", "must be > 0")
+
+
+def _check_hill_k(p, bad):
+    if p["hill_k"] is not None and not 1 <= p["hill_k"] < p["trials"]:
+        bad("hill_k", "must satisfy 1 <= hill_k < trials")
+
+
+def _check_cpp(p, bad):
+    """The compound-Poisson fields, as StableSpec will need them."""
+    if p["jump_law"] not in ("pareto", "gaussian"):
+        bad("jump_law", "must be pareto or gaussian")
+    if p["jump_law"] == "pareto":
+        if p["tail_alpha"] is None:
+            bad("tail_alpha", "is required for pareto jumps")
+        if not 0.0 < p["tail_alpha"] < 2.0:
+            bad(
+                "tail_alpha",
+                "must lie in (0, 2); at tail_alpha >= 2 use jump_law 'gaussian'",
+            )
+    if p["jump_rate"] is not None and p["jump_rate"] < 0:
+        bad("jump_rate", "must be >= 0")
+    if p.get("drift") is not None and len(p["drift"]) != p["d"]:
+        bad("drift", f"must have d = {p['d']} entries")
+
+
+def _check_intrinsic(p, bad):
+    if p["c"] is None:
+        p["c"] = 0.5 if p["alpha"] == 2.0 else 1.0
+    _check_formula_walk(p, bad)
+    if p["horizon"] <= 0:
+        bad("horizon", "must be > 0")
+    if p["j_orders"] is None:
+        p["j_orders"] = list(range(1, p["d"] + 1))
+    if any(not 1 <= j <= p["d"] for j in p["j_orders"]):
+        bad("j_orders", f"must lie in 1..{p['d']}")
+    if len(set(p["j_orders"])) < len(p["j_orders"]):
+        bad("j_orders", "must not repeat an order")
+    if min(_n_series(p)) < max(p["j_orders"]):  # the exact V_j needs n >= j
+        bad("n_values" if p["n_values"] else "n_steps", "must be >= every j order")
+
+
+def _check_gram(p, bad):
+    if not 1 <= p["j"] <= p["d"] <= 6:
+        bad("j", "must satisfy 1 <= j <= d <= 6")
+
+
+def _check_tail_index(p, bad):
+    _check_formula_walk(p, bad)
+    if not 1 <= p["j"] <= p["d"]:
+        bad("j", f"must lie in 1..{p['d']}")
+    _check_hill_k(p, bad)
+
+
+def _check_lp_brownian(p, bad):
+    if p["p"] < 1.0:
+        bad("p", "must be >= 1")
+
+
+def _check_lp_consistency(p, bad):
+    if not 1.0 < p["alpha"] < 2.0:
+        bad("alpha", "must lie strictly in (1, 2)")
+    if not 1.0 <= p["p"] < p["alpha"]:
+        bad("p", f"must satisfy 1 <= p < alpha (p-means diverge at p >= alpha={p['alpha']})")
+    if p["c"] <= 0:
+        bad("c", "must be > 0")
+    for key in ("grid_n", "sup_paths"):
+        if p[key] < 1:
+            bad(key, "must be >= 1")
+
+
+def _check_renewal(p, bad):
+    if any(t <= 0 for t in p["t_values"]):
+        bad("t_values", "must be positive")
+    if p["dt"] <= 0:
+        bad("dt", "must be > 0")
+    if p["flavor"] not in ("brownian", "isotropic", "cpp"):
+        bad("flavor", "must be brownian, isotropic, or cpp")
+    if p["d"] < 1:
+        bad("d", "must be >= 1")
+    if (p["et1_trials"] or 2) < 2:  # 0, like no value, takes the default
+        bad("et1_trials", "must be >= 2")
+    if p["flavor"] == "cpp":
+        _check_cpp(p, bad)
+        return
+    if p["flavor"] == "isotropic" and not 0.0 < p["alpha"] <= 2.0:
+        bad("alpha", "must lie in (0, 2]")
+    if p["c"] <= 0:
+        bad("c", "must be > 0")
+
+
+def _check_scaled_hull(p, bad):
+    _check_cpp(p, bad)
+    if p["jump_rate"] <= 0:
+        bad("jump_rate", "must be > 0")
+    if any(t < 10.0 for t in p["t_values"]):
+        bad("t_values", "must be >= 10")
+    if p["n_steps_limit"] < 1:
+        bad("n_steps_limit", "must be >= 1")
+
+
+def _check_exit_tail(p, bad):
+    _check_cpp(p, bad)
+    _check_hill_k(p, bad)
 
 
 def list_experiment_kinds():
     """(kind, one-line description) pairs, sorted by kind."""
-    return sorted(_KIND_DESCRIPTIONS.items())
-
-
-def _validate_plan(kind, p):
-    def field_error(name, msg):
-        raise ConfigError(f"experiment {kind!r}: field {name!r} {msg}")
-
-    if p["trials"] < 2:
-        field_error("trials", "must be >= 2")
-    if p["tolerance_sigma"] <= 0:
-        field_error("tolerance_sigma", "must be > 0")
-    if "n_values" in p and p["n_values"] is not None:
-        if any(n < 1 for n in p["n_values"]):
-            field_error("n_values", "must contain integers >= 1")
-    if "n_steps" in p and p["n_steps"] < 1:
-        field_error("n_steps", "must be >= 1")
-
-    if kind in ("intrinsic_volumes", "tail_index"):
-        # the closed-form expectation formulas need Gamma(1 - 1/alpha)
-        if not 1.0 < p["alpha"] <= 2.0:
-            field_error("alpha", "must lie in (1, 2] for formula experiments")
-        if p["d"] not in (2, 3):
-            field_error("d", "must be 2 or 3")
-    if kind == "intrinsic_volumes":
-        if p["c"] is None:
-            p["c"] = 0.5 if p["alpha"] == 2.0 else 1.0
-        if p["c"] <= 0:
-            field_error("c", "must be > 0")
-        if p["horizon"] <= 0:
-            field_error("horizon", "must be > 0")
-        if p["j_orders"] is None:
-            p["j_orders"] = list(range(1, p["d"] + 1))
-        if any(not 1 <= j <= p["d"] for j in p["j_orders"]):
-            field_error("j_orders", f"must lie in 1..{p['d']}")
-    if kind == "gram_determinant":
-        if not 1 <= p["j"] <= p["d"] <= 6:
-            field_error("j", "must satisfy 1 <= j <= d <= 6")
-    if kind == "faces_count" and p["d"] not in (2, 3):
-        field_error("d", "must be 2 or 3")
-    if kind == "lp_brownian":
-        if p["p"] < 1.0:
-            field_error("p", "must be >= 1")
-        if p["d"] not in (2, 3):
-            field_error("d", "must be 2 or 3")
-    if kind == "lp_stable_consistency":
-        if not 1.0 < p["alpha"] < 2.0:
-            field_error("alpha", "must lie strictly in (1, 2)")
-        if not 1.0 <= p["p"] < p["alpha"]:
-            field_error(
-                "p", f"must satisfy 1 <= p < alpha (p-means diverge at p >= alpha={p['alpha']})"
-            )
-        if p["d"] != 2:
-            field_error("d", "must be 2")
-    if kind == "renewal_ratio":
-        if any(t <= 0 for t in p["t_values"]):
-            field_error("t_values", "must be positive")
-        if p["dt"] <= 0:
-            field_error("dt", "must be > 0")
-        if p["flavor"] not in ("brownian", "isotropic", "cpp"):
-            field_error("flavor", "must be brownian, isotropic, or cpp")
-    if kind in (
-        "intrinsic_volumes",
-        "gram_determinant",
-        "boundary_origin",
-        "interior_endpoint",
-        "faces_count",
-        "tail_index",
-    ):
-        if p["trials"] < 100:
-            field_error("trials", "must be >= 100 for sampled experiments")
-    if kind in ("scaled_hull", "exit_tail"):
-        if p["jump_law"] == "pareto":
-            if p["tail_alpha"] is None:
-                field_error("tail_alpha", "is required for pareto jumps")
-            if not 0.0 < p["tail_alpha"] < 2.0:
-                field_error(
-                    "tail_alpha",
-                    "must lie in (0, 2); at tail_alpha >= 2 use jump_law 'gaussian'",
-                )
-        if p["d"] != 2:
-            field_error("d", "must be 2")
-    if kind == "scaled_hull":
-        if any(t < 10.0 for t in p["t_values"]):
-            field_error("t_values", "must be >= 10")
-    return p
+    return sorted((kind, k.description) for kind, k in _KINDS.items())
 
 
 def _plan_one(raw, index: int) -> PlannedExperiment:
     if not isinstance(raw, dict):
         raise ConfigError(f"experiments[{index}] must be a JSON object")
     kind = raw.get("kind")
-    if kind not in _SCHEMAS:
-        known = ", ".join(sorted(_SCHEMAS))
+    if not isinstance(kind, str) or kind not in _KINDS:
+        known = ", ".join(sorted(_KINDS))
         raise ConfigError(
             f"experiments[{index}]: unknown experiment kind {kind!r} (known: {known})"
         )
-    schema = _SCHEMAS[kind]
+    entry = _KINDS[kind]
+    schema = {**_COMMON, **entry.schema}
     unknown = set(raw) - set(schema) - {"kind"}
     if unknown:
         raise ConfigError(
             f"experiment {kind!r}: unknown keys {sorted(unknown)!r}"
         )
     params = {}
-    for key, (default, tag) in schema.items():
+    for key, (default, typ) in schema.items():
         if key in raw:
-            params[key] = _cast_value(kind, key, raw[key], tag)
+            params[key] = _cast_value(kind, key, raw[key], typ)
         elif default is _REQUIRED:
             raise ConfigError(f"experiment {kind!r}: field {key!r} is required")
         else:
             params[key] = list(default) if isinstance(default, list) else default
     label = params.pop("label") or kind
-    params = _validate_plan(kind, params)
+
+    def bad(field, msg):
+        raise ConfigError(f"experiment {kind!r}: field {field!r} {msg}")
+
+    _check_common(params, bad, entry)
+    if entry.check is not None:
+        entry.check(params, bad)
     return PlannedExperiment(kind=kind, label=label, params=params)
 
 
@@ -417,34 +367,53 @@ def load_config(path) -> list:
 # -- execution ---------------------------------------------------------
 
 
-def _row(experiment, params, j, mean, stderr, trials, target, z, verdict):
-    return {
-        "experiment": experiment,
-        "param_json": json.dumps(params, sort_keys=True, separators=(",", ":")),
-        "j": j,
-        "mean": mean,
-        "stderr": stderr,
-        "trials": trials,
-        "target": target,
-        "z": z,
-        "verdict": verdict,
-    }
-
-
-def _two_sided(mean, stderr, target, tol_sigma, rel_band=0.0):
-    band = max(tol_sigma * stderr, rel_band * abs(target))
-    return "PASS" if abs(mean - target) <= band else "FAIL"
-
-
 def _z(mean, stderr, target):
     if stderr > 0.0:
         return (mean - target) / stderr
     return 0.0 if mean == target else math.inf
 
 
+def _verdict(rule, est, target, tol_sigma, rel_band=0.0):
+    """The verdict rule. "two_sided": PASS iff |mean - target| <=
+    max(tol_sigma * stderr, rel_band * |target|). "upper": PASS iff mean <=
+    target + tol_sigma * stderr, for a target that bounds the mean from
+    above. Any other rule gives INFO."""
+    if rule == "two_sided":
+        band = max(tol_sigma * est.stderr, rel_band * abs(target))
+        ok = abs(est.mean - target) <= band
+    elif rule == "upper":
+        ok = est.mean <= target + tol_sigma * est.stderr
+    else:
+        return "INFO"
+    return "PASS" if ok else "FAIL"
+
+
+def _row(plan, params, est, target=None, rule="INFO", j="", z=None, rel_band=0.0):
+    """The results.csv row of one estimate (mean, stderr, trials) of
+    ``plan``, judged against ``target`` by ``rule``. z defaults to
+    (mean - target) / stderr, or empty without a target."""
+    if z is None:
+        z = "" if target is None else _z(est.mean, est.stderr, target)
+    return {
+        "experiment": plan.label,
+        "param_json": json.dumps(params, sort_keys=True, separators=(",", ":")),
+        "j": j,
+        "mean": est.mean,
+        "stderr": est.stderr,
+        "trials": est.trials,
+        "target": "" if target is None else target,
+        "z": z,
+        "verdict": _verdict(rule, est, target, plan.params["tolerance_sigma"], rel_band),
+    }
+
+
 def _walk_spec(p):
-    flavor = "brownian" if p["alpha"] == 2.0 else "isotropic"
-    return StableSpec(alpha=p["alpha"], c=p["c"], d=p["d"], flavor=flavor)
+    """The walk of a walk kind: Brownian at alpha = 2, else isotropic
+    stable. Kinds without alpha, c or d sample planar Brownian motion with
+    c = 1/2, so that X(1) ~ N(0, I)."""
+    alpha = p.get("alpha", 2.0)
+    flavor = "brownian" if alpha == 2.0 else "isotropic"
+    return StableSpec(alpha=alpha, c=p.get("c", 0.5), d=p.get("d", 2), flavor=flavor)
 
 
 def _cpp_spec(p):
@@ -456,7 +425,7 @@ def _cpp_spec(p):
         flavor="cpp",
         jump_law=p["jump_law"],
         tail_alpha=p["tail_alpha"] if p["jump_law"] == "pareto" else None,
-        jump_rate=p["jump_rate"],
+        jump_rate=p["jump_rate"] or 0.0,  # a cpp renewal may be drift-only
         drift=drift,
     )
 
@@ -465,20 +434,29 @@ def _n_series(p):
     return p["n_values"] if p.get("n_values") else [p["n_steps"]]
 
 
-def _run_intrinsic(plan, seed):
+def _per_n(plan, seed, experiment, **cfg):
+    """(n, experiment(config)) for each n of the plan's n series, on the
+    plan's walk."""
     p = plan.params
     spec = _walk_spec(p)
-    rows = []
     for n in _n_series(p):
-        cfg = ExperimentConfig(
-            spec,
-            n_steps=n,
-            trials=p["trials"],
-            j_orders=tuple(p["j_orders"]),
-            horizon=p["horizon"],
-            master_seed=seed,
+        cfg_n = ExperimentConfig(
+            spec, n_steps=n, trials=p["trials"], master_seed=seed, **cfg
         )
-        results = run_intrinsic_volume_experiment(cfg)
+        yield n, experiment(cfg_n)
+
+
+def _run_intrinsic(plan, seed):
+    p = plan.params
+    rows = []
+    runs = _per_n(
+        plan,
+        seed,
+        run_intrinsic_volume_experiment,
+        j_orders=tuple(p["j_orders"]),
+        horizon=p["horizon"],
+    )
+    for n, results in runs:
         for j, r in zip(p["j_orders"], results):
             limit = r.target.value
             scale = p["horizon"] ** (j / p["alpha"])
@@ -488,173 +466,57 @@ def _run_intrinsic(plan, seed):
                 rel_band, target_kind = 0.0, "exact"
             except ResourceError:
                 target, rel_band, target_kind = limit, p["rel_band"], "limit"
-            verdict = _two_sided(
-                r.mean, r.stderr, target, p["tolerance_sigma"], rel_band
-            )
-            rows.append(
-                _row(
-                    plan.label,
-                    {
-                        "alpha": p["alpha"],
-                        "c": p["c"],
-                        "d": p["d"],
-                        "horizon": p["horizon"],
-                        "n": n,
-                        "target_kind": target_kind,
-                        "limit_target": limit,
-                    },
-                    j,
-                    r.mean,
-                    r.stderr,
-                    r.trials,
-                    target,
-                    _z(r.mean, r.stderr, target),
-                    verdict,
-                )
-            )
+            params = {
+                "alpha": p["alpha"],
+                "c": p["c"],
+                "d": p["d"],
+                "horizon": p["horizon"],
+                "n": n,
+                "target_kind": target_kind,
+                "limit_target": limit,
+            }
+            rows.append(_row(plan, params, r, target, "two_sided", j, rel_band=rel_band))
     return rows, {}
 
 
 def _run_gram(plan, seed):
     p = plan.params
     r = run_gram_experiment(p["d"], p["j"], trials=p["trials"], seed=seed)
-    verdict = _two_sided(r.mean, r.stderr, r.target.value, p["tolerance_sigma"])
-    row = _row(
-        plan.label,
-        {"d": p["d"], "j": p["j"]},
-        p["j"],
-        r.mean,
-        r.stderr,
-        r.trials,
-        r.target.value,
-        _z(r.mean, r.stderr, r.target.value),
-        verdict,
-    )
-    return [row], {}
+    params = {"d": p["d"], "j": p["j"]}
+    return [_row(plan, params, r, r.target.value, "two_sided", p["j"])], {}
 
 
 def _run_boundary(plan, seed):
-    p = plan.params
-    spec = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
-    rows = []
-    for n in _n_series(p):
-        cfg = ExperimentConfig(
-            spec,
-            n_steps=n,
-            trials=p["trials"],
-            master_seed=seed,
-        )
-        r, bound = run_boundary_origin_experiment(cfg)
-        # the face-count mean bounds the boundary probability from above
-        ok = r.mean <= bound + p["tolerance_sigma"] * r.stderr
-        rows.append(
-            _row(
-                plan.label,
-                {"n": n, "bound": "upper"},
-                "",
-                r.mean,
-                r.stderr,
-                r.trials,
-                bound,
-                _z(r.mean, r.stderr, bound),
-                "PASS" if ok else "FAIL",
-            )
-        )
+    # the face-count mean bounds the boundary probability from above
+    runs = _per_n(plan, seed, run_boundary_origin_experiment)
+    rows = [_row(plan, {"n": n, "bound": "upper"}, r, bound, "upper") for n, (r, bound) in runs]
     return rows, {}
 
 
 def _run_interior(plan, seed):
-    p = plan.params
-    spec = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
-    rows = []
-    means = []
-    for n in _n_series(p):
-        cfg = ExperimentConfig(
-            spec,
-            n_steps=n,
-            trials=p["trials"],
-            master_seed=seed,
-        )
-        r = run_interior_endpoint_experiment(cfg)
-        means.append(r.mean)
-        rows.append(
-            _row(
-                plan.label,
-                {"n": n, "limit": 1.0},
-                "",
-                r.mean,
-                r.stderr,
-                r.trials,
-                "",
-                "",
-                "INFO",
-            )
-        )
+    runs = list(_per_n(plan, seed, run_interior_endpoint_experiment))
+    means = [r.mean for _, r in runs]
     trend = {}
     if len(means) > 1:
         trend[plan.label] = {"increasing": all(b > a for a, b in zip(means, means[1:]))}
-    return rows, trend
+    return [_row(plan, {"n": n, "limit": 1.0}, r) for n, r in runs], trend
 
 
 def _run_faces(plan, seed):
-    p = plan.params
-    spec = StableSpec(alpha=2.0, c=0.5, d=p["d"], flavor="brownian")
-    rows = []
-    for n in _n_series(p):
-        cfg = ExperimentConfig(
-            spec,
-            n_steps=n,
-            trials=p["trials"],
-            master_seed=seed,
-        )
-        r = run_faces_experiment(cfg)
-        target = r.target.value
-        # the d=3 counting formula is kept informational
-        verdict = (
-            _two_sided(r.mean, r.stderr, target, p["tolerance_sigma"])
-            if p["d"] == 2
-            else "INFO"
-        )
-        rows.append(
-            _row(
-                plan.label,
-                {"d": p["d"], "n": n},
-                "",
-                r.mean,
-                r.stderr,
-                r.trials,
-                target,
-                _z(r.mean, r.stderr, target),
-                verdict,
-            )
-        )
-    return rows, {}
+    d = plan.params["d"]
+    # the d=3 counting formula is kept informational
+    rule = "two_sided" if d == 2 else "INFO"
+    runs = _per_n(plan, seed, run_faces_experiment)
+    return [_row(plan, {"d": d, "n": n}, r, r.target.value, rule) for n, r in runs], {}
 
 
 def _run_tail_index(plan, seed):
     p = plan.params
-    spec = _walk_spec(p)
-    cfg = ExperimentConfig(
-        spec,
-        n_steps=p["n_steps"],
-        trials=p["trials"],
-        j_orders=(p["j"],),
-        master_seed=seed,
-        hill_k=p["hill_k"],
+    runs = _per_n(
+        plan, seed, run_tail_index_experiment, j_orders=(p["j"],), hill_k=p["hill_k"]
     )
-    r = run_tail_index_experiment(cfg)
-    row = _row(
-        plan.label,
-        {"alpha": p["alpha"], "c": p["c"], "d": p["d"], "n": p["n_steps"]},
-        p["j"],
-        r.mean,
-        r.stderr,
-        r.trials,
-        "",
-        "",
-        "INFO",
-    )
-    return [row], {}
+    base = {"alpha": p["alpha"], "c": p["c"], "d": p["d"]}
+    return [_row(plan, {**base, "n": n}, r, j=p["j"]) for n, r in runs], {}
 
 
 def _run_lp_brownian(plan, seed):
@@ -667,20 +529,8 @@ def _run_lp_brownian(plan, seed):
         seed=seed,
         quad_points=p["quad_points"],
     )
-    verdict = _two_sided(
-        r.mean, r.stderr, r.target.value, p["tolerance_sigma"], p["rel_band"]
-    )
-    row = _row(
-        plan.label,
-        {"p": p["p"], "d": p["d"], "n": p["n_steps"]},
-        "",
-        r.mean,
-        r.stderr,
-        r.trials,
-        r.target.value,
-        _z(r.mean, r.stderr, r.target.value),
-        verdict,
-    )
+    params = {"p": p["p"], "d": p["d"], "n": p["n_steps"]}
+    row = _row(plan, params, r, r.target.value, "two_sided", rel_band=p["rel_band"])
     return [row], {}
 
 
@@ -702,28 +552,8 @@ def _run_lp_consistency(plan, seed):
     gap_z = (hull.mean - sup.mean) / combined if combined > 0 else 0.0
     base = {"alpha": p["alpha"], "c": p["c"], "p": p["p"], "n": p["n_steps"]}
     rows = [
-        _row(
-            plan.label,
-            {**base, "side": "hull"},
-            "",
-            hull.mean,
-            hull.stderr,
-            hull.trials,
-            sup.mean,
-            gap_z,
-            "INFO",
-        ),
-        _row(
-            plan.label,
-            {**base, "side": "sup"},
-            "",
-            sup.mean,
-            sup.stderr,
-            sup.trials,
-            "",
-            "",
-            "INFO",
-        ),
+        _row(plan, {**base, "side": "hull"}, hull, sup.mean, z=gap_z),
+        _row(plan, {**base, "side": "sup"}, sup),
     ]
     return rows, {plan.label: {"gap_z": gap_z}}
 
@@ -731,9 +561,7 @@ def _run_lp_consistency(plan, seed):
 def _run_renewal(plan, seed):
     p = plan.params
     if p["flavor"] == "cpp":
-        spec = _cpp_spec(
-            {**p, "jump_rate": p["jump_rate"] if p["jump_rate"] is not None else 0.0}
-        )
+        spec = _cpp_spec(p)
     else:
         spec = StableSpec(alpha=p["alpha"], c=p["c"], d=p["d"], flavor=p["flavor"])
     results = renewal_ratio_experiment(
@@ -749,19 +577,8 @@ def _run_renewal(plan, seed):
     for t, r in zip(p["t_values"], results):
         rate = r.target.value
         gaps.append(abs(r.mean - rate) / rate if rate else math.inf)
-        rows.append(
-            _row(
-                plan.label,
-                {"t": t, "dt": p["dt"], "et1_mean": r.target.params["et1_mean"]},
-                "",
-                r.mean,
-                r.stderr,
-                r.trials,
-                rate,
-                _z(r.mean, r.stderr, rate),
-                "INFO",
-            )
-        )
+        params = {"t": t, "dt": p["dt"], "et1_mean": r.target.params["et1_mean"]}
+        rows.append(_row(plan, params, r, rate))
     trend = {
         plan.label: {
             "rel_gaps": gaps,
@@ -785,25 +602,14 @@ def _run_scaled_hull(plan, seed):
             n_steps_limit=p["n_steps_limit"],
         )
         stats.append(stat)
-        rows.append(
-            _row(
-                plan.label,
-                {
-                    "t": t,
-                    "p_value": p_value,
-                    "alpha": report["alpha"],
-                    "et1_mean": report["et1_mean"],
-                    "fitted_c": report["fitted_c"],
-                },
-                "",
-                stat,
-                0.0,
-                p["trials"],
-                "",
-                "",
-                "INFO",
-            )
-        )
+        params = {
+            "t": t,
+            "p_value": p_value,
+            "alpha": report["alpha"],
+            "et1_mean": report["et1_mean"],
+            "fitted_c": report["fitted_c"],
+        }
+        rows.append(_row(plan, params, EstimateResult(stat, 0.0, p["trials"])))
     trend = {
         plan.label: {
             "ks_stats": stats,
@@ -815,38 +621,154 @@ def _run_scaled_hull(plan, seed):
 
 def _run_exit_tail(plan, seed):
     p = plan.params
-    spec = _cpp_spec(p)
     est = exit_value_tail_experiment(
-        spec, trials=p["trials"], seed=seed, k=p["hill_k"]
+        _cpp_spec(p), trials=p["trials"], seed=seed, k=p["hill_k"]
     )
-    target = p["tail_alpha"] if p["jump_law"] == "pareto" else ""
-    row = _row(
-        plan.label,
-        {"jump_law": p["jump_law"], "jump_rate": p["jump_rate"]},
-        "",
-        est,
-        0.0,
-        p["trials"],
-        target,
-        "",
-        "INFO",
-    )
-    return [row], {}
+    target = p["tail_alpha"] if p["jump_law"] == "pareto" else None
+    params = {"jump_law": p["jump_law"], "jump_rate": p["jump_rate"]}
+    return [_row(plan, params, EstimateResult(est, 0.0, p["trials"]), target, z="")], {}
 
 
-_RUNNERS = {
-    "intrinsic_volumes": _run_intrinsic,
-    "gram_determinant": _run_gram,
-    "boundary_origin": _run_boundary,
-    "interior_endpoint": _run_interior,
-    "faces_count": _run_faces,
-    "tail_index": _run_tail_index,
-    "lp_brownian": _run_lp_brownian,
-    "lp_stable_consistency": _run_lp_consistency,
-    "renewal_ratio": _run_renewal,
-    "scaled_hull": _run_scaled_hull,
-    "exit_tail": _run_exit_tail,
+_KINDS = {
+    "intrinsic_volumes": _Kind(
+        "mean intrinsic volumes of walk hulls vs exact finite-n and limit values",
+        {
+            "alpha": (2.0, float),
+            "c": (None, float),
+            "d": (2, int),
+            **_N_SERIES,
+            "j_orders": (None, [int]),
+            "horizon": (1.0, float),
+            "rel_band": (0.05, float),
+        },
+        _run_intrinsic,
+        _check_intrinsic,
+        min_trials=_SAMPLED_TRIALS,
+        dims=(2, 3),
+    ),
+    "gram_determinant": _Kind(
+        "Gaussian Gram determinant mean vs j! * V_j of the scaled ball",
+        {"d": (_REQUIRED, int), "j": (_REQUIRED, int)},
+        _run_gram,
+        _check_gram,
+        min_trials=_SAMPLED_TRIALS,
+    ),
+    "boundary_origin": _Kind(
+        "frequency of the origin on the hull boundary vs the face-count bound",
+        _N_SERIES,
+        _run_boundary,
+        min_trials=_SAMPLED_TRIALS,
+    ),
+    "interior_endpoint": _Kind(
+        "frequency of the endpoint interior to the hull (trend, INFO)",
+        _N_SERIES,
+        _run_interior,
+        min_trials=_SAMPLED_TRIALS,
+    ),
+    "faces_count": _Kind(
+        "mean number of hull faces at the origin vs the exact formula",
+        {"d": (2, int), **_N_SERIES},
+        _run_faces,
+        min_trials=_SAMPLED_TRIALS,
+        dims=(2, 3),
+    ),
+    "tail_index": _Kind(
+        "Hill tail index of hull functional samples (INFO)",
+        {
+            "alpha": (_REQUIRED, float),
+            "c": (1.0, float),
+            "d": (2, int),
+            "j": (1, int),
+            "n_steps": (DEFAULT_N_STEPS, int),
+            "hill_k": (None, int),
+        },
+        _run_tail_index,
+        _check_tail_index,
+        min_trials=_SAMPLED_TRIALS,
+        dims=(2, 3),
+    ),
+    "lp_brownian": _Kind(
+        "p-mean mixed volume of Brownian hulls vs the closed form",
+        {
+            "p": (_REQUIRED, float),
+            "d": (2, int),
+            "n_steps": (DEFAULT_N_STEPS, int),
+            "quad_points": (4096, int),
+            "rel_band": (0.02, float),
+        },
+        _run_lp_brownian,
+        _check_lp_brownian,
+        dims=(2, 3),
+    ),
+    "lp_stable_consistency": _Kind(
+        "hull-route vs sup-route p-mean mixed volume for stable paths (INFO)",
+        {
+            "alpha": (_REQUIRED, float),
+            "c": (1.0, float),
+            "p": (1.0, float),
+            "d": (2, int),
+            "n_steps": (DEFAULT_N_STEPS, int),
+            "grid_n": (20_000, int),
+            "sup_paths": (20_000, int),
+            "quad_points": (4096, int),
+        },
+        _run_lp_consistency,
+        _check_lp_consistency,
+        dims=(2,),
+    ),
+    "renewal_ratio": _Kind(
+        "unit-ball exit counts per unit time vs the independent renewal rate (INFO)",
+        {
+            "t_values": (_REQUIRED, [float]),
+            "dt": (0.02, float),
+            "et1_trials": (None, int),
+            "alpha": (2.0, float),
+            "c": (0.5, float),
+            "d": (2, int),
+            "flavor": ("brownian", str),
+            "jump_law": ("pareto", str),
+            "jump_rate": (None, float),
+            "tail_alpha": (None, float),
+            "drift": (None, [float]),
+        },
+        _run_renewal,
+        _check_renewal,
+    ),
+    "scaled_hull": _Kind(
+        "KS comparison of rescaled long-horizon hulls with the fitted limit walk (INFO)",
+        {
+            "tail_alpha": (None, float),
+            "jump_law": ("pareto", str),
+            "jump_rate": (1.0, float),
+            "d": (2, int),
+            "t_values": ([1e2, 1e4], [float]),
+            "n_steps_limit": (2000, int),
+        },
+        _run_scaled_hull,
+        _check_scaled_hull,
+        min_trials=10,  # scaled_hull_convergence's floor
+        dims=(2,),
+    ),
+    "exit_tail": _Kind(
+        "Hill tail index of the first-exit displacement norm (INFO)",
+        {
+            "tail_alpha": (None, float),
+            "jump_law": ("pareto", str),
+            "jump_rate": (3.0, float),
+            "d": (2, int),
+            "drift": (None, [float]),
+            "hill_k": (None, int),
+        },
+        _run_exit_tail,
+        _check_exit_tail,
+        min_trials=10,  # exit_value_tail_experiment's floor
+        dims=(2,),
+    ),
 }
+
+# run_all dispatches through this dict, not through _KINDS, so that a
+# caller can wrap a kind's runner in place (timing, tracing).
+_RUNNERS = {kind: k.run for kind, k in _KINDS.items()}
 
 
 def _config_digest(plans, master_seed: int) -> str:
@@ -885,22 +807,14 @@ def write_results_csv(rows, path):
 
 
 def _dump_polytopes(plans, seed, out_dir):
-    """A few sample hulls per walk experiment, for inspection."""
+    """A few sample hulls per walk experiment with an n series, for
+    inspection."""
     dumped = {}
     for plan in plans:
-        if plan.kind not in (
-            "intrinsic_volumes",
-            "boundary_origin",
-            "interior_endpoint",
-            "faces_count",
-        ):
+        if "n_values" not in _KINDS[plan.kind].schema:
             continue
-        p = plan.params
-        if plan.kind == "intrinsic_volumes":
-            spec = _walk_spec(p)
-        else:
-            spec = StableSpec(alpha=2.0, c=0.5, d=p.get("d", 2), flavor="brownian")
-        n = _n_series(p)[0]
+        spec = _walk_spec(plan.params)
+        n = _n_series(plan.params)[0]
         stream = stream_id(f"dump_{plan.label}")
         hulls = []
         for i in range(3):
@@ -938,12 +852,7 @@ def run_all(
         rows.extend(plan_rows)
         trends.update(plan_trends)
         labels = {r["verdict"] for r in plan_rows}
-        if "FAIL" in labels:
-            verdicts[plan.label] = "FAIL"
-        elif "PASS" in labels:
-            verdicts[plan.label] = "PASS"
-        else:
-            verdicts[plan.label] = "INFO"
+        verdicts[plan.label] = next((v for v in ("FAIL", "PASS") if v in labels), "INFO")
     digest = _config_digest(plans, master_seed)
     now = datetime.now(timezone.utc)
     timestamp = now.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -975,34 +884,6 @@ def run_all(
     if dump_polytopes:
         _dump_polytopes(plans, master_seed, out)
     return manifest
-
-
-def emit_plot_data(manifest: RunManifest, out_dir) -> list:
-    """One CSV series per experiment whose rows carry an n parameter:
-    columns n,mean,stderr,target (target column carries the analytic
-    value when the experiment has one). Returns written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    series = {}
-    for row in manifest.results:
-        params = json.loads(row["param_json"])
-        if "n" not in params:
-            continue
-        key = row["experiment"] if row["j"] == "" else f"{row['experiment']}_j{row['j']}"
-        series.setdefault(key, []).append(
-            (params["n"], row["mean"], row["stderr"], row["target"])
-        )
-    written = []
-    for key in sorted(series):
-        safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in key)
-        path = out / f"plot_{safe}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(("n", "mean", "stderr", "target"))
-            for n, mean, stderr, target in sorted(series[key]):
-                writer.writerow([_fmt(n), _fmt(mean), _fmt(stderr), _fmt(target)])
-        written.append(str(path))
-    return written
 
 
 def smoke_plans() -> list:

@@ -11,7 +11,6 @@ from levyhull.cli import main
 from levyhull.cli_report import (
     CSV_COLUMNS,
     _config_digest,
-    emit_plot_data,
     list_experiment_kinds,
     load_config,
     manifest_exit_code,
@@ -75,6 +74,8 @@ class TestPlanning:
         with pytest.raises(ConfigError, match="unknown experiment kind") as exc:
             plan_experiments(_cfg({"kind": "volume_of_doom"}))
         assert "gram_determinant" in str(exc.value)
+        with pytest.raises(ConfigError, match="unknown experiment kind"):
+            plan_experiments(_cfg({"kind": ["gram_determinant"]}))
 
     def test_unknown_experiment_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -164,6 +165,8 @@ class TestPlanning:
 
 IV = {"kind": "intrinsic_volumes", "trials": 100}
 RENEWAL = {"kind": "renewal_ratio", "t_values": [2.0]}
+CPP_RENEWAL = dict(RENEWAL, flavor="cpp", tail_alpha=1.5, jump_rate=3.0)
+SCALED = {"kind": "scaled_hull", "tail_alpha": 1.5}
 EXIT = {"kind": "exit_tail", "tail_alpha": 1.5}
 LP_STABLE = {"kind": "lp_stable_consistency", "alpha": 1.5}
 
@@ -193,6 +196,52 @@ PLAN_TIME_REJECTIONS = {
     "bool_in_list": ({"kind": "boundary_origin", "n_values": [10, True]}, "n_values"),
 }
 
+# Configs that passed planning and then raised inside run_all, after the
+# experiments before them had run and before any output was written.
+MID_RUN_FAILURES = {
+    "cpp_renewal_no_tail_alpha": (dict(CPP_RENEWAL, tail_alpha=None), "tail_alpha"),
+    "cpp_renewal_tail_alpha_2_5": (dict(CPP_RENEWAL, tail_alpha=2.5), "tail_alpha"),
+    "cpp_renewal_unknown_jump_law": (dict(CPP_RENEWAL, jump_law="cauchy"), "jump_law"),
+    "cpp_renewal_negative_rate": (dict(CPP_RENEWAL, jump_rate=-1.0), "jump_rate"),
+    "cpp_renewal_drift_length": (dict(CPP_RENEWAL, drift=[0.1, 0.2, 0.3]), "drift"),
+    "scaled_hull_unknown_jump_law": (dict(SCALED, jump_law="cauchy"), "jump_law"),
+    "exit_tail_unknown_jump_law": (dict(EXIT, jump_law="cauchy"), "jump_law"),
+    "exit_tail_negative_rate": (dict(EXIT, jump_rate=-1.0), "jump_rate"),
+    "exit_tail_drift_length": (dict(EXIT, drift=[0.1]), "drift"),
+    "tail_index_hill_k_at_trials": (
+        {"kind": "tail_index", "alpha": 1.5, "trials": 100, "hill_k": 100},
+        "hill_k",
+    ),
+    "tail_index_hill_k_zero": (
+        {"kind": "tail_index", "alpha": 1.5, "trials": 100, "hill_k": 0},
+        "hill_k",
+    ),
+    "exit_tail_hill_k_at_trials": (dict(EXIT, trials=50, hill_k=50), "hill_k"),
+    "exit_tail_hill_k_zero": (dict(EXIT, hill_k=0), "hill_k"),
+    "isotropic_renewal_alpha_2_5": (dict(RENEWAL, flavor="isotropic", alpha=2.5), "alpha"),
+    "isotropic_renewal_alpha_zero": (dict(RENEWAL, flavor="isotropic", alpha=0.0), "alpha"),
+    "renewal_c_zero": (dict(RENEWAL, c=0.0), "c"),
+    "renewal_d_zero": (dict(RENEWAL, d=0), "d"),
+    "renewal_et1_trials_1": (dict(RENEWAL, et1_trials=1), "et1_trials"),
+    "scaled_hull_rate_zero": (dict(SCALED, jump_rate=0.0), "jump_rate"),
+    "scaled_hull_trials_below_10": (dict(SCALED, trials=5), "trials"),
+    "scaled_hull_n_steps_limit_zero": (dict(SCALED, n_steps_limit=0), "n_steps_limit"),
+    "exit_tail_trials_below_10": (dict(EXIT, trials=5), "trials"),
+    "tail_index_c_zero": (
+        {"kind": "tail_index", "alpha": 1.5, "trials": 100, "c": 0.0},
+        "c",
+    ),
+    "lp_stable_c_zero": (dict(LP_STABLE, c=0.0), "c"),
+    "lp_stable_grid_n_zero": (dict(LP_STABLE, grid_n=0), "grid_n"),
+    "intrinsic_n_below_j": (dict(IV, n_values=[1, 40]), "n_values"),
+    "intrinsic_n_steps_below_j": (dict(IV, d=3, n_steps=2), "n_steps"),
+    "lp_stable_sup_paths_zero": (dict(LP_STABLE, sup_paths=0), "sup_paths"),
+    "tail_index_j_above_d": (
+        {"kind": "tail_index", "alpha": 1.5, "trials": 100, "j": 3},
+        "j",
+    ),
+}
+
 REPO = Path(__file__).resolve().parent.parent
 
 # sha256 of the resolved plans at master seed 0: planning must keep
@@ -218,6 +267,22 @@ class TestPlanTimeChecks:
     )
     def test_rejection_names_kind_and_field(self, entry, field):
         _assert_rejected(entry, field)
+
+    @pytest.mark.parametrize(
+        "entry,field", MID_RUN_FAILURES.values(), ids=MID_RUN_FAILURES.keys()
+    )
+    def test_would_fail_mid_run_rejected_at_plan_time(self, entry, field):
+        _assert_rejected(entry, field)
+
+    def test_repeated_j_order_rejected(self):
+        # the runner estimates each order once, so a repeat shifted the
+        # rows: V_2's mean came out as a second j = 1 row and FAILed
+        _assert_rejected(dict(IV, j_orders=[1, 1, 2]), "j_orders")
+
+    def test_drift_only_cpp_renewal_accepted(self):
+        entry = dict(RENEWAL, flavor="cpp", jump_law="gaussian", drift=[2.0, 0.0])
+        (plan,) = plan_experiments(_cfg(entry))
+        assert plan.params["jump_rate"] is None
 
     @pytest.mark.parametrize("name", CONFIG_DIGESTS)
     def test_config_digest_unchanged(self, name):
@@ -333,36 +398,6 @@ class TestRunAll:
         for hull in hulls:
             assert len(hull) >= 3
             assert all(len(v) == 2 for v in hull)
-
-
-class TestEmitPlotData:
-    def test_intrinsic_series_files(self, tmp_path):
-        manifest = run_all(plan_experiments(_cfg(INTRINSIC)), tmp_path)
-        written = emit_plot_data(manifest, tmp_path)
-        names = sorted(p.rsplit("/", 1)[-1] for p in written)
-        assert names == [
-            "plot_intrinsic_volumes_j1.csv",
-            "plot_intrinsic_volumes_j2.csv",
-        ]
-        rows = _read_csv(tmp_path / "plot_intrinsic_volumes_j1.csv")
-        assert rows[0] == ["n", "mean", "stderr", "target"]
-        ns = [int(r[0]) for r in rows[1:]]
-        assert ns == [40, 80]
-        assert all(float(r[3]) > 0 for r in rows[1:])
-
-    def test_faces_series_has_analytic_target(self, tmp_path):
-        manifest = run_all(plan_experiments(_cfg(FACES)), tmp_path)
-        written = emit_plot_data(manifest, tmp_path)
-        assert len(written) == 1 and "faces_count" in written[0]
-        rows = _read_csv(written[0])
-        assert rows[0] == ["n", "mean", "stderr", "target"]
-        assert [int(r[0]) for r in rows[1:]] == [40, 80]
-        assert all(float(r[3]) > 0 for r in rows[1:])
-
-    def test_no_series_no_files(self, tmp_path):
-        manifest = run_all(plan_experiments(_cfg(GRAM)), tmp_path)
-        assert emit_plot_data(manifest, tmp_path) == []
-        assert not list(tmp_path.glob("plot_*.csv"))
 
 
 class TestCli:
