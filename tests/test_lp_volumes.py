@@ -23,6 +23,7 @@ from levyhull import (
     verify_lp_stable_consistency,
     vp_ball_mixed,
 )
+from levyhull.lp_volumes import _sup_pow_stable_1d
 
 
 def _square(half=0.5):
@@ -281,3 +282,20 @@ class TestVerifyLpStableConsistency:
         a = verify_lp_stable_consistency(1.4, **kw)
         b = verify_lp_stable_consistency(1.4, **kw)
         assert a[0].mean == b[0].mean and a[1].mean == b[1].mean
+
+
+class TestSupSideSpitzerOracle:
+    def test_mean_supremum_matches_spitzer_identity(self):
+        # Spitzer: E max_{0<=k<=n} S_k = sum_k E S_k^+ / k, and the k-step
+        # sum of unit-scale steps of size n^(-1/alpha) has
+        # E S_k^+ = (k/n)^(1/alpha) Gamma(1 - 1/alpha) / pi. Exact for the
+        # n-point grid, so no discretization bias enters. Seed, path count
+        # and the |z| <= 4 band were fixed before the first run.
+        alpha, n = 1.5, 2000
+        k = np.arange(1, n + 1)
+        pos_mean = math.gamma(1.0 - 1.0 / alpha) / math.pi  # E S^+ of one unit-time sum
+        exact = pos_mean * float(np.sum((k / n) ** (1.0 / alpha) / k))
+        sups = _sup_pow_stable_1d(alpha, 1.0, n, 10_000, 0)
+        z = (sups.mean() - exact) / (sups.std(ddof=1) / math.sqrt(sups.size))
+        assert exact == pytest.approx(1.2741, abs=1e-4)
+        assert abs(z) <= 4.0
