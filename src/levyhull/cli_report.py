@@ -13,8 +13,8 @@ rule is a two-sided band (optionally widened to a relative band), an
 upper bound, or INFO for trend and consistency experiments, so automation
 stays deterministic. results.csv has a fixed schema: experiment,
 param_json, j, mean, stderr, trials, target, z, verdict. Files are UTF-8
-with LF line endings and RFC-4180 quoting; floats are written with repr()
-so a rerun is byte-identical.
+with LF line endings and RFC-4180 quoting; floats are written in their
+shortest round-trip form, so a rerun is byte-identical.
 """
 
 from __future__ import annotations
@@ -786,24 +786,14 @@ def _config_digest(plans, master_seed: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(rows, path):
+    # csv writes each value as str(value): floats in their shortest
+    # round-trip form, the same digits as repr
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([row[col] for col in CSV_COLUMNS])
 
 
 def _dump_polytopes(plans, seed, out_dir):
