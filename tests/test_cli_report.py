@@ -19,6 +19,8 @@ from levyhull.cli_report import (
     smoke_plans,
 )
 from levyhull.errors import ConfigError
+from levyhull.hullgeom import hull2d, hull3d
+from levyhull.rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
 
 # Cheap experiment entries reused across tests.  gram_determinant is the
 # fastest PASS/FAIL kind (no path sampling); the intrinsic entry keeps the
@@ -398,6 +400,31 @@ class TestRunAll:
         for hull in hulls:
             assert len(hull) >= 3
             assert all(len(v) == 2 for v in hull)
+
+    @pytest.mark.parametrize(
+        "entry,spec,n",
+        [
+            (INTRINSIC, StableSpec(flavor="brownian", c=0.5, d=2), 40),
+            (
+                {"kind": "faces_count", "d": 3, "n_values": [30], "trials": 100},
+                StableSpec(flavor="brownian", c=0.5, d=3),
+                30,
+            ),
+        ],
+        ids=["d2", "d3"],
+    )
+    def test_dump_polytopes_equals_hand_written_trial_loop(self, tmp_path, entry, spec, n):
+        # stream pin: hull i is drawn from trial_rng(seed, stream_id("dump_<label>"), i)
+        run_all(plan_experiments(_cfg(entry)), tmp_path, master_seed=3, dump_polytopes=True)
+        dumped = json.loads((tmp_path / "polytopes.json").read_text())
+        stream = stream_id(f"dump_{entry['kind']}")
+        build = hull2d if spec.d == 2 else hull3d
+        expected = [
+            build(sample_walk_path(spec, n, 1.0, trial_rng(3, stream, i)).points)
+            .vertices.tolist()
+            for i in range(3)
+        ]
+        assert dumped == {entry["kind"]: expected}
 
 
 class TestCli:

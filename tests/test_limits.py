@@ -11,6 +11,7 @@ from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
     _first_exit,
+    _fit_attractor_scale,
     _record_for,
     estimate_mean_exit_time,
     exit_times,
@@ -18,7 +19,8 @@ from levyhull.limits import (
     renewal_ratio_experiment,
     scaled_hull_convergence,
 )
-from levyhull.mc_engine import ks_two_sample
+from levyhull.mc_engine import hill_tail_index, ks_two_sample
+from levyhull.results import EstimateResult
 from levyhull.rng_stable import (
     PathSample,
     StableSpec,
@@ -491,3 +493,134 @@ class TestRenewalInvariants:
             anchors = np.vstack([np.zeros(2), rec.exit_points])
             gap = hausdorff(hull2d(anchors), hull2d(path.points))
             assert gap <= 1.0 + 1e-9
+
+
+# -- stream pins -------------------------------------------------------
+#
+# Each experiment is recomputed from a loop written out here: trial t
+# draws from trial_rng(seed, stream_id(<the site's stream name>), t), and
+# the values are reduced in trial-index order. Equality is exact.
+
+PIN_SEED = 4
+DRIFTING = StableSpec(
+    alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=1.0,
+    drift=(0.5, 0.0),
+)
+
+
+def _hand_loop(name, fn, trials, seed=PIN_SEED):
+    stream = stream_id(name)
+    return [fn(trial_rng(seed, stream, t)) for t in range(trials)]
+
+
+def _hand_record(spec, horizon, n_steps, rng):
+    """The exit record of one sampled path, in the exact convention."""
+    if spec.flavor != "cpp":
+        return exit_times(sample_walk_path(spec, n_steps, horizon, rng), mode="linear")
+    path = sample_cpp_path(spec, horizon, rng)
+    if spec.drift is not None and any(spec.drift):
+        return exit_times(path, drift=np.asarray(spec.drift))
+    return exit_times(path, mode="grid")
+
+
+def _triple(r):
+    return (r.mean, r.stderr, r.trials)
+
+
+def _hand_mean_exit(spec, trials, seed, horizon, dt):
+    n_steps = max(1, int(round(horizon / dt)))
+    recs = _hand_loop(
+        "mean_exit_time", lambda rng: _hand_record(spec, horizon, n_steps, rng),
+        trials, seed,
+    )
+    got = [rec.exit_times[0] for rec in recs if rec.n_exits]
+    return EstimateResult.from_samples(np.array(got))
+
+
+def _pin_mean_exit(spec, horizon):
+    r = estimate_mean_exit_time(spec, trials=60, seed=PIN_SEED, horizon=horizon, dt=0.05)
+    return _triple(r), _triple(_hand_mean_exit(spec, 60, PIN_SEED, horizon, 0.05))
+
+
+def _pin_renewal(spec):
+    t_values, dt = [2.0, 5.0], 0.05
+    rs = renewal_ratio_experiment(
+        spec, t_values, trials=30, seed=PIN_SEED, dt=dt, et1_trials=40
+    )
+    got = [(_triple(r), r.target.value) for r in rs]
+    rate = 1.0 / _hand_mean_exit(spec, 40, PIN_SEED + 1, 40.0, dt).mean
+    expected = []
+    for t_idx, t in enumerate(t_values):
+        n_steps = max(1, int(round(t / dt)))
+        vals = _hand_loop(
+            f"renewal_ratio_{t_idx}",
+            lambda rng: _hand_record(spec, t, n_steps, rng).n_exits / t,
+            30,
+        )
+        expected.append((_triple(EstimateResult.from_samples(np.array(vals))), rate))
+    return got, expected
+
+
+def _pin_exit_tail(spec):
+    est = exit_value_tail_experiment(spec, trials=200, seed=PIN_SEED, k=30)
+    horizon = 60.0 / spec.jump_rate
+    recs = _hand_loop(
+        "exit_value_tail", lambda rng: _hand_record(spec, horizon, 1, rng), 200
+    )
+    norms = [np.linalg.norm(rec.exit_points[0]) for rec in recs if rec.n_exits]
+    return est, hill_tail_index(np.array(norms), 30)
+
+
+def _pin_scaled_hull(spec):
+    stat, p_value, report = scaled_hull_convergence(
+        spec, 20.0, trials=20, seed=PIN_SEED, n_steps_limit=100
+    )
+    got = (stat, report["et1_mean"], report["fitted_c"],
+           report["mean_long"], report["mean_limit"])
+    recs = _hand_loop(
+        "scaled_hull_fit",
+        lambda rng: _hand_record(spec, 60.0 / spec.jump_rate, 1, rng),
+        300,
+    )
+    recs = [rec for rec in recs if rec.n_exits]
+    et1 = float(np.concatenate([np.diff(r.exit_times, prepend=0.0) for r in recs]).mean())
+    incs = np.concatenate(
+        [np.diff(np.vstack([np.zeros(2), r.exit_points]), axis=0)[:, 0] for r in recs]
+    )
+    c_fit = _fit_attractor_scale(incs, spec.tail_alpha)
+    factor = 20.0 ** (-1.0 / spec.tail_alpha)
+    long = _hand_loop(
+        "scaled_hull_long",
+        lambda rng: intrinsic_volumes_2d(
+            hull2d(factor * sample_cpp_path(spec, 20.0, rng).points)
+        )[1],
+        20,
+    )
+    limit_spec = StableSpec(alpha=spec.tail_alpha, c=c_fit, d=2)
+    limit = _hand_loop(
+        "scaled_hull_limit",
+        lambda rng: intrinsic_volumes_2d(
+            hull2d(sample_walk_path(limit_spec, 100, 1.0 / et1, rng).points)
+        )[1],
+        20,
+    )
+    stat_ref, _ = ks_two_sample(long, limit)
+    return got, (stat_ref, et1, c_fit, float(np.mean(long)), float(np.mean(limit)))
+
+
+STREAM_PINS = {
+    "mean_exit_time-brownian": lambda: _pin_mean_exit(BROWNIAN2, 5.0),
+    "mean_exit_time-cpp": lambda: _pin_mean_exit(HEAVY, 10.0),
+    "mean_exit_time-cpp_drift": lambda: _pin_mean_exit(DRIFTING, 10.0),
+    "renewal_ratio-brownian": lambda: _pin_renewal(BROWNIAN2),
+    "renewal_ratio-cpp_drift": lambda: _pin_renewal(DRIFTING),
+    "exit_value_tail": lambda: _pin_exit_tail(HEAVY),
+    "scaled_hull": lambda: _pin_scaled_hull(HEAVY),
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("pin", STREAM_PINS.values(), ids=STREAM_PINS.keys())
+    def test_experiment_equals_hand_written_trial_loop(self, pin):
+        got, expected = pin()
+        assert got == expected

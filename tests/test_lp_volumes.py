@@ -12,12 +12,18 @@ from hypothesis import strategies as st
 from levyhull import (
     Ball,
     DomainError,
+    EstimateResult,
     ParameterError,
+    StableSpec,
     SupportFn,
     ev_sup_brownian_pow,
     hull2d,
+    hull3d,
     intrinsic_volumes_2d,
     lp_sum_support,
+    sample_walk_path,
+    stream_id,
+    trial_rng,
     unit_ball_volume,
     verify_lp_brownian,
     verify_lp_stable_consistency,
@@ -299,3 +305,66 @@ class TestSupSideSpitzerOracle:
         z = (sups.mean() - exact) / (sups.std(ddof=1) / math.sqrt(sups.size))
         assert exact == pytest.approx(1.2741, abs=1e-4)
         assert abs(z) <= 4.0
+
+
+# -- stream pins -------------------------------------------------------
+#
+# The hull side of each experiment recomputed from a loop written out
+# here: trial t draws from trial_rng(seed, stream_id(<name>), t), the d = 3
+# directions before the path, and the values are reduced in trial-index
+# order. Equality is exact.
+
+PIN_SEED, PIN_TRIALS, PIN_N, PIN_Q = 5, 30, 100, 256
+
+
+def _hand_hull_side(name, spec, p):
+    stream = stream_id(name)
+    th = np.linspace(0.0, 2.0 * math.pi, PIN_Q, endpoint=False)
+    circle = np.column_stack([np.cos(th), np.sin(th)])
+    vals = []
+    for t in range(PIN_TRIALS):
+        rng = trial_rng(PIN_SEED, stream, t)
+        if spec.d == 2:
+            dirs = circle
+        else:
+            dirs = rng.standard_normal((PIN_Q, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        path = sample_walk_path(spec, PIN_N, 1.0, rng)
+        poly = hull2d(path.points) if spec.d == 2 else hull3d(path.points)
+        h = (dirs @ poly.vertices.T).max(axis=1)
+        factor = math.pi if spec.d == 2 else 4.0 * math.pi / 3.0
+        vals.append(factor * float(np.mean(h**p)))
+    r = EstimateResult.from_samples(np.array(vals))
+    return (r.mean, r.stderr, r.trials)
+
+
+def _pin_lp_brownian(d):
+    kw = dict(d=d, n_steps=PIN_N, trials=PIN_TRIALS, seed=PIN_SEED, quad_points=PIN_Q)
+    r = verify_lp_brownian(1.5, **kw)
+    spec = StableSpec(flavor="brownian", c=0.5, d=d)
+    return (r.mean, r.stderr, r.trials), _hand_hull_side("lp_brownian", spec, 1.5)
+
+
+def _pin_lp_stable_hull():
+    hull, _ = verify_lp_stable_consistency(
+        1.6, c=0.7, p=1.2, n_steps=PIN_N, trials=PIN_TRIALS, grid_n=50,
+        sup_paths=10, seed=PIN_SEED, quad_points=PIN_Q,
+    )
+    spec = StableSpec(alpha=1.6, c=0.7, d=2)
+    return (hull.mean, hull.stderr, hull.trials), _hand_hull_side(
+        "lp_stable_hull", spec, 1.2
+    )
+
+
+STREAM_PINS = {
+    "lp_brownian-d2": lambda: _pin_lp_brownian(2),
+    "lp_brownian-d3": lambda: _pin_lp_brownian(3),
+    "lp_stable_hull": _pin_lp_stable_hull,
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("pin", STREAM_PINS.values(), ids=STREAM_PINS.keys())
+    def test_hull_side_equals_hand_written_trial_loop(self, pin):
+        got, expected = pin()
+        assert got == expected

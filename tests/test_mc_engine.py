@@ -9,10 +9,20 @@ import pytest
 
 from levyhull import (
     ConfigError,
+    EstimateResult,
     ParameterError,
     StableSpec,
     ball_intrinsic_volume,
+    boundary_distances,
+    geom_eps,
+    hull2d,
+    hull3d,
+    intrinsic_volumes_2d,
+    intrinsic_volumes_3d,
     prob_origin_outside_walk_hull,
+    sample_walk_path,
+    stream_id,
+    trial_rng,
     walk_ev_intrinsic,
 )
 from levyhull.mc_engine import (
@@ -351,3 +361,120 @@ class TestReproducibility:
         a = run_boundary_origin_experiment(cfg)[0]
         b = run_boundary_origin_experiment(cfg)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
+
+
+# -- stream pins -------------------------------------------------------
+#
+# Each runner is recomputed from a loop written out here: trial t draws
+# from trial_rng(seed, stream_id(<the runner's stream name>), t), and the
+# values are reduced in trial-index order. Equality is exact, so a change
+# of stream name, trial order or draw order shows at once.
+
+STABLE3 = StableSpec(alpha=1.5, c=1.0, d=3)
+PIN_SEED = 13
+PIN_TRIALS = 100
+
+
+def _hand_loop(name, fn, trials=PIN_TRIALS, seed=PIN_SEED):
+    stream = stream_id(name)
+    return [fn(trial_rng(seed, stream, t)) for t in range(trials)]
+
+
+def _walk_hull(spec, n_steps, rng, horizon=1.0):
+    path = sample_walk_path(spec, n_steps, horizon, rng)
+    build = hull2d if spec.d == 2 else hull3d
+    return build(path.points), path
+
+
+def _intrinsic(poly):
+    iv = intrinsic_volumes_2d(poly) if poly.dim == 2 else intrinsic_volumes_3d(poly)
+    return [iv[j] for j in range(1, poly.dim + 1)]
+
+
+def _triple(r):
+    return (r.mean, r.stderr, r.trials)
+
+
+def _summary(vals):
+    return _triple(EstimateResult.from_samples(np.asarray(vals)))
+
+
+def _pin_cfg(spec, n_steps, **kw):
+    return ExperimentConfig(
+        spec, n_steps=n_steps, trials=PIN_TRIALS, master_seed=PIN_SEED, **kw
+    )
+
+
+def _pin_intrinsic(spec):
+    cfg = _pin_cfg(spec, 60, horizon=2.0)
+    got = [_triple(r) for r in run_intrinsic_volume_experiment(cfg)]
+    vals = np.array(
+        _hand_loop(
+            "intrinsic_volumes",
+            lambda rng: _intrinsic(_walk_hull(spec, 60, rng, 2.0)[0]),
+        )
+    )
+    return got, [_summary(vals[:, k]) for k in range(spec.d)]
+
+
+def _pin_boundary():
+    r, _ = run_boundary_origin_experiment(_pin_cfg(BROWNIAN2, 40))
+
+    def one(rng):
+        poly, _ = _walk_hull(BROWNIAN2, 40, rng)
+        tol = geom_eps(poly.vertices)
+        return 1.0 if boundary_distances(poly, np.zeros(2)).min() <= tol else 0.0
+
+    return _triple(r), _summary(_hand_loop("boundary_origin", one))
+
+
+def _pin_interior(spec):
+    r = run_interior_endpoint_experiment(_pin_cfg(spec, 50))
+
+    def one(rng):
+        poly, path = _walk_hull(spec, 50, rng)
+        if poly.intrinsic_dim < spec.d:
+            return 0.0
+        tol = geom_eps(poly.vertices)
+        return 1.0 if boundary_distances(poly, path.points[-1]).min() > tol else 0.0
+
+    return _triple(r), _summary(_hand_loop("interior_endpoint", one))
+
+
+def _pin_faces(spec):
+    r = run_faces_experiment(_pin_cfg(spec, 30))
+
+    def one(rng):
+        poly, _ = _walk_hull(spec, 30, rng)
+        tol = geom_eps(poly.vertices)
+        return float((boundary_distances(poly, np.zeros(spec.d)) <= tol).sum())
+
+    return _triple(r), _summary(_hand_loop("faces_count", one))
+
+
+def _pin_tail(spec, j):
+    r = run_tail_index_experiment(_pin_cfg(spec, 60, j_orders=(j,), hill_k=20))
+    vals = _hand_loop(
+        "tail_index", lambda rng: _intrinsic(_walk_hull(spec, 60, rng)[0])[j - 1]
+    )
+    return r.mean, hill_tail_index(vals, 20)
+
+
+STREAM_PINS = {
+    "intrinsic_volumes-d2": lambda: _pin_intrinsic(BROWNIAN2),
+    "intrinsic_volumes-d3": lambda: _pin_intrinsic(STABLE3),
+    "boundary_origin": _pin_boundary,
+    "interior_endpoint-d2": lambda: _pin_interior(STABLE2),
+    "interior_endpoint-d3": lambda: _pin_interior(BROWNIAN3),
+    "faces_count-d2": lambda: _pin_faces(STABLE2),
+    "faces_count-d3": lambda: _pin_faces(BROWNIAN3),
+    "tail_index-d2": lambda: _pin_tail(STABLE2, 1),
+    "tail_index-d3": lambda: _pin_tail(STABLE3, 2),
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("pin", STREAM_PINS.values(), ids=STREAM_PINS.keys())
+    def test_runner_equals_hand_written_trial_loop(self, pin):
+        got, expected = pin()
+        assert got == expected
