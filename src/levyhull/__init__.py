@@ -1,148 +1,28 @@
 """levyhull: simulate convex hulls of stable and Brownian paths and verify
-their expected geometric functionals against closed-form values."""
+their expected geometric functionals against closed-form values.
+
+The public API is the union of the modules' own ``__all__`` lists."""
 
 __version__ = "0.1.0"
 
-from .closed_form import (
-    ClosedFormTarget,
-    ball_intrinsic_volume,
-    dirichlet_constant,
-    ev_intrinsic_brownian,
-    ev_intrinsic_isotropic,
-    ev_intrinsic_stable,
-    ev_sup_brownian_pow,
-    expected_faces_at_origin,
-    expected_hull_vertices,
-    gamma_fn,
-    lattice_sum_partial,
-    prob_origin_outside_walk_hull,
-    unit_ball_volume,
-    walk_ev_intrinsic,
+from . import (
+    closed_form,
+    errors,
+    hullgeom,
+    limits,
+    lp_volumes,
+    mc_engine,
+    results,
+    rng_stable,
 )
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    LevyHullError,
-    ParameterError,
-    ResourceError,
-)
-from .hullgeom import (
-    IntrinsicVolumes,
-    Polytope,
-    boundary_distances,
-    geom_eps,
-    gram_det,
-    hausdorff,
-    hull2d,
-    hull3d,
-    intrinsic_volumes_2d,
-    intrinsic_volumes_3d,
-    projection_intrinsic_estimate,
-    zonotope_intrinsic_volume,
-)
-from .limits import (
-    ExitRecord,
-    estimate_mean_exit_time,
-    exit_times,
-    exit_value_tail_experiment,
-    renewal_ratio_experiment,
-    scaled_hull_convergence,
-)
-from .lp_volumes import (
-    Ball,
-    SupportFn,
-    lp_sum_support,
-    verify_lp_brownian,
-    verify_lp_stable_consistency,
-    vp_ball_mixed,
-)
-from .mc_engine import (
-    ExperimentConfig,
-    hill_tail_index,
-    ks_two_sample,
-    run_boundary_origin_experiment,
-    run_faces_experiment,
-    run_gram_experiment,
-    run_interior_endpoint_experiment,
-    run_intrinsic_volume_experiment,
-    run_tail_index_experiment,
-)
-from .results import EstimateResult
-from .rng_stable import (
-    PathSample,
-    StableSpec,
-    sample_cpp_path,
-    sample_isotropic_vec,
-    sample_positive_stable,
-    sample_stable_1d,
-    sample_walk_path,
-    stream_id,
-    trial_rng,
-)
+from .closed_form import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .hullgeom import *  # noqa: F403
+from .limits import *  # noqa: F403
+from .lp_volumes import *  # noqa: F403
+from .mc_engine import *  # noqa: F403
+from .results import *  # noqa: F403
+from .rng_stable import *  # noqa: F403
 
-__all__ = [
-    "ClosedFormTarget",
-    "ball_intrinsic_volume",
-    "dirichlet_constant",
-    "ev_intrinsic_brownian",
-    "ev_intrinsic_isotropic",
-    "ev_intrinsic_stable",
-    "ev_sup_brownian_pow",
-    "expected_faces_at_origin",
-    "expected_hull_vertices",
-    "gamma_fn",
-    "lattice_sum_partial",
-    "prob_origin_outside_walk_hull",
-    "unit_ball_volume",
-    "walk_ev_intrinsic",
-    "ConfigError",
-    "DimensionError",
-    "DomainError",
-    "LevyHullError",
-    "ParameterError",
-    "ResourceError",
-    "IntrinsicVolumes",
-    "Polytope",
-    "boundary_distances",
-    "geom_eps",
-    "gram_det",
-    "hausdorff",
-    "hull2d",
-    "hull3d",
-    "intrinsic_volumes_2d",
-    "intrinsic_volumes_3d",
-    "projection_intrinsic_estimate",
-    "zonotope_intrinsic_volume",
-    "ExitRecord",
-    "estimate_mean_exit_time",
-    "exit_times",
-    "exit_value_tail_experiment",
-    "renewal_ratio_experiment",
-    "scaled_hull_convergence",
-    "Ball",
-    "SupportFn",
-    "lp_sum_support",
-    "verify_lp_brownian",
-    "verify_lp_stable_consistency",
-    "vp_ball_mixed",
-    "ExperimentConfig",
-    "hill_tail_index",
-    "ks_two_sample",
-    "run_boundary_origin_experiment",
-    "run_faces_experiment",
-    "run_gram_experiment",
-    "run_interior_endpoint_experiment",
-    "run_intrinsic_volume_experiment",
-    "run_tail_index_experiment",
-    "EstimateResult",
-    "PathSample",
-    "StableSpec",
-    "sample_cpp_path",
-    "sample_isotropic_vec",
-    "sample_positive_stable",
-    "sample_stable_1d",
-    "sample_walk_path",
-    "stream_id",
-    "trial_rng",
-]
+_MODULES = (closed_form, errors, hullgeom, limits, lp_volumes, mc_engine, results, rng_stable)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -47,10 +47,10 @@ from .mc_engine import (
     run_interior_endpoint_experiment,
     run_intrinsic_volume_experiment,
     run_tail_index_experiment,
+    walk_hull_values,
 )
-from .hullgeom import hull2d, hull3d
 from .results import EstimateResult
-from .rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
+from .rng_stable import StableSpec
 
 __all__ = [
     "CSV_COLUMNS",
@@ -207,6 +207,8 @@ def _check_cpp(p, bad):
         bad("jump_rate", "must be >= 0")
     if p.get("drift") is not None and len(p["drift"]) != p["d"]:
         bad("drift", f"must have d = {p['d']} entries")
+    if not p["jump_rate"] and not any(p.get("drift") or ()):
+        bad("jump_rate", "must be > 0 unless drift is nonzero: the path never moves")
 
 
 def _check_intrinsic(p, bad):
@@ -254,6 +256,15 @@ def _check_lp_consistency(p, bad):
             bad(key, "must be >= 1")
 
 
+# renewal keys that each flavor ignores; a value other than the default
+# would be dropped without effect, so planning refuses it
+_RENEWAL_UNUSED = {
+    "brownian": ("alpha", "jump_law", "jump_rate", "tail_alpha", "drift"),
+    "isotropic": ("jump_law", "jump_rate", "tail_alpha", "drift"),
+    "cpp": ("alpha", "c"),
+}
+
+
 def _check_renewal(p, bad):
     if any(t <= 0 for t in p["t_values"]):
         bad("t_values", "must be positive")
@@ -265,6 +276,10 @@ def _check_renewal(p, bad):
         bad("d", "must be >= 1")
     if (p["et1_trials"] or 2) < 2:  # 0, like no value, takes the default
         bad("et1_trials", "must be >= 2")
+    schema = _KINDS["renewal_ratio"].schema
+    for key in _RENEWAL_UNUSED[p["flavor"]]:
+        if p[key] != schema[key][0]:
+            bad(key, f"is not used by flavor {p['flavor']!r}; leave it out")
     if p["flavor"] == "cpp":
         _check_cpp(p, bad)
         return
@@ -803,15 +818,10 @@ def _dump_polytopes(plans, seed, out_dir):
     for plan in plans:
         if "n_values" not in _KINDS[plan.kind].schema:
             continue
-        spec = _walk_spec(plan.params)
-        n = _n_series(plan.params)[0]
-        stream = stream_id(f"dump_{plan.label}")
-        hulls = []
-        for i in range(3):
-            path = sample_walk_path(spec, n, 1.0, trial_rng(seed, stream, i))
-            build = hull2d if spec.d == 2 else hull3d
-            hulls.append(build(path.points).vertices.tolist())
-        dumped[plan.label] = hulls
+        spec, n = _walk_spec(plan.params), _n_series(plan.params)[0]
+        dumped[plan.label] = walk_hull_values(
+            spec, n, 1.0, 3, seed, f"dump_{plan.label}", lambda poly, path: poly.vertices.tolist()
+        )
     if dumped:
         path = Path(out_dir) / "polytopes.json"
         path.write_text(

@@ -1,5 +1,14 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = [
+    "ConfigError",
+    "DimensionError",
+    "DomainError",
+    "LevyHullError",
+    "ParameterError",
+    "ResourceError",
+]
+
 
 class LevyHullError(Exception):
     """Base class for all package-specific failures."""

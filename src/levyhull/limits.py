@@ -24,16 +24,9 @@ import numpy as np
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError
 from .hullgeom import hull2d, intrinsic_volumes_2d
-from .mc_engine import hill_tail_index, ks_two_sample
+from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
-from .rng_stable import (
-    PathSample,
-    StableSpec,
-    sample_cpp_path,
-    sample_walk_path,
-    stream_id,
-    trial_rng,
-)
+from .rng_stable import PathSample, StableSpec, sample_cpp_path, sample_walk_path
 
 __all__ = [
     "ExitRecord",
@@ -218,22 +211,16 @@ def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
     )
 
 
-def _sample_any_path(spec: StableSpec, horizon: float, n_steps: int, rng):
-    if spec.flavor == "cpp":
-        return sample_cpp_path(spec, horizon, rng)
-    return sample_walk_path(spec, n_steps, horizon, rng)
-
-
 def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
     """Sample one path of ``spec`` and hand it to ``scan`` in the exit
     convention that is exact for that path."""
-    path = _sample_any_path(spec, horizon, n_steps, rng)
-    if spec.flavor == "cpp":
-        drift = np.asarray(spec.drift, dtype=np.float64)
-        if float(np.abs(drift).max()) > 0.0:
-            return scan(path, drift=drift)
-        return scan(path, mode="grid")
-    return scan(path, mode="linear")
+    if spec.flavor != "cpp":
+        return scan(sample_walk_path(spec, n_steps, horizon, rng), mode="linear")
+    path = sample_cpp_path(spec, horizon, rng)
+    drift = np.asarray(spec.drift, dtype=np.float64)
+    if float(np.abs(drift).max()) > 0.0:
+        return scan(path, drift=drift)
+    return scan(path, mode="grid")
 
 
 def _record_for(spec: StableSpec, horizon: float, n_steps: int, rng) -> ExitRecord:
@@ -244,6 +231,19 @@ def _first_exit(spec: StableSpec, horizon: float, n_steps: int, rng):
     """(time, point) of the first unit-ball exit of one sampled path, or
     None; the scan stops at that exit."""
     return next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
+
+
+def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
+    """value(time, point) of each trial's first exit, in trial order; paths
+    that never exit are dropped. Only the values outlive their trial, not
+    the exit point, which may be a view of the whole path."""
+
+    def one(rng):
+        first = _first_exit(spec, horizon, n_steps, rng)
+        return None if first is None else value(*first)
+
+    vals = trial_values(seed, name, trials, one)
+    return np.array([v for v in vals if v is not None], dtype=np.float64)
 
 
 def estimate_mean_exit_time(
@@ -258,14 +258,10 @@ def estimate_mean_exit_time(
     count is recoverable from ``trials`` minus the result's trials)."""
     if trials < 2:
         raise ParameterError("need at least 2 trials")
-    stream = stream_id("mean_exit_time")
     n_steps = max(1, int(round(horizon / dt)))
-    # a generator, so no trial's exit (possibly a view of its path) outlives it
-    firsts = (
-        _first_exit(spec, horizon, n_steps, trial_rng(seed, stream, t))
-        for t in range(trials)
+    got = _first_exit_values(
+        spec, horizon, n_steps, trials, seed, "mean_exit_time", lambda t, x: t
     )
-    got = np.array([f[0] for f in firsts if f is not None], dtype=np.float64)
     if got.size < 2:
         raise ConfigError("almost no paths exited; increase the horizon")
     return EstimateResult.from_samples(got, seed=seed)
@@ -297,13 +293,10 @@ def renewal_ratio_experiment(
     rate = 1.0 / et1.mean
     out = []
     for t_idx, t in enumerate(t_values):
-        stream = stream_id(f"renewal_ratio_{t_idx}")
         n_steps = max(1, int(round(t / dt)))
-        vals = np.array(
-            [
-                _record_for(spec, t, n_steps, trial_rng(seed, stream, k)).n_exits / t
-                for k in range(trials)
-            ]
+        vals = trial_values(
+            seed, f"renewal_ratio_{t_idx}", trials,
+            lambda rng: _record_for(spec, t, n_steps, rng).n_exits / t,
         )
         target = ClosedFormTarget(
             "renewal_rate",
@@ -375,13 +368,11 @@ def scaled_hull_convergence(
 
     # batch of exit records: renewal spans and embedded-walk increments,
     # pooled across paths (the renewal increments are i.i.d.)
-    stream_fit = stream_id("scaled_hull_fit")
-    fit_trials = max(300, trials)
     fit_horizon = 60.0 / max(spec.jump_rate, 1e-12)
-    recs = [
-        _record_for(spec, fit_horizon, 1, trial_rng(seed, stream_fit, k))
-        for k in range(fit_trials)
-    ]
+    recs = trial_values(
+        seed, "scaled_hull_fit", max(300, trials),
+        lambda rng: _record_for(spec, fit_horizon, 1, rng),
+    )
     recs = [rec for rec in recs if rec.n_exits]
     if len(recs) < 10:
         raise ConfigError("almost no paths exited; raise jump_rate or horizon")
@@ -392,24 +383,19 @@ def scaled_hull_convergence(
     c_fit = _fit_attractor_scale(all_incs, alpha)
     limit_spec = StableSpec(alpha=alpha, c=c_fit, d=2)
 
-    stream_a = stream_id("scaled_hull_long")
-    stream_b = stream_id("scaled_hull_limit")
     factor = t_large ** (-1.0 / alpha)
 
-    def one_long(k: int):
-        rng = trial_rng(seed, stream_a, k)
+    def one_long(rng):
         path = sample_cpp_path(spec, t_large, rng)
-        poly = hull2d(factor * path.points)
-        return intrinsic_volumes_2d(poly)[1]
+        return intrinsic_volumes_2d(hull2d(factor * path.points))[1]
 
-    def one_limit(k: int):
-        rng = trial_rng(seed, stream_b, k)
-        path = sample_walk_path(limit_spec, n_steps_limit, 1.0 / et1, rng)
-        poly = hull2d(path.points)
-        return intrinsic_volumes_2d(poly)[1]
-
-    va = np.array([one_long(k) for k in range(trials)])
-    vb = np.array([one_limit(k) for k in range(trials)])
+    va = np.array(trial_values(seed, "scaled_hull_long", trials, one_long))
+    vb = np.array(
+        walk_hull_values(
+            limit_spec, n_steps_limit, 1.0 / et1, trials, seed, "scaled_hull_limit",
+            lambda poly, path: intrinsic_volumes_2d(poly)[1],
+        )
+    )
     stat, p = ks_two_sample(va, vb)
     report = {
         "alpha": alpha,
@@ -438,14 +424,10 @@ def exit_value_tail_experiment(
         raise ConfigError("exit-tail experiment expects a compound-jump spec")
     if trials < 10:
         raise ParameterError("need at least 10 trials")
-    stream = stream_id("exit_value_tail")
     horizon = 60.0 / max(spec.jump_rate, 1e-12) if spec.jump_rate > 0 else 10.0
-    firsts = (
-        _first_exit(spec, horizon, 1, trial_rng(seed, stream, t))
-        for t in range(trials)
-    )
-    got = np.array(
-        [np.linalg.norm(f[1]) for f in firsts if f is not None], dtype=np.float64
+    got = _first_exit_values(
+        spec, horizon, 1, trials, seed, "exit_value_tail",
+        lambda t, x: np.linalg.norm(x),
     )
     if got.size < 10:
         raise ConfigError("almost no paths exited within the horizon")

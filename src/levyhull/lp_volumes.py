@@ -26,7 +26,8 @@ from .closed_form import (
     unit_ball_volume,
 )
 from .errors import DomainError, ParameterError
-from .hullgeom import Polytope, hull2d, hull3d
+from .hullgeom import Polytope
+from .mc_engine import hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
 from .rng_stable import (
     StableSpec,
@@ -244,11 +245,12 @@ def vp_ball_mixed(m, p: float, d: int, quad_points: int = 4096, rng=None) -> flo
     return 4.0 * math.pi / 3.0 * float(np.mean(h**p))
 
 
-def _hull_vp_one_trial(spec, n_steps, p, grid, rng) -> float:
-    path = sample_walk_path(spec, n_steps, 1.0, rng)
-    poly = hull2d(path.points) if spec.d == 2 else hull3d(path.points)
-    h = (grid @ poly.vertices.T).max(axis=1)
-    if spec.d == 2:
+def _hull_vp_one_trial(poly: Polytope, p: float, dirs: np.ndarray) -> float:
+    """One trial's V_p(B^d, poly) by the plain rule: the mean of h^p over
+    ``dirs`` (the circle grid in d = 2, random unit directions in d = 3)
+    times the sphere's measure over d."""
+    h = (dirs @ poly.vertices.T).max(axis=1)
+    if poly.dim == 2:
         return math.pi * float(np.mean(h**p))
     return 4.0 * math.pi / 3.0 * float(np.mean(h**p))
 
@@ -282,17 +284,22 @@ def verify_lp_brownian(
     target = ClosedFormTarget(
         "lp_brownian", target_val, {"p": p, "d": d, "n_steps": n_steps}
     )
-    stream = stream_id("lp_brownian")
-    vals = np.empty(trials)
-    grid2 = _circle_grid(int(quad_points)) if d == 2 else None
-    for k in range(trials):
-        rng = trial_rng(seed, stream, k)
-        if d == 2:
-            vals[k] = _hull_vp_one_trial(spec, n_steps, p, grid2, rng)
-        else:
+    if d == 2:
+        grid = _circle_grid(int(quad_points))
+        vals = walk_hull_values(
+            spec, n_steps, 1.0, trials, seed, "lp_brownian",
+            lambda poly, path: _hull_vp_one_trial(poly, p, grid),
+        )
+    else:
+
+        def one(rng):
+            # the trial draws its directions before its path
             dirs = rng.standard_normal((int(quad_points), 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            vals[k] = _hull_vp_one_trial(spec, n_steps, p, dirs, rng)
+            path = sample_walk_path(spec, n_steps, 1.0, rng)
+            return _hull_vp_one_trial(hull_of(path.points), p, dirs)
+
+        vals = trial_values(seed, "lp_brownian", trials, one)
     return EstimateResult.from_samples(vals, seed=seed, target=target)
 
 
@@ -342,11 +349,11 @@ def verify_lp_stable_consistency(
     if d != 2:
         raise ParameterError("consistency experiment implemented for d = 2")
     spec = StableSpec(alpha=alpha, c=float(c), d=2)
-    stream = stream_id("lp_stable_hull")
     grid = _circle_grid(int(quad_points))
-    vals = np.empty(trials)
-    for k in range(trials):
-        vals[k] = _hull_vp_one_trial(spec, n_steps, p, grid, trial_rng(seed, stream, k))
+    vals = walk_hull_values(
+        spec, n_steps, 1.0, trials, seed, "lp_stable_hull",
+        lambda poly, path: _hull_vp_one_trial(poly, p, grid),
+    )
     hullside = EstimateResult.from_samples(vals, seed=seed)
 
     sup_vals = _sup_pow_stable_1d(alpha, p, int(grid_n), int(sup_paths), seed)

@@ -2,11 +2,14 @@
 
 Each experiment draws independent trials, pushes them through the hull
 pipeline, and reduces to an EstimateResult, attaching the matching
-closed-form target when one exists. Reproducibility contract: every trial
-seeds its own generator from (master_seed, experiment stream, trial
-index) and returns its value, and the runner collects the values in
-trial-index order in one serial loop, so a config and seed always give
-the same bits.
+closed-form target when one exists. Reproducibility contract, kept by
+``trial_values``, the one trial loop of every sampled experiment in the
+package: trial t seeds its own generator from (master_seed, stream of the
+experiment's name, t) and returns its value, and the values are collected
+in trial-index order in one serial loop, so a config and seed always give
+the same bits. ``walk_hull_values`` runs that loop over sampled walks and
+their hulls, and ``hull_of`` is the one place that picks the 2-D or 3-D
+hull by dimension.
 """
 
 from __future__ import annotations
@@ -90,8 +93,37 @@ def _require_walk_spec(spec: StableSpec, dims=(2, 3)):
         raise ConfigError("experiment needs a stable or Brownian walk, not cpp")
 
 
-def _hull_of(points: np.ndarray, d: int):
-    return hull2d(points) if d == 2 else hull3d(points)
+def trial_values(seed: int, name: str, trials: int, fn) -> list:
+    """[fn(rng) for each trial t < trials], rng = trial_rng(seed,
+    stream_id(name), t), in trial-index order."""
+    stream = stream_id(name)
+    return [fn(trial_rng(seed, stream, t)) for t in range(trials)]
+
+
+def hull_of(points: np.ndarray):
+    """The convex hull of planar or spatial points, by their dimension."""
+    return hull2d(points) if points.shape[1] == 2 else hull3d(points)
+
+
+def walk_hull_values(spec, n_steps, horizon, trials, seed, name, fn) -> list:
+    """fn(hull, path) on each trial's sampled walk of ``spec`` and its
+    hull, through ``trial_values``."""
+
+    def one(rng):
+        path = sample_walk_path(spec, n_steps, horizon, rng)
+        return fn(hull_of(path.points), path)
+
+    return trial_values(seed, name, trials, one)
+
+
+def _config_values(cfg: ExperimentConfig, name: str, fn) -> np.ndarray:
+    """walk_hull_values on the walk, length, horizon, trials and seed of
+    ``cfg``, as an array."""
+    return np.array(
+        walk_hull_values(
+            cfg.spec, cfg.n_steps, cfg.horizon, cfg.trials, cfg.master_seed, name, fn
+        )
+    )
 
 
 def _intrinsic_values(poly) -> tuple:
@@ -121,15 +153,12 @@ def run_intrinsic_volume_experiment(cfg: ExperimentConfig):
     _require_walk_spec(cfg.spec)
     spec = cfg.spec
     js = tuple(dict.fromkeys(cfg.orders()))  # each order once
-    stream = stream_id("intrinsic_volumes")
 
-    def one(t: int):
-        rng = trial_rng(cfg.master_seed, stream, t)
-        path = sample_walk_path(spec, cfg.n_steps, cfg.horizon, rng)
-        iv = _intrinsic_values(_hull_of(path.points, spec.d))
+    def one(poly, path):
+        iv = _intrinsic_values(poly)
         return [iv[j - 1] for j in js]
 
-    vals = np.array([one(t) for t in range(cfg.trials)])
+    vals = _config_values(cfg, "intrinsic_volumes", one)
     out = []
     for k, j in enumerate(js):
         limit = ev_intrinsic_isotropic(spec.alpha, spec.c, spec.d, j)
@@ -194,17 +223,13 @@ def run_boundary_origin_experiment(cfg: ExperimentConfig):
     Markov bound E(faces at origin); the frequency can never exceed the
     bound beyond noise since the face count is >= 1 on that event."""
     _require_walk_spec(cfg.spec, dims=(2,))
-    stream = stream_id("boundary_origin")
     origin = np.zeros(2)
 
-    def one(t: int):
-        rng = trial_rng(cfg.master_seed, stream, t)
-        path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
-        poly = hull2d(path.points)
+    def one(poly, path):
         tol = geom_eps(poly.vertices)
         return 1.0 if boundary_distances(poly, origin).min() <= tol else 0.0
 
-    vals = np.array([one(t) for t in range(cfg.trials)])
+    vals = _config_values(cfg, "boundary_origin", one)
     freq = EstimateResult.from_samples(vals, seed=cfg.master_seed)
     return freq, expected_faces_at_origin(cfg.n_steps, 2)
 
@@ -214,19 +239,14 @@ def run_interior_endpoint_experiment(cfg: ExperimentConfig) -> EstimateResult:
     the whole path; tends to 1 as n_steps grows. Ties with the boundary
     tolerance count as non-interior."""
     _require_walk_spec(cfg.spec)
-    stream = stream_id("interior_endpoint")
-    d = cfg.spec.d
 
-    def one(t: int):
-        rng = trial_rng(cfg.master_seed, stream, t)
-        path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
-        poly = _hull_of(path.points, d)
-        if poly.intrinsic_dim < d:
+    def one(poly, path):
+        if poly.intrinsic_dim < cfg.spec.d:
             return 0.0
         tol = geom_eps(poly.vertices)
         return 1.0 if boundary_distances(poly, path.points[-1]).min() > tol else 0.0
 
-    vals = np.array([one(t) for t in range(cfg.trials)])
+    vals = _config_values(cfg, "interior_endpoint", one)
     return EstimateResult.from_samples(vals, seed=cfg.master_seed)
 
 
@@ -235,19 +255,15 @@ def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
     combinatorial formula. The 3D formula is a validation gate rather than
     a settled identity, so reporting layers mark d = 3 as informational."""
     _require_walk_spec(cfg.spec)
-    stream = stream_id("faces_count")
     d = cfg.spec.d
     origin = np.zeros(d)
 
-    def one(t: int):
-        rng = trial_rng(cfg.master_seed, stream, t)
-        path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
-        poly = _hull_of(path.points, d)
+    def one(poly, path):
         tol = geom_eps(poly.vertices)
         # faces within tol of the origin; ties count as incident
         return float((boundary_distances(poly, origin) <= tol).sum())
 
-    vals = np.array([one(t) for t in range(cfg.trials)])
+    vals = _config_values(cfg, "faces_count", one)
     target = ClosedFormTarget(
         "expected_faces_at_origin",
         expected_faces_at_origin(cfg.n_steps, d),
@@ -281,16 +297,8 @@ def run_tail_index_experiment(cfg: ExperimentConfig):
     stable jumps should reproduce the index alpha; the stderr is the
     asymptotic hill deviation estimate / sqrt(k)."""
     _require_walk_spec(cfg.spec)
-    j = cfg.orders()[0]
-    stream = stream_id("tail_index")
-    col = j - 1
-
-    def one(t: int):
-        rng = trial_rng(cfg.master_seed, stream, t)
-        path = sample_walk_path(cfg.spec, cfg.n_steps, cfg.horizon, rng)
-        return _intrinsic_values(_hull_of(path.points, cfg.spec.d))[col]
-
-    vals = np.array([one(t) for t in range(cfg.trials)])
+    col = cfg.orders()[0] - 1
+    vals = _config_values(cfg, "tail_index", lambda poly, path: _intrinsic_values(poly)[col])
     k = cfg.hill_k if cfg.hill_k is not None else int(cfg.trials**0.6)
     est = hill_tail_index(vals, k)
     stderr = est / math.sqrt(k) if math.isfinite(est) else 0.0

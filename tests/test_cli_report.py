@@ -242,6 +242,33 @@ MID_RUN_FAILURES = {
         {"kind": "tail_index", "alpha": 1.5, "trials": 100, "j": 3},
         "j",
     ),
+    # cpp paths that never move: no jumps and no drift, so no path exits
+    "exit_tail_rate_zero": (dict(EXIT, jump_rate=0.0), "jump_rate"),
+    "exit_tail_rate_zero_zero_drift": (
+        dict(EXIT, jump_rate=0.0, drift=[0.0, 0.0]),
+        "jump_rate",
+    ),
+    "cpp_renewal_no_rate": (dict(CPP_RENEWAL, jump_rate=None), "jump_rate"),
+    "cpp_renewal_no_rate_zero_drift": (
+        dict(CPP_RENEWAL, jump_rate=None, drift=[0.0, 0.0]),
+        "jump_rate",
+    ),
+}
+
+# (entry, key its renewal flavor ignores): a value other than the schema
+# default used to be dropped without a word
+UNUSED_RENEWAL_KEYS = {
+    "brownian_alpha": (dict(RENEWAL, alpha=1.5), "alpha"),
+    "brownian_jump_law": (dict(RENEWAL, jump_law="gaussian"), "jump_law"),
+    "brownian_jump_rate": (dict(RENEWAL, jump_rate=3.0), "jump_rate"),
+    "brownian_tail_alpha": (dict(RENEWAL, tail_alpha=1.5), "tail_alpha"),
+    "brownian_drift": (dict(RENEWAL, drift=[0.5, 0.0]), "drift"),
+    "isotropic_jump_law": (dict(RENEWAL, flavor="isotropic", jump_law="gaussian"), "jump_law"),
+    "isotropic_jump_rate": (dict(RENEWAL, flavor="isotropic", jump_rate=3.0), "jump_rate"),
+    "isotropic_tail_alpha": (dict(RENEWAL, flavor="isotropic", tail_alpha=1.5), "tail_alpha"),
+    "isotropic_drift": (dict(RENEWAL, flavor="isotropic", drift=[0.5, 0.0]), "drift"),
+    "cpp_alpha": (dict(CPP_RENEWAL, alpha=1.5), "alpha"),
+    "cpp_c": (dict(CPP_RENEWAL, c=1.0), "c"),
 }
 
 REPO = Path(__file__).resolve().parent.parent
@@ -276,6 +303,19 @@ class TestPlanTimeChecks:
     def test_would_fail_mid_run_rejected_at_plan_time(self, entry, field):
         _assert_rejected(entry, field)
 
+    @pytest.mark.parametrize(
+        "entry,field", UNUSED_RENEWAL_KEYS.values(), ids=UNUSED_RENEWAL_KEYS.keys()
+    )
+    def test_renewal_key_unused_by_flavor_rejected(self, entry, field):
+        _assert_rejected(entry, field)
+        with pytest.raises(ConfigError, match=repr(entry.get("flavor", "brownian"))):
+            plan_experiments(_cfg(entry))
+
+    def test_renewal_keys_at_their_defaults_accepted(self):
+        entry = dict(RENEWAL, alpha=2.0, c=0.5, jump_law="pareto")
+        (plan,) = plan_experiments(_cfg(entry))
+        assert plan.params["flavor"] == "brownian"
+
     def test_repeated_j_order_rejected(self):
         # the runner estimates each order once, so a repeat shifted the
         # rows: V_2's mean came out as a second j = 1 row and FAILed
@@ -285,6 +325,10 @@ class TestPlanTimeChecks:
         entry = dict(RENEWAL, flavor="cpp", jump_law="gaussian", drift=[2.0, 0.0])
         (plan,) = plan_experiments(_cfg(entry))
         assert plan.params["jump_rate"] is None
+
+    def test_drift_only_exit_tail_accepted(self):
+        (plan,) = plan_experiments(_cfg(dict(EXIT, jump_rate=0.0, drift=[0.5, 0.0])))
+        assert plan.params["jump_rate"] == 0.0
 
     @pytest.mark.parametrize("name", CONFIG_DIGESTS)
     def test_config_digest_unchanged(self, name):

@@ -29,7 +29,7 @@ from levyhull import (
     verify_lp_stable_consistency,
     vp_ball_mixed,
 )
-from levyhull.lp_volumes import _sup_pow_stable_1d
+from levyhull.lp_volumes import _circle_grid, _hull_vp_one_trial, _sup_pow_stable_1d
 
 
 def _square(half=0.5):
@@ -368,3 +368,21 @@ class TestStreamPins:
     def test_hull_side_equals_hand_written_trial_loop(self, pin):
         got, expected = pin()
         assert got == expected
+
+
+class TestTrialRuleAgainstVpBallMixed:
+    # vp_ball_mixed integrates the hull's support function between its
+    # kink angles with Gauss-Legendre; the trial uses the plain 4096-point
+    # circle grid. Seed, walk count and the 1e-5 bound were fixed before
+    # the first run.
+    @pytest.mark.parametrize("alpha", [2.0, 1.5, 0.7])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_planar_trial_value_matches_quadrature(self, alpha, p):
+        flavor = "brownian" if alpha == 2.0 else "isotropic"
+        spec = StableSpec(alpha=alpha, c=0.5 if alpha == 2.0 else 1.0, d=2, flavor=flavor)
+        grid = _circle_grid(4096)
+        for k in range(20):
+            path = sample_walk_path(spec, 1000, 1.0, trial_rng(17, 0, k))
+            poly = hull2d(path.points)
+            exact = vp_ball_mixed(poly, p, 2)
+            assert _hull_vp_one_trial(poly, p, grid) == pytest.approx(exact, rel=1e-5)

@@ -28,6 +28,7 @@ from levyhull import (
 from levyhull.mc_engine import (
     ExperimentConfig,
     hill_tail_index,
+    hull_of,
     ks_two_sample,
     run_boundary_origin_experiment,
     run_faces_experiment,
@@ -35,6 +36,8 @@ from levyhull.mc_engine import (
     run_interior_endpoint_experiment,
     run_intrinsic_volume_experiment,
     run_tail_index_experiment,
+    trial_values,
+    walk_hull_values,
 )
 
 BROWNIAN2 = StableSpec(flavor="brownian", c=0.5, d=2)
@@ -478,3 +481,26 @@ class TestStreamPins:
     def test_runner_equals_hand_written_trial_loop(self, pin):
         got, expected = pin()
         assert got == expected
+
+
+class TestTrialLoop:
+    def test_trial_values_hands_fn_the_trial_generators_in_order(self):
+        states = trial_values(7, "faces_count", 5, lambda rng: rng.bit_generator.state)
+        stream = stream_id("faces_count")
+        assert states == [trial_rng(7, stream, t).bit_generator.state for t in range(5)]
+
+    def test_walk_hull_values_sees_each_trial_walk_and_its_hull(self):
+        got = walk_hull_values(
+            BROWNIAN3, 30, 2.0, 4, 7, "faces_count",
+            lambda poly, path: (poly.vertices.tolist(), path.points.tolist()),
+        )
+        stream = stream_id("faces_count")
+        for t, (verts, points) in enumerate(got):
+            path = sample_walk_path(BROWNIAN3, 30, 2.0, trial_rng(7, stream, t))
+            assert points == path.points.tolist()
+            assert verts == hull3d(path.points).vertices.tolist()
+
+    def test_hull_of_picks_the_hull_by_dimension(self):
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        assert hull_of(pts[:, :2]).vertices.tolist() == hull2d(pts[:, :2]).vertices.tolist()
+        assert hull_of(pts).vertices.tolist() == hull3d(pts).vertices.tolist()
