@@ -105,7 +105,9 @@ def hull_of(points: np.ndarray):
     return hull2d(points) if points.shape[1] == 2 else hull3d(points)
 
 
-def walk_hull_values(spec, n_steps, horizon, trials, seed, name, fn) -> list:
+def walk_hull_values(
+    spec: StableSpec, n_steps: int, horizon: float, trials: int, seed: int, name: str, fn
+) -> list:
     """fn(hull, path) on each trial's sampled walk of ``spec`` and its
     hull, through ``trial_values``."""
 
