@@ -303,6 +303,230 @@ class TestScannersAgainstFrozenOracle:
                 assert np.array_equal(first[1], rec.exit_points[0])
 
 
+# Frozen oracle: the drift scanner as it stood before the scanners moved
+# to Python floats, on numpy rows with ``@`` dots and ``np.linalg.norm``.
+# Do not edit; ``exit_times(path, drift=...)`` must reproduce its records
+# bit for bit.
+def _oracle_drift(times, pts, v):
+    anchor = pts[0]
+    last_t = 0.0
+    for k in range(len(pts) - 1):
+        p_k = pts[k]
+        dt = times[k + 1] - times[k]
+        s_lo = 0.0
+        while True:
+            s = _oracle_sphere_crossing(p_k - anchor, v, s_lo, dt)
+            if s is None:
+                break
+            last_t = times[k] + s
+            anchor = p_k + s * v
+            yield last_t, anchor
+            s_lo = s
+        # the jump lands the path at pts[k + 1]; it may exit outright
+        if float(np.linalg.norm(pts[k + 1] - anchor)) >= 1.0:
+            last_t = max(times[k + 1], np.nextafter(last_t, math.inf))
+            anchor = pts[k + 1]
+            yield last_t, anchor
+
+
+def _assert_drift_matches_oracle(path, drift):
+    v = np.asarray(drift, dtype=np.float64)
+    want = list(_oracle_drift(path.times, path.points, v))
+    rec = exit_times(path, drift=v)
+    assert np.array_equal(
+        rec.exit_times, np.array([t for t, _ in want], dtype=np.float64)
+    )
+    assert np.array_equal(
+        rec.exit_points,
+        np.array([p for _, p in want], dtype=np.float64).reshape(-1, len(v)),
+    )
+    return rec
+
+
+def _cpp(d, **kw):
+    return StableSpec(alpha=1.5, c=1.0, d=d, flavor="cpp", **kw)
+
+
+class TestDriftScannerAgainstFrozenOracle:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "jumps",
+        [dict(tail_alpha=1.5), dict(jump_law="gaussian")],
+        ids=["pareto", "gaussian"],
+    )
+    def test_jump_paths_with_drift(self, d, jumps):
+        drifts = [(0.3,) + (0.0,) * (d - 1), (1.7, -0.4, 0.9)[:d]]
+        for i, drift in enumerate(drifts):
+            spec = _cpp(d, jump_rate=3.0, drift=drift, **jumps)
+            total = 0
+            for k in range(20):
+                path = sample_cpp_path(spec, 20.0, trial_rng(45, 10 * d + i, k))
+                total += _assert_drift_matches_oracle(path, drift).n_exits
+            assert total > 100
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pure_drift(self, d):
+        drifts = [(2.0,) + (0.0,) * (d - 1), (0.3, -0.7, 0.11)[:d]]
+        for k, drift in enumerate(drifts):
+            spec = _cpp(d, tail_alpha=1.5, jump_rate=0.0, drift=drift)
+            path = sample_cpp_path(spec, 37.5, trial_rng(46, d, k))
+            assert _assert_drift_matches_oracle(path, drift).n_exits >= 20
+
+    def test_zero_drift_and_huge_jumps(self):
+        # vv = 0 leaves only the jump test; jumps of 1e12 each exit outright
+        spec = _cpp(3, tail_alpha=1.5, jump_rate=3.0)
+        for k in range(10):
+            path = sample_cpp_path(spec, 5.0, trial_rng(47, 3, k))
+            _assert_drift_matches_oracle(path, (0.0, 0.0, 0.0))
+            huge = PathSample(path.times, 1e12 * path.points)
+            assert _assert_drift_matches_oracle(huge, (0.3, 0.0, 0.0)).n_exits >= 1
+
+    def test_jumps_landing_exactly_on_the_sphere(self):
+        # drift (0, 0.25) moves the path off the x axis between jumps; the
+        # jumps land at squared distance exactly 1.0 from the last anchor
+        times = np.arange(6.0)
+        pts = np.array(
+            [[0.0, 0.0], [0.5, 0.25], [1.0, 0.0], [1.0, 0.25], [2.0, 0.0], [2.0, 1.0]]
+        )
+        rec = _assert_drift_matches_oracle(PathSample(times, pts), (0.0, 0.25))
+        assert rec.exit_times.tolist() == [2.0, 4.0, 5.0]
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        rec = _assert_drift_matches_oracle(PathSample(np.arange(4.0), pts), (0.0,) * 3)
+        assert rec.exit_times.tolist() == [2.0, 3.0]
+
+    def test_drift_crossing_at_the_jump_time(self):
+        # the drift reaches the sphere at s = dt, the instant of the next
+        # jump; a jump that exits too is recorded one ulp later
+        times = np.array([0.0, 2.0, 3.0])
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        rec = _assert_drift_matches_oracle(PathSample(times, pts), (0.5, 0.0))
+        assert rec.exit_times.tolist() == [2.0]
+        pts = np.array([[0.0, 0.0], [2.5, 0.0], [2.5, 0.0]])
+        rec = _assert_drift_matches_oracle(PathSample(times, pts), (0.5, 0.0))
+        assert rec.exit_times.tolist() == [2.0, math.nextafter(2.0, 3.0)]
+
+    def test_jumps_within_an_ulp_of_the_sphere(self):
+        # unit jumps rounded to doubles: the rounding of the squared norm
+        # decides whether the jump exits, and both outcomes occur
+        rng = np.random.default_rng(57)
+        outcomes = set()
+        for d in (2, 3, 5):
+            for _ in range(300):
+                u = rng.standard_normal(d)
+                u /= np.linalg.norm(u)
+                path = PathSample(np.arange(2.0), np.vstack([np.zeros(d), u]))
+                outcomes.add(_assert_drift_matches_oracle(path, np.zeros(d)).n_exits)
+        assert outcomes == {0, 1}
+
+
+def _creeping_path(d, step, rng, blocks=12, per_block=150):
+    """Jumps of length 1 - 30 step in random directions, each followed by
+    a walk of ``step``-sized increments drifting along the jump, so most
+    exits fall on segments of length about ``step``."""
+    rows = [np.zeros((1, d))]
+    for _ in range(blocks):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        start = rows[-1][-1] + (1.0 - 30.0 * step) * u
+        inc = step * (rng.standard_normal((per_block, d)) + u)
+        rows.append(start + np.vstack([np.zeros(d), np.cumsum(inc, axis=0)]))
+    pts = np.vstack(rows)
+    return PathSample(np.arange(len(pts), dtype=np.float64), pts)
+
+
+class TestScannerEdgesAgainstFrozenOracle:
+    @pytest.mark.parametrize("d", [1, 4, 7])
+    @pytest.mark.parametrize("mode", ["grid", "linear"])
+    def test_walks_in_more_dimensions(self, d, mode):
+        # d = 7 is the largest dimension where numpy rounds as the scanners do
+        for alpha, horizon in ((2.0, 100.0), (1.5, 20.0)):
+            spec = StableSpec(alpha=alpha, c=0.5, d=d)
+            for k in range(2):
+                path = sample_walk_path(spec, 3000, horizon, trial_rng(48, d, k))
+                assert _assert_matches_oracle(path, mode).n_exits > 10
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_alpha_half_walks_with_many_exits_per_segment(self, d):
+        spec = StableSpec(alpha=0.5, c=0.5, d=d)
+        most = 0
+        for k in range(6):
+            path = sample_walk_path(spec, 1000, 6.0, trial_rng(49, d, k))
+            _assert_matches_oracle(path, "grid")
+            rec = _assert_matches_oracle(path, "linear")
+            if rec.n_exits:
+                seg = np.searchsorted(path.times, rec.exit_times, side="left")
+                most = max(most, int(np.bincount(seg).max()))
+        assert most >= 20
+
+    @pytest.mark.parametrize("mode", ["grid", "linear"])
+    def test_zero_length_segments(self, mode):
+        # repeated samples inside the ball, at the crossing and outside it
+        rec = _assert_matches_oracle(
+            _line_path([0.0, 0.5, 0.5, 1.0, 1.0, 1.5, 2.5, 2.5, 2.5, 3.5]), mode
+        )
+        assert rec.n_exits == 3
+        walk = sample_walk_path(BROWNIAN2, 2000, 40.0, trial_rng(50, 2, 0))
+        pts = np.repeat(walk.points, 2, axis=0)
+        doubled = PathSample(np.arange(len(pts), dtype=np.float64), pts)
+        assert _assert_matches_oracle(doubled, mode).n_exits > 10
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_remainders_within_an_ulp_of_the_sphere(self, d):
+        # a segment of length 2 from the origin leaves, after its first
+        # crossing, a remainder of squared length within ulps of 1.0: the
+        # rounding of that sum decides whether a second exit follows, and
+        # both outcomes occur
+        rng = np.random.default_rng(56 + d)
+        counts = set()
+        for _ in range(300):
+            u = rng.standard_normal(d)
+            u *= 2.0 / np.linalg.norm(u)
+            path = PathSample(np.arange(2.0), np.vstack([np.zeros(d), u]))
+            counts.add(_assert_matches_oracle(path, "linear").n_exits)
+        assert counts == {1, 2}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_endpoint_on_the_sphere_takes_the_fallback(self, d):
+        # on a 3-ulp segment ending on the sphere the rounded quadratic has
+        # no root in (0, 1], so the scanner takes s = 1.0
+        a = 1.0 - 3.0 * 2.0**-52
+        v = 3.0 * 2.0**-52
+        pts = np.zeros((4, d))
+        pts[:, 0] = [0.0, a, 1.0, 1.5]
+        for mode in ("grid", "linear"):
+            rec = _assert_matches_oracle(PathSample(np.arange(4.0), pts), mode)
+            assert rec.exit_times.tolist() == [2.0]
+            assert rec.exit_points.tolist() == [[1.0] + [0.0] * (d - 1)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode", ["grid", "linear"])
+    def test_step_scale_1e_8(self, d, mode):
+        tiny = 0
+        for k in range(3):
+            path = _creeping_path(d, 1e-8, np.random.default_rng(100 * d + k))
+            rec = _assert_matches_oracle(path, mode)
+            seg = np.searchsorted(path.times, rec.exit_times, side="left")
+            steps = np.linalg.norm(path.points[seg] - path.points[seg - 1], axis=1)
+            tiny += int((steps < 1e-6).sum())
+        assert tiny >= 10
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e12])
+    def test_time_step_scales(self, scale):
+        walk = sample_walk_path(BROWNIAN2, 3000, 60.0, trial_rng(51, 2, 0))
+        path = PathSample(scale * walk.times, walk.points)
+        for mode in ("grid", "linear"):
+            assert _assert_matches_oracle(path, mode).n_exits > 50
+
+    def test_jump_scale_1e12_on_the_grid(self):
+        # a linear scan records one exit per unit length, so 1e12-long steps
+        # only run on the grid
+        spec = _cpp(2, tail_alpha=1.5, jump_rate=3.0)
+        for k in range(5):
+            path = sample_cpp_path(spec, 20.0, trial_rng(52, 2, k))
+            huge = PathSample(path.times, 1e12 * path.points)
+            assert _assert_matches_oracle(huge, "grid").n_exits >= 1
+
+
 class TestMeanExitTime:
     def test_brownian_unit_ball_exit_time_near_half(self):
         # continuous-time value is 1/d = 0.5; grid detection biases it up
