@@ -12,6 +12,17 @@ motion), and passing ``drift`` scans the piecewise jump-plus-drift motion
 exactly. Each scan is a lazy generator of (time, point) exits:
 ``exit_times`` collects all of it, while the first-exit statistics (the
 mean of T_1, the tail of ||X(T_1)||) stop the scan at the first exit.
+
+The scanners work on Python floats, one coordinate at a time, and round
+every operation as the numpy code they replaced did, so their records
+are bit-identical to it. Differences and products of coordinates round
+alike in both. Squared distances are added left to right from 0.0, as
+numpy sums rows of fewer than 8 entries. Dot products are numpy's ``@``,
+which is OpenBLAS ``ddot``: the fused-multiply-add chain acc = x0 y0,
+then acc = fma(x_i, y_i, acc). Python before 3.13 has no ``math.fma``,
+so ``_fma`` computes it exactly from Dekker's split product and one
+``math.fsum``. For d >= 8 numpy sums pairwise and ``ddot`` unrolls, so
+there the records can differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
@@ -110,14 +121,48 @@ def _exits_grid(times, pts):
         yield times[k], pts[k]
 
 
-def _first_sphere_crossing(q, v, s_lo, s_hi):
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+
+
+def _fma(a, b, c):
+    """a * b + c rounded once, as a fused multiply-add rounds it.
+
+    Dekker's product gives a * b = p + e exactly, and ``math.fsum``
+    rounds p + e + c once. Exact for finite a, b, c while the split does
+    not overflow (|a|, |b| below about 2**996) and a * b lies above the
+    subnormal range (|a * b| above about 2**-969), where e would be
+    rounded too."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    r = math.fsum((p, e, c))
+    return r if r else a * b + c  # fsum drops the sign of an exact zero
+
+
+def _dot(x, y):
+    """x . y rounded as numpy's ``@`` rounds it for d < 8: OpenBLAS ddot,
+    the fused chain acc = x0 y0, then acc = fma(x_i, y_i, acc)."""
+    if len(x) == 2:  # the planar case, unrolled
+        return _fma(x[1], y[1], x[0] * y[0])
+    acc = x[0] * y[0]
+    for i in range(1, len(x)):
+        acc = _fma(x[i], y[i], acc)
+    return acc
+
+
+def _first_sphere_crossing(q, v, vv, s_lo, s_hi):
     """Smallest s in (s_lo, s_hi] with ||q + s v|| = 1, or None; assumes
-    the motion starts inside the closed unit ball."""
-    vv = float(v @ v)
+    the motion starts inside the closed unit ball. ``q`` and ``v`` are
+    float sequences and ``vv`` is ``_dot(v, v)``."""
     if vv <= 0.0:
         return None
-    qv = float(q @ v)
-    disc = qv * qv - vv * (float(q @ q) - 1.0)
+    qv = _dot(q, v)
+    disc = qv * qv - vv * (_dot(q, q) - 1.0)
     if disc < 0.0:
         return None
     s = (-qv + math.sqrt(disc)) / vv
@@ -129,49 +174,91 @@ def _first_sphere_crossing(q, v, s_lo, s_hi):
 def _exits_linear(times, pts):
     # The ball is convex, so a segment with both endpoints inside the
     # anchor ball stays inside: only the first sample at distance >= 1
-    # can close a crossing segment.
+    # can close a crossing segment. The rounding follows numpy's, as the
+    # module docstring explains.
     cols = pts.T.tolist()
-    anchor = pts[0]
+    n = len(pts)
+    if len(cols) == 2:  # the planar case, unrolled
+        xs, ys = cols
+        ax, ay = xs[0], ys[0]
+        k = 0
+        while True:
+            k = _first_outside(cols, (ax, ay), k + 1)
+            if k == n:
+                return
+            px, py, bx, by = xs[k - 1], ys[k - 1], xs[k], ys[k]
+            vx, vy = bx - px, by - py
+            v = (vx, vy)
+            vv = _dot(v, v)
+            t0 = times[k - 1]
+            dt = times[k] - t0
+            s_lo = 0.0
+            while True:
+                s = _first_sphere_crossing((px - ax, py - ay), v, vv, s_lo, 1.0)
+                if s is None:
+                    s = 1.0  # endpoint sits on the sphere within rounding
+                ax, ay = px + s * vx, py + s * vy
+                yield t0 + s * dt, np.array((ax, ay))
+                s_lo = s
+                dx, dy = bx - ax, by - ay
+                if s >= 1.0 or dx * dx + dy * dy < 1.0:
+                    break
+    anchor = [c[0] for c in cols]
     k = 0
     while True:
-        k = _first_outside(cols, anchor.tolist(), k + 1)
-        if k == len(pts):
+        k = _first_outside(cols, anchor, k + 1)
+        if k == n:
             return
-        a, b = pts[k - 1], pts[k]
-        seg = b - a
-        dt = times[k] - times[k - 1]
+        a = [c[k - 1] for c in cols]
+        b = [c[k] for c in cols]
+        seg = [bi - ai for ai, bi in zip(a, b)]
+        vv = _dot(seg, seg)
+        t0 = times[k - 1]
+        dt = times[k] - t0
         s_lo = 0.0
         while True:
-            s = _first_sphere_crossing(a - anchor, seg, s_lo, 1.0)
+            q = [ai - ci for ai, ci in zip(a, anchor)]
+            s = _first_sphere_crossing(q, seg, vv, s_lo, 1.0)
             if s is None:
                 s = 1.0  # endpoint sits on the sphere within rounding
-            anchor = a + s * seg
-            yield times[k - 1] + s * dt, anchor
+            anchor = [ai + s * si for ai, si in zip(a, seg)]
+            yield t0 + s * dt, np.array(anchor)
             s_lo = s
-            if s >= 1.0 or ((b - anchor) ** 2).sum() < 1.0:
+            if s >= 1.0:
+                break
+            r = 0.0
+            for bi, ci in zip(b, anchor):
+                di = bi - ci
+                r = r + di * di
+            if r < 1.0:
                 break
 
 
 def _exits_with_drift(times, pts, v):
-    anchor = pts[0]
+    ts, rows, v = times.tolist(), pts.tolist(), v.tolist()
+    vv = _dot(v, v)
+    anchor = rows[0]
     last_t = 0.0
-    for k in range(len(pts) - 1):
-        p_k = pts[k]
-        dt = times[k + 1] - times[k]
+    for k in range(len(rows) - 1):
+        p_k = rows[k]
+        dt = ts[k + 1] - ts[k]
         s_lo = 0.0
         while True:
-            s = _first_sphere_crossing(p_k - anchor, v, s_lo, dt)
+            q = [pi - ci for pi, ci in zip(p_k, anchor)]
+            s = _first_sphere_crossing(q, v, vv, s_lo, dt)
             if s is None:
                 break
-            last_t = times[k] + s
-            anchor = p_k + s * v
-            yield last_t, anchor
+            last_t = ts[k] + s
+            anchor = [pi + s * vi for pi, vi in zip(p_k, v)]
+            yield last_t, np.array(anchor)
             s_lo = s
         # the jump lands the path at pts[k + 1]; it may exit outright
-        if float(np.linalg.norm(pts[k + 1] - anchor)) >= 1.0:
-            last_t = max(times[k + 1], np.nextafter(last_t, math.inf))
-            anchor = pts[k + 1]
-            yield last_t, anchor
+        # (np.linalg.norm is the square root of the same fused dot)
+        gap = [pi - ci for pi, ci in zip(rows[k + 1], anchor)]
+        if math.sqrt(_dot(gap, gap)) >= 1.0:
+            last_t = max(ts[k + 1], math.nextafter(last_t, math.inf))
+            anchor = rows[k + 1]
+            yield last_t, pts[k + 1]
 
 
 def _exits(path: PathSample, drift=None, mode: str = "grid"):

@@ -2,6 +2,7 @@
 anchor-hull sandwich bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from levyhull.errors import ConfigError, ParameterError
 from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
+    _dot,
     _first_exit,
+    _first_sphere_crossing,
     _fit_attractor_scale,
+    _fma,
     _record_for,
     estimate_mean_exit_time,
     exit_times,
@@ -491,6 +495,7 @@ class TestScannerEdgesAgainstFrozenOracle:
         # no root in (0, 1], so the scanner takes s = 1.0
         a = 1.0 - 3.0 * 2.0**-52
         v = 3.0 * 2.0**-52
+        assert _first_sphere_crossing((a, 0.0), (v, 0.0), v * v, 0.0, 1.0) is None
         pts = np.zeros((4, d))
         pts[:, 0] = [0.0, a, 1.0, 1.5]
         for mode in ("grid", "linear"):
@@ -525,6 +530,62 @@ class TestScannerEdgesAgainstFrozenOracle:
             path = sample_cpp_path(spec, 20.0, trial_rng(52, 2, k))
             huge = PathSample(path.times, 1e12 * path.points)
             assert _assert_matches_oracle(huge, "grid").n_exits >= 1
+
+
+def _fraction_fma(a, b, c):
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def _random_double(rng):
+    """A double of random sign, significand and binary exponent in -300..300."""
+    sign = rng.choice((-1.0, 1.0))
+    return sign * math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-300, 301)))
+
+
+class TestFusedDot:
+    def test_fma_rounds_once(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20_000):
+            a, b, c = (_random_double(rng) for _ in range(3))
+            assert _fma(a, b, c) == _fraction_fma(a, b, c)
+            # c near -a b: the sum cancels to the rounding error of a b
+            c = -(a * b) * (1.0 + rng.choice((0.0, 2.0**-52, -(2.0**-40))))
+            assert _fma(a, b, c) == _fraction_fma(a, b, c)
+
+    def test_fma_exact_cancellation_and_signed_zeros(self):
+        # where a b is a double, a b + c rounds once as well, and IEEE gives
+        # an exact zero sum the sign +0.0 unless both terms are -0.0
+        rng = np.random.default_rng(54)
+        short = [
+            math.ldexp(float(rng.integers(1, 2**26)), int(rng.integers(-300, 301)))
+            for _ in range(200)
+        ]
+        cases = [(a, b, -(a * b)) for a, b in zip(short, short[1:])]
+        zeros = (0.0, -0.0)
+        cases += [(x, y, z) for x in zeros + (1.5,) for y in zeros + (-2.0,) for z in zeros]
+        cases += [(3.0, -0.5, 1.5), (-0.0, 7.0, -0.0), (2.0**-500, 2.0**-400, -0.0)]
+        for a, b, c in cases:
+            got, want = _fma(a, b, c), a * b + c
+            assert got == want == _fraction_fma(a, b, c)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_numpy_dot_is_the_fused_chain(self, d):
+        # The scanners reproduce numpy's rounding on this assumption: ``@``
+        # (and so ``np.linalg.norm``) is OpenBLAS ddot's fused chain for
+        # d < 8. A BLAS without FMA fails here first.
+        rng = np.random.default_rng(55 + d)
+        shape = (2, 10_000, d)
+        xs, ys = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        unfused = 0
+        for x, y, xl, yl in zip(xs, ys, xs.tolist(), ys.tolist()):
+            assert float(x @ y) == _dot(xl, yl)
+            assert float(np.linalg.norm(x)) == math.sqrt(_dot(xl, xl))
+            plain = 0.0
+            for a, b in zip(xl, yl):
+                plain = plain + a * b
+            unfused += plain != float(x @ y)
+        assert unfused > 1000  # so an unfused ddot would be caught
 
 
 class TestMeanExitTime:
