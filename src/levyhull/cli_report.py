@@ -30,6 +30,7 @@ from typing import Callable
 
 from .closed_form import (
     ball_intrinsic_volume,
+    prob_origin_outside_walk_hull,
     walk_ev_intrinsic,
 )
 from .errors import ConfigError, ResourceError
@@ -502,9 +503,15 @@ def _run_gram(plan, seed):
 
 
 def _run_boundary(plan, seed):
-    # the face-count mean bounds the boundary probability from above
-    runs = _per_n(plan, seed, run_boundary_origin_experiment)
-    rows = [_row(plan, {"n": n, "bound": "upper"}, r, bound, "upper") for n, (r, bound) in runs]
+    # the face-count mean bounds the frequency; the exact law checks it two-sided
+    rows = []
+    for n, (r, bound) in _per_n(plan, seed, run_boundary_origin_experiment):
+        rows.append(_row(plan, {"n": n, "bound": "upper"}, r, bound, "upper"))
+        try:
+            exact = float(prob_origin_outside_walk_hull(n, 2))
+        except ResourceError:
+            continue
+        rows.append(_row(plan, {"n": n, "target_kind": "exact"}, r, exact, "two_sided"))
     return rows, {}
 
 
@@ -669,7 +676,7 @@ _KINDS = {
         min_trials=_SAMPLED_TRIALS,
     ),
     "boundary_origin": _Kind(
-        "frequency of the origin on the hull boundary vs the face-count bound",
+        "frequency of the origin on the hull boundary vs the face-count bound and exact law",
         _N_SERIES,
         _run_boundary,
         min_trials=_SAMPLED_TRIALS,

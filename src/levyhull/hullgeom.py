@@ -6,7 +6,8 @@ drop out, every other extreme point stays. ``hull3d`` keeps the relative
 tolerance eps = 1e-9 * bounding-box diagonal (``geom_eps``) in its
 visibility, planarity and seed tests, so it drops vertices within eps of
 its surface. Degenerate inputs (all points equal, collinear, or coplanar)
-come back as lower-dimensional polytopes instead of raising.
+come back as lower-dimensional polytopes instead of raising. Both hulls, on
+every branch, return input rows bit for bit as their vertices.
 
 The R^3 hull (``_FacetStore``) keeps its facet planes in a numpy array
 and its index triples in a Python list. An insertion finds its visible
@@ -399,8 +400,11 @@ def hull3d(points) -> Polytope:
     if abs(plane_dist[i3]) <= eps:
         u = rel[:, i1] / np.linalg.norm(rel[:, i1])
         basis = np.vstack([u, np.cross(normal, u)])
-        flat = hull2d((pts - pts[i0]) @ basis.T)
-        return Polytope(3, flat.vertices @ basis + pts[i0], flat.intrinsic_dim)
+        proj = ((pts - pts[i0]) @ basis.T).tolist()
+        flat = hull2d(proj)
+        row = {tuple(q): i for i, q in enumerate(proj)}  # return input rows, not lifts
+        picked = [row[tuple(q)] for q in flat.vertices.tolist()]
+        return Polytope(3, pts[picked], flat.intrinsic_dim)
 
     seed = [i0, i1, i2, i3]
     store = _FacetStore(pts, pts[seed].mean(axis=0))

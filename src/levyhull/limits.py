@@ -251,6 +251,8 @@ def _exits_with_drift(times, pts, v):
             last_t = ts[k] + s
             anchor = [pi + s * vi for pi, vi in zip(p_k, v)]
             yield last_t, np.array(anchor)
+            if s >= dt:  # the crossing was clamped to the jump time
+                break
             s_lo = s
         # the jump lands the path at pts[k + 1]; it may exit outright
         # (np.linalg.norm is the square root of the same fused dot)

@@ -27,8 +27,6 @@ from .closed_form import (
 )
 from .errors import ConfigError, ParameterError
 from .hullgeom import (
-    boundary_distances,
-    geom_eps,
     hull2d,
     hull3d,
     intrinsic_volumes_2d,
@@ -220,16 +218,27 @@ def run_gram_experiment(
     return EstimateResult.from_samples(out, seed=seed, target=target)
 
 
+def _facets_at(poly, x) -> int:
+    """The number of hull facets that hold the input point x as a vertex,
+    by an exact row match: 2 on a polygon or a hull of dimension d - 1
+    (one per side), the triangles at x on a 3-D mesh, 0 if x is not a
+    vertex or the hull is lower-dimensional still."""
+    hit = (poly.vertices == x).all(axis=1).nonzero()[0]
+    if not len(hit) or poly.intrinsic_dim < poly.dim - 1:
+        return 0
+    if poly.facets is None:
+        return 2
+    return sum(int(hit[0]) in f for f in poly.facets)
+
+
 def run_boundary_origin_experiment(cfg: ExperimentConfig):
-    """Frequency of the origin lying on the hull boundary, plus the
-    Markov bound E(faces at origin); the frequency can never exceed the
-    bound beyond noise since the face count is >= 1 on that event."""
+    """Frequency of the origin S_0 on the hull boundary, i.e. a hull vertex,
+    plus the Markov bound E(faces at origin); the frequency can never exceed
+    the bound beyond noise since the face count is >= 1 on that event."""
     _require_walk_spec(cfg.spec, dims=(2,))
-    origin = np.zeros(2)
 
     def one(poly, path):
-        tol = geom_eps(poly.vertices)
-        return 1.0 if boundary_distances(poly, origin).min() <= tol else 0.0
+        return float(_facets_at(poly, path.points[0]) > 0)
 
     vals = _config_values(cfg, "boundary_origin", one)
     freq = EstimateResult.from_samples(vals, seed=cfg.master_seed)
@@ -237,35 +246,28 @@ def run_boundary_origin_experiment(cfg: ExperimentConfig):
 
 
 def run_interior_endpoint_experiment(cfg: ExperimentConfig) -> EstimateResult:
-    """Frequency of the walk endpoint falling strictly inside the hull of
-    the whole path; tends to 1 as n_steps grows. Ties with the boundary
-    tolerance count as non-interior."""
+    """Frequency of the walk endpoint S_n falling strictly inside the hull
+    of the whole path: the hull is full-dimensional and S_n is not one of
+    its vertices. Tends to 1 as n_steps grows."""
     _require_walk_spec(cfg.spec)
+    d = cfg.spec.d
 
     def one(poly, path):
-        if poly.intrinsic_dim < cfg.spec.d:
-            return 0.0
-        tol = geom_eps(poly.vertices)
-        return 1.0 if boundary_distances(poly, path.points[-1]).min() > tol else 0.0
+        return float(poly.intrinsic_dim == d and not _facets_at(poly, path.points[-1]))
 
     vals = _config_values(cfg, "interior_endpoint", one)
     return EstimateResult.from_samples(vals, seed=cfg.master_seed)
 
 
 def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
-    """Mean number of hull faces containing the origin, against the exact
-    combinatorial formula. The 3D formula is a validation gate rather than
+    """Mean number of hull facets with the origin S_0 as a vertex, against
+    the exact combinatorial formula. The 3D formula is a validation gate, not
     a settled identity, so reporting layers mark d = 3 as informational."""
     _require_walk_spec(cfg.spec)
     d = cfg.spec.d
-    origin = np.zeros(d)
-
-    def one(poly, path):
-        tol = geom_eps(poly.vertices)
-        # faces within tol of the origin; ties count as incident
-        return float((boundary_distances(poly, origin) <= tol).sum())
-
-    vals = _config_values(cfg, "faces_count", one)
+    vals = _config_values(
+        cfg, "faces_count", lambda poly, path: float(_facets_at(poly, path.points[0]))
+    )
     target = ClosedFormTarget(
         "expected_faces_at_origin",
         expected_faces_at_origin(cfg.n_steps, d),

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from levyhull.cli import main
+from levyhull import prob_origin_outside_walk_hull
 from levyhull.cli_report import (
     CSV_COLUMNS,
     _config_digest,
@@ -404,6 +405,29 @@ class TestRunAll:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["exit_code"] == 1
         assert summary["counts"]["FAIL"] == 1
+
+    def test_faces_at_n_up_to_d_pass(self, tmp_path):
+        # the origin is a vertex of every hull of n <= d steps, so the face
+        # count equals the formula with stderr 0
+        entry = {"kind": "faces_count", "d": 2, "n_values": [1, 2], "trials": 100}
+        rows = run_all(plan_experiments(_cfg(entry)), tmp_path).results
+        assert [(json.loads(r["param_json"])["n"], r["verdict"]) for r in rows] == [
+            (1, "PASS"),
+            (2, "PASS"),
+        ]
+
+    def test_boundary_rows_are_the_markov_bound_then_the_exact_law(self, tmp_path):
+        # the exact law is expanded up to n = 10^4; beyond it only the bound row
+        entry = {"kind": "boundary_origin", "n_values": [20, 10_001], "trials": 100}
+        rows = run_all(plan_experiments(_cfg(entry)), tmp_path).results
+        assert [json.loads(r["param_json"]) for r in rows] == [
+            {"bound": "upper", "n": 20},
+            {"n": 20, "target_kind": "exact"},
+            {"bound": "upper", "n": 10_001},
+        ]
+        assert rows[1]["mean"] == rows[0]["mean"]
+        assert rows[1]["target"] == float(prob_origin_outside_walk_hull(20, 2))
+        assert rows[1]["verdict"] == "PASS"
 
     def test_empty_plans_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no experiments"):

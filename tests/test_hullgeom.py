@@ -187,6 +187,58 @@ class TestHull3d:
         assert sorted(map(sorted, store.facets().tolist())) == [[0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
 
+def _inputs_by_branch(d: int, branch: str, seed: int) -> np.ndarray:
+    """Inputs in R^d whose hull is a point, a segment, a flat polygon (in
+    R^3 only) or a full body."""
+    rng = np.random.default_rng(seed)
+    shift = rng.standard_normal(d)
+    if branch == "point":
+        return np.tile(shift, (5, 1))
+    if branch == "segment":
+        t = rng.standard_normal((30, 1))
+        if d == 2:  # (t, 2t): doubling is exact, so the points are exactly collinear
+            return np.hstack([t, 2.0 * t])
+        return t * rng.standard_normal(d) + shift
+    if branch == "planar":
+        return rng.standard_normal((40, 2)) @ rng.standard_normal((2, 3)) + shift
+    return sample_walk_path(StableSpec(alpha=0.7, d=d), 2000, 1.0, trial_rng(8, d, seed)).points
+
+
+def _vertices_are_input_rows(poly: Polytope, pts: np.ndarray) -> bool:
+    rows = {r.tobytes() for r in pts}
+    return all(v.tobytes() in rows for v in poly.vertices)
+
+
+class TestVerticesAreInputRows:
+    """Every vertex of either hull is an input row, bit for bit, so a point
+    is a hull vertex exactly when it equals a vertex row."""
+
+    @pytest.mark.parametrize("branch, dim", [("point", 0), ("segment", 1), ("full", 2)])
+    def test_hull2d(self, branch, dim):
+        for seed in range(10):
+            pts = _inputs_by_branch(2, branch, seed)
+            p = hull2d(pts)
+            assert p.intrinsic_dim == dim and _vertices_are_input_rows(p, pts)
+
+    @pytest.mark.parametrize(
+        "branch, dim", [("point", 0), ("segment", 1), ("planar", 2), ("full", 3)]
+    )
+    def test_hull3d(self, branch, dim):
+        for seed in range(10):
+            pts = _inputs_by_branch(3, branch, seed)
+            p = hull3d(pts)
+            assert p.intrinsic_dim == dim and _vertices_are_input_rows(p, pts)
+
+    def test_planar_hull3d_keeps_the_boundary_order_of_its_flat_hull(self):
+        for seed in range(10):
+            pts = _inputs_by_branch(3, "planar", seed)
+            want = hull2d(pts[:, :2]).vertices.tolist()  # the polygon seen from above
+            ring = hull3d(pts).vertices[:, :2].tolist()
+            k = ring.index(want[0])
+            ring = ring[k:] + ring[:k]
+            assert want in (ring, ring[:1] + ring[:0:-1])  # either turn
+
+
 def _walk3(alpha: float, k: int) -> np.ndarray:
     """A 3-D stable walk of 10^4 steps, the size the d = 3 experiments use."""
     spec = StableSpec(alpha=alpha, d=3)

@@ -1,6 +1,7 @@
 """Exit-time records, renewal ratios, scaling-limit comparisons, and the
 anchor-hull sandwich bound."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
     _dot,
+    _exits,
     _first_exit,
     _first_sphere_crossing,
     _fit_attractor_scale,
@@ -134,6 +136,17 @@ class TestExitTimes:
         target = 1.0 / HEAVY.jump_rate
         z = (vals.mean() - target) / (vals.std(ddof=1) / math.sqrt(vals.size))
         assert abs(z) < 4.0
+
+    def test_fast_drift_stops_at_the_jump_time(self):
+        # a drift of 1e14 crosses ten unit spheres in 1e-13; the last crossing
+        # is clamped to the jump time, where the scan must leave the segment
+        # (islice bounds the scan, so a scan that repeats that exit fails)
+        path = PathSample(np.array([0.0, 1e-13]), np.array([[0.0, 0.0], [10.0, 0.0]]))
+        drift = (1e14, 0.0)
+        assert len(list(itertools.islice(_exits(path, drift), 100))) == 10
+        rec = exit_times(path, drift=drift)
+        assert rec.n_exits == 10 and rec.exit_times[-1] == 1e-13
+        assert np.all(np.diff(rec.exit_times) > 0.0)
 
     def test_grid_exits_are_sample_times_with_unit_spacing(self):
         for seed in range(5):

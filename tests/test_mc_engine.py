@@ -14,6 +14,7 @@ from levyhull import (
     StableSpec,
     ball_intrinsic_volume,
     boundary_distances,
+    expected_faces_at_origin,
     geom_eps,
     hull2d,
     hull3d,
@@ -27,6 +28,7 @@ from levyhull import (
 )
 from levyhull.mc_engine import (
     ExperimentConfig,
+    _facets_at,
     hill_tail_index,
     hull_of,
     ks_two_sample,
@@ -196,6 +198,33 @@ class TestGramExperiment:
             run_gram_experiment(2, 1, dist="cauchy", trials=100)
 
 
+class TestFacetsAt:
+    """The vertex rule: facets that hold x as a vertex, by exact row match."""
+
+    def test_polygon_and_segment_in_the_plane(self):
+        square = hull2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        assert _facets_at(square, np.zeros(2)) == 2
+        assert _facets_at(square, np.array([0.5, 0.5])) == 0
+        assert _facets_at(square, np.array([0.5, 0.0])) == 0  # on an edge, not a vertex
+        segment = hull2d([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0]])
+        assert _facets_at(segment, np.zeros(2)) == 2
+        assert _facets_at(segment, np.array([0.5, 1.0])) == 0
+        assert _facets_at(hull2d([[0.0, 0.0]]), np.zeros(2)) == 0
+
+    def test_hulls_in_space(self):
+        corners = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+        cube = hull3d(corners)
+        at_corner = [_facets_at(cube, np.array(c)) for c in corners]
+        assert all(n >= 3 for n in at_corner) and sum(at_corner) == 3 * len(cube.facets)
+        assert _facets_at(cube, np.full(3, 0.5)) == 0
+        tetra = hull3d([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert _facets_at(tetra, np.zeros(3)) == 3
+        flat = hull3d([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert flat.intrinsic_dim == 2 and _facets_at(flat, np.zeros(3)) == 2
+        line = hull3d([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert line.intrinsic_dim == 1 and _facets_at(line, np.zeros(3)) == 0
+
+
 class TestBoundaryOriginExperiment:
     def test_markov_bound_holds(self):
         cfg = _cfg(n_steps=10, trials=20_000, master_seed=7)
@@ -240,6 +269,16 @@ class TestFacesExperiment:
         r = run_faces_experiment(cfg)
         assert abs(r.z_score) < 4.0
 
+    @pytest.mark.parametrize(
+        "spec, n", [(BROWNIAN2, 1), (BROWNIAN2, 2), (BROWNIAN3, 1), (BROWNIAN3, 2), (BROWNIAN3, 3)]
+    )
+    def test_equals_formula_exactly_while_n_at_most_d(self, spec, n):
+        # the origin is a vertex of every hull of n <= d steps in general
+        # position, so each trial gives the same count as the formula
+        r = run_faces_experiment(_cfg(spec=spec, n_steps=n, trials=100, master_seed=3))
+        assert r.stderr == 0.0
+        assert r.mean == r.target.value == expected_faces_at_origin(n, spec.d)
+
     def test_3d_runs_and_attaches_formula(self):
         cfg = _cfg(
             spec=BROWNIAN3, n_steps=50, trials=400, master_seed=4
@@ -249,14 +288,7 @@ class TestFacesExperiment:
         assert r.mean > 0.0 and math.isfinite(r.stderr)
 
 
-# mc_engine tests "on the boundary" with tol = geom_eps(poly.vertices), 1e-9
-# times the hull diameter; on heavy-tailed walks that dwarfs the unit scale
-# near the origin, so short edges there count as passing through it.
-_DIAMETER_TOL = pytest.mark.xfail(
-    strict=True,
-    reason="origin-on-boundary tolerance scales with the hull diameter, not the query point",
-)
-HEAVY_TAIL_ALPHAS = [pytest.param(0.3, marks=_DIAMETER_TOL), 0.7]
+HEAVY_TAIL_ALPHAS = [0.3, 0.7]
 
 
 class TestOriginOnBoundaryAtHeavyTails:
