@@ -843,8 +843,8 @@ def run_all(
     threads: int = 1,
     dump_polytopes: bool = False,
 ) -> RunManifest:
-    """Execute plans in order, each running its trials in one serial loop,
-    then write results.csv, summary.json, and manifest.json to out_dir.
+    """Execute plans in order, each in one serial loop of trials, rewriting
+    out_dir/results.csv after each plan; summary.json and manifest.json come last.
     ``threads`` is accepted for compatibility and has no effect: trials
     always run serially in trial-index order."""
     if not plans:
@@ -860,6 +860,7 @@ def run_all(
         trends.update(plan_trends)
         labels = {r["verdict"] for r in plan_rows}
         verdicts[plan.label] = next((v for v in ("FAIL", "PASS") if v in labels), "INFO")
+        write_results_csv(rows, out / "results.csv")  # a later failing plan keeps these rows
     digest = _config_digest(plans, master_seed)
     now = datetime.now(timezone.utc)
     timestamp = now.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -872,7 +873,6 @@ def run_all(
         verdicts=verdicts,
         trends=trends,
     )
-    write_results_csv(rows, out / "results.csv")
     payload = asdict(manifest)
     summary = {
         **{k: v for k, v in payload.items() if k != "results"},

@@ -14,14 +14,15 @@ and its index triples in a Python list. An insertion finds its visible
 facets with one matrix-vector product; their horizon and the cone over it
 are worked out in Python floats, a handful of facets at a time, and
 written into the visible facets' rows. Each round measures all outside
-points against all facets with one matrix product. ``intrinsic_volumes_3d``
-pairs the two facets of every edge by sorting edge keys, so the dihedral
-angles come from batched array operations.
+points against all facets with one matrix product. ``intrinsic_volumes_2d``
+and ``intrinsic_volumes_3d`` measure every hull shape, points, segments and
+flat polygons included; on a full mesh, ``intrinsic_volumes_3d`` pairs the
+two facets of every edge by sorting edge keys, so the dihedral angles come
+from batched array operations.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,8 +87,13 @@ class Polytope:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         if self.facets is not None:
-            rows = np.asarray(self.facets, dtype=np.int64).tolist()
-            object.__setattr__(self, "facets", tuple(map(tuple, rows)))
+            f = np.asarray(self.facets)
+            listed = () if isinstance(self.facets, np.ndarray) else itertools.chain(*self.facets)
+            if f.dtype.kind not in "iu" or f.shape[1:] != (3,) or len(f) == 0 or any(
+                isinstance(i, (bool, np.bool_)) for i in listed  # a bool is no index
+            ) or not 0 <= f.min() <= f.max() < len(verts):
+                raise ParameterError("facets must be a nonempty (F, 3) array of vertex indices")
+            object.__setattr__(self, "facets", tuple(map(tuple, f.tolist())))
 
     @property
     def n_vertices(self) -> int:
@@ -202,16 +208,17 @@ def hull2d(points) -> Polytope:
     return Polytope(2, np.array(out), 2 if len(out) > 2 else 1)
 
 
-@functools.cache
-def _seed_directions() -> np.ndarray:
-    """The six axis directions, then a deterministic 26-point spiral
-    covering the sphere."""
-    k = np.arange(26, dtype=np.float64)
-    z = 1.0 - 2.0 * (k + 0.5) / 26.0
+def _sphere_spiral(count: int) -> np.ndarray:
+    """``count`` points of the golden-angle spiral covering the unit sphere."""
+    k = np.arange(count, dtype=np.float64)
+    z = 1.0 - 2.0 * (k + 0.5) / count
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     th = math.pi * (3.0 - math.sqrt(5.0)) * k
-    spiral = np.column_stack([r * np.cos(th), r * np.sin(th), z])
-    return np.vstack([np.eye(3), -np.eye(3), spiral])
+    return np.column_stack([r * np.cos(th), r * np.sin(th), z])
+
+
+# hull3d's seed directions: the six axis directions, then a 26-point spiral
+_SEED_DIRECTIONS = np.vstack([np.eye(3), -np.eye(3), _sphere_spiral(26)])
 
 
 def _lex_sorted(pts: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -225,7 +232,7 @@ def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
     product (``cols`` is pts transposed). Near-ties within eps of a
     direction's maximum go to the lexicographic max, so every pick is a
     true vertex."""
-    proj = _seed_directions() @ cols
+    proj = _SEED_DIRECTIONS @ cols
     dirs = np.arange(len(proj))
     picks = np.argmax(proj, axis=1)
     top = proj[dirs, picks]
@@ -439,16 +446,20 @@ def hull3d(points) -> Polytope:
     return Polytope(3, pts[used], 3, facets)
 
 
+def _point_or_segment(p: Polytope) -> IntrinsicVolumes:
+    """(1, L, 0, ...) for a segment of length L, (1, 0, ...) for a point."""
+    length = float(np.linalg.norm(p.vertices[-1] - p.vertices[0])) if p.intrinsic_dim else 0.0
+    return IntrinsicVolumes((1.0, length) + (0.0,) * (p.dim - 1))
+
+
 def intrinsic_volumes_2d(p: Polytope) -> IntrinsicVolumes:
     """(V_0, V_1, V_2) = (1, perimeter/2, area); a segment of length L
     gives (1, L, 0) since its boundary measure is 2L."""
     if p.dim != 2:
         raise ParameterError("intrinsic_volumes_2d needs a planar polytope")
+    if p.intrinsic_dim < 2:
+        return _point_or_segment(p)
     v = p.vertices
-    if p.intrinsic_dim == 0:
-        return IntrinsicVolumes((1.0, 0.0, 0.0))
-    if p.intrinsic_dim == 1:
-        return IntrinsicVolumes((1.0, float(np.linalg.norm(v[1] - v[0])), 0.0))
     nxt = np.roll(v, -1, axis=0)
     perim = float(np.linalg.norm(nxt - v, axis=1).sum())
     area = 0.5 * float(np.abs(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])))
@@ -456,10 +467,13 @@ def intrinsic_volumes_2d(p: Polytope) -> IntrinsicVolumes:
 
 
 def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
-    """(V_0, V_1, V_2, V_3) for a full-dimensional mesh polytope.
+    """(V_0, V_1, V_2, V_3) for any polytope in R^3.
 
-    V_3 by the divergence sum over origin-anchored tetrahedra, V_2 as half
-    the surface area, V_1 as (1/2pi) sum of edge length times the exterior
+    V_j does not depend on the ambient space, so a point gives (1, 0, 0, 0),
+    a segment of length L (1, L, 0, 0), and a flat polygon (1, perimeter/2,
+    area, 0), its area the norm of the vector area. For a full-dimensional
+    mesh, V_3 is the divergence sum over origin-anchored tetrahedra, V_2
+    half the surface area, V_1 (1/2pi) sum of edge length times the exterior
     dihedral angle (the angle between the two outward facet normals), which
     vanishes on edges interior to a flat face. The facets are paired across
     each undirected edge by sorting the edge keys min * V + max; the mesh
@@ -467,9 +481,16 @@ def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
     """
     if p.dim != 3:
         raise ParameterError("intrinsic_volumes_3d needs an R^3 polytope")
-    if p.intrinsic_dim != 3 or p.facets is None:
-        raise DimensionError("degenerate polytope has no 3-d intrinsic volumes")
+    if p.intrinsic_dim < 2:
+        return _point_or_segment(p)
     verts = p.vertices
+    if p.intrinsic_dim == 2:
+        nxt = np.roll(verts, -1, axis=0)
+        perim = float(np.linalg.norm(nxt - verts, axis=1).sum())
+        area = 0.5 * float(np.linalg.norm(np.cross(verts, nxt).sum(axis=0)))
+        return IntrinsicVolumes((1.0, perim / 2.0, area, 0.0))
+    if p.facets is None:
+        raise DimensionError("a full-dimensional polytope needs its facet mesh")
     f = np.asarray(p.facets, dtype=np.int64)
     a, b, c = verts[f[:, 0]], verts[f[:, 1]], verts[f[:, 2]]
     vol = float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)).sum())) / 6.0

@@ -26,7 +26,7 @@ from .closed_form import (
     unit_ball_volume,
 )
 from .errors import DomainError, ParameterError
-from .hullgeom import Polytope
+from .hullgeom import Polytope, _sphere_spiral
 from .mc_engine import hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
 from .rng_stable import (
@@ -62,11 +62,7 @@ def _probe_directions(dim: int) -> np.ndarray:
     if dim == 2:
         th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         return np.column_stack([np.cos(th), np.sin(th)])
-    k = np.arange(64, dtype=np.float64)
-    z = 1.0 - 2.0 * (k + 0.5) / 64.0
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    th = math.pi * (3.0 - math.sqrt(5.0)) * k
-    return np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    return _sphere_spiral(64)
 
 
 class SupportFn:

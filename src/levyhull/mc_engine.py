@@ -127,24 +127,9 @@ def _config_values(cfg: ExperimentConfig, name: str, fn) -> np.ndarray:
 
 
 def _intrinsic_values(poly) -> tuple:
-    """(V_1, ..., V_d) for a hull in its ambient dimension, with the
-    degenerate cases (possible only at tiny n_steps) filled in by hand."""
-    if poly.dim == 2:
-        iv = intrinsic_volumes_2d(poly)
-        return (iv[1], iv[2])
-    if poly.intrinsic_dim == 3:
-        iv = intrinsic_volumes_3d(poly)
-        return (iv[1], iv[2], iv[3])
-    v = poly.vertices
-    if poly.intrinsic_dim == 0:
-        return (0.0, 0.0, 0.0)
-    if poly.intrinsic_dim == 1:
-        return (float(np.linalg.norm(v[-1] - v[0])), 0.0, 0.0)
-    # planar ring in 3-space: intrinsic volumes live in the affine hull
-    nxt = np.roll(v, -1, axis=0)
-    perim = float(np.linalg.norm(nxt - v, axis=1).sum())
-    area = 0.5 * float(np.linalg.norm(np.cross(v, nxt).sum(axis=0)))
-    return (perim / 2.0, area, 0.0)
+    """(V_1, ..., V_d) for a hull of any intrinsic dimension, in its
+    ambient dimension d."""
+    return (intrinsic_volumes_2d if poly.dim == 2 else intrinsic_volumes_3d)(poly).values[1:]
 
 
 def run_intrinsic_volume_experiment(cfg: ExperimentConfig):

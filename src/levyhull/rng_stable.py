@@ -61,8 +61,9 @@ class StableSpec:
     def __post_init__(self):
         if self.flavor not in _FLAVORS:
             raise ParameterError(f"unknown flavor {self.flavor!r}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
+        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
             raise ParameterError(f"d must be a positive integer, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if self.flavor == "brownian":
             object.__setattr__(self, "alpha", 2.0)
         alpha = float(self.alpha)
@@ -195,8 +196,9 @@ def sample_walk_path(spec: StableSpec, n_steps: int, horizon: float, rng) -> Pat
     Self-similarity makes each skeleton point exactly distributed as the
     process at that grid time; only the in-between excursions are lost.
     """
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
+    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool) or n_steps < 1:
         raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
+    n_steps = int(n_steps)
     horizon = float(horizon)
     if horizon <= 0.0:
         raise ParameterError(f"horizon must be positive, got {horizon!r}")

@@ -548,6 +548,26 @@ class TestCli:
             tmp_path / "plain" / "results.csv"
         ).read_bytes()
 
+    def test_failed_plan_keeps_finished_rows(self, tmp_path, capsys):
+        # The cpp renewal passes planning, then fails in run_all: at jump rate
+        # 0.001 almost no path leaves the unit ball within the horizon.
+        renewal = {
+            "kind": "renewal_ratio",
+            "flavor": "cpp",
+            "jump_law": "gaussian",
+            "jump_rate": 0.001,
+            "t_values": [2.0],
+            "et1_trials": 50,
+        }
+        cfg = self._write_cfg(tmp_path, _cfg(GRAM, renewal))
+        out_dir = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out_dir)]) == 2
+        assert "almost no paths exited" in capsys.readouterr().err
+        rows = _read_csv(out_dir / "results.csv")
+        assert rows[0] == list(CSV_COLUMNS) and [r[0] for r in rows[1:]] == ["gram_determinant"]
+        assert not (out_dir / "summary.json").exists()
+        assert not (out_dir / "manifest.json").exists()
+
     def test_cli_seed_matches_library(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, _cfg(GRAM))
         assert main(["run", cfg, "--out", str(tmp_path / "cli"), "--seed", "7"]) == 0

@@ -696,10 +696,33 @@ class TestIntrinsicVolumes3d:
         expect_v1 = 6.0 * (math.pi - math.acos(1.0 / 3.0)) / (2.0 * math.pi)
         assert iv[1] == pytest.approx(expect_v1, rel=1e-10)
 
-    def test_degenerate_rejected(self):
-        flat = np.column_stack([np.random.default_rng(0).standard_normal((30, 2)), np.zeros(30)])
+    def test_flat_hull_equals_its_planar_values(self):
+        # V_j do not depend on the ambient space: the hull of 30 points on a
+        # tilted plane has the V_j of the same polygon in plane coordinates.
+        uv = np.random.default_rng(0).standard_normal((30, 2))
+        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        w = np.array([2.0, -2.0, 1.0]) / 3.0
+        flat = hull3d(np.array([0.3, -0.2, 0.5]) + uv[:, :1] * u + uv[:, 1:] * w)
+        assert flat.intrinsic_dim == 2
+        planar = hull2d(uv)
+        assert flat.n_vertices == planar.n_vertices
+        iv = intrinsic_volumes_3d(flat)
+        assert iv[3] == 0.0
+        assert iv.values[:3] == pytest.approx(intrinsic_volumes_2d(planar).values, rel=1e-12)
+
+    def test_collinear_hull_is_its_length(self):
+        seg = hull3d(np.outer([0.0, 0.25, 1.0, 0.5], [2.0, -1.0, 2.0]))
+        assert seg.intrinsic_dim == 1
+        assert intrinsic_volumes_3d(seg).values == (1.0, 3.0, 0.0, 0.0)
+
+    def test_point_hull(self):
+        point = hull3d(np.array([[1.5, -2.0, 0.25]] * 3))
+        assert point.intrinsic_dim == 0
+        assert intrinsic_volumes_3d(point).values == (1.0, 0.0, 0.0, 0.0)
+
+    def test_full_dimensional_without_facets_rejected(self):
         with pytest.raises(DimensionError):
-            intrinsic_volumes_3d(hull3d(flat))
+            intrinsic_volumes_3d(Polytope(3, _regular_tetrahedron(), 3))
 
     def test_open_mesh_rejected(self):
         verts = _regular_tetrahedron()
@@ -982,6 +1005,20 @@ class TestPolytopeType:
             facets = Polytope(3, verts, 3, given).facets
             assert facets == ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))
             assert all(type(i) is int for tri in facets for i in tri)
+
+    @pytest.mark.parametrize(
+        "first",
+        [(0.5, 2, 1), (True, 2, 1), (99, 2, 1), (-1, 2, 1)],
+        ids=["fraction", "bool", "past-the-end", "negative"],
+    )
+    def test_facet_entries_must_be_vertex_indices(self, first):
+        facets = (first, (0, 1, 3), (1, 2, 3), (2, 0, 3))
+        with pytest.raises(ParameterError):
+            Polytope(3, _regular_tetrahedron(), 3, facets)
+
+    def test_empty_facets_rejected(self):
+        with pytest.raises(ParameterError):
+            Polytope(3, _regular_tetrahedron(), 3, ())
 
     def test_json_round_trip_fields(self):
         p = hull3d(np.array(CUBE))

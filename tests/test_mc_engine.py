@@ -515,6 +515,31 @@ class TestStreamPins:
         assert got == expected
 
 
+def _by_hand_3d(poly):
+    """(V_1, V_2, V_3) of a point, segment or flat polygon in R^3, by the
+    formulas the experiment runner once applied itself."""
+    v = poly.vertices
+    if poly.intrinsic_dim == 0:
+        return (0.0, 0.0, 0.0)
+    if poly.intrinsic_dim == 1:
+        return (float(np.linalg.norm(v[-1] - v[0])), 0.0, 0.0)
+    nxt = np.roll(v, -1, axis=0)
+    perim = float(np.linalg.norm(nxt - v, axis=1).sum())
+    area = 0.5 * float(np.linalg.norm(np.cross(v, nxt).sum(axis=0)))
+    return (perim / 2.0, area, 0.0)
+
+
+class TestDegenerateHullPins:
+    # One step always gives a segment in R^3, two steps a triangle.
+    @pytest.mark.parametrize("n_steps, shape", [(1, 1), (2, 2)], ids=["segment", "triangle"])
+    def test_runner_equals_by_hand_formulas(self, n_steps, shape):
+        got = [_triple(r) for r in run_intrinsic_volume_experiment(_pin_cfg(STABLE3, n_steps))]
+        polys = _hand_loop("intrinsic_volumes", lambda rng: _walk_hull(STABLE3, n_steps, rng)[0])
+        assert {p.intrinsic_dim for p in polys} == {shape}
+        vals = np.array([_by_hand_3d(p) for p in polys])
+        assert got == [_summary(vals[:, k]) for k in range(3)]
+
+
 class TestTrialLoop:
     def test_trial_values_hands_fn_the_trial_generators_in_order(self):
         states = trial_values(7, "faces_count", 5, lambda rng: rng.bit_generator.state)

@@ -140,6 +140,14 @@ class TestWalkPath:
         target = math.exp(-4.0 * 0.5 * np.linalg.norm(u) ** 1.5)
         _mean_band(np.cos(ends @ u), target)
 
+    def test_numpy_integer_steps(self):
+        spec = StableSpec(flavor="brownian", d=2)
+        a = sample_walk_path(spec, np.int64(100), 1.0, np.random.default_rng(4))
+        b = sample_walk_path(spec, 100, 1.0, np.random.default_rng(4))
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.times, b.times)
+        with pytest.raises(ParameterError):
+            sample_walk_path(spec, np.float64(100.0), 1.0, np.random.default_rng(4))
+
     def test_bad_parameters(self):
         spec = StableSpec(flavor="brownian", d=2)
         with pytest.raises(ParameterError):
@@ -236,6 +244,12 @@ class TestStableSpec:
             StableSpec(flavor="cpp", d=2, tail_alpha=1.5, jump_rate=-1.0)
         with pytest.raises(ParameterError):
             StableSpec(flavor="cpp", d=2, tail_alpha=1.5, jump_rate=1.0, drift=(1.0,))
+
+    def test_numpy_integer_dimension_becomes_int(self):
+        spec = StableSpec(d=np.int64(3))
+        assert spec == StableSpec(d=3) and type(spec.d) is int
+        with pytest.raises(ParameterError):
+            StableSpec(d=np.float64(3.0))
 
     def test_zero_jump_rate_allowed(self):
         spec = StableSpec(flavor="cpp", d=2, tail_alpha=1.5, jump_rate=0.0)
