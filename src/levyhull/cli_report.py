@@ -435,8 +435,6 @@ def _walk_spec(p):
 def _cpp_spec(p):
     drift = tuple(p["drift"]) if p.get("drift") else None
     return StableSpec(
-        alpha=1.5 if p["jump_law"] == "pareto" else 2.0,
-        c=1.0,
         d=p["d"],
         flavor="cpp",
         jump_law=p["jump_law"],

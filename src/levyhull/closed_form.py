@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResourceError
+from .errors import DomainError, ParameterError, ResourceError, _count
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,8 +65,7 @@ def unit_ball_volume(d: int) -> float:
     d = 0 counts the point and gives 1, which keeps quotient formulas
     valid at j = d.
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0:
-        raise ParameterError(f"d must be a nonnegative integer, got {d!r}")
+    d = _count("d", d, 0)
     return math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
 
 
@@ -76,8 +75,9 @@ def ball_intrinsic_volume(d: int, j: int, r: float) -> float:
     binom(d, j) * kappa_d / kappa_{d-j} * r^j, so V_0 = 1 and V_d is the
     ordinary volume.
     """
-    d = _check_dim(d, "d")
-    j = _check_index(j, d)
+    d, j = _count("d", d), _count("j", j, 0)
+    if j > d:
+        raise ParameterError(f"j must lie in 0..{d}, got {j}")
     r = float(r)
     if r < 0.0:
         raise ParameterError(f"radius must be nonnegative, got {r!r}")
@@ -96,20 +96,6 @@ def _check_alpha_open(alpha: float) -> float:
     return alpha
 
 
-def _check_dim(d: int, name: str) -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {d!r}")
-    return int(d)
-
-
-def _check_index(j: int, d: int) -> int:
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ParameterError(f"j must be an integer, got {j!r}")
-    if not 0 <= j <= d:
-        raise ParameterError(f"j must lie in 0..{d}, got {j}")
-    return int(j)
-
-
 def ev_intrinsic_stable(alpha: float, j: int, vj_zonoid: float) -> float:
     """Expected V_j of the time-one path hull of a strictly stable process.
 
@@ -123,8 +109,7 @@ def ev_intrinsic_stable(alpha: float, j: int, vj_zonoid: float) -> float:
     ``vj_zonoid`` is V_j of the zonoid, supplied by the caller.
     """
     alpha = _check_alpha_open(alpha)
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or j < 1:
-        raise ParameterError(f"j must be a positive integer, got {j!r}")
+    j = _count("j", j)
     vj_zonoid = float(vj_zonoid)
     if vj_zonoid < 0.0:
         raise ParameterError("vj_zonoid must be nonnegative")
@@ -142,10 +127,8 @@ def ev_intrinsic_brownian(d: int, j: int) -> float:
         ------------------------------------------- .
               gamma(j/2 + 1) gamma(d/2 + 1)
     """
-    d = _check_dim(d, "d")
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ParameterError(f"j must be an integer, got {j!r}")
-    if not 1 <= j <= d:
+    d, j = _count("d", d), _count("j", j)
+    if j > d:
         raise ParameterError(f"j must lie in 1..{d}, got {j}")
     return (
         math.comb(d, j)
@@ -165,7 +148,6 @@ def ev_intrinsic_isotropic(alpha: float, c: float, d: int, j: int) -> float:
     c = float(c)
     if c <= 0.0:
         raise ParameterError(f"c must be positive, got {c!r}")
-    d = _check_dim(d, "d")
     vj = ball_intrinsic_volume(d, j, c ** (1.0 / alpha))
     return ev_intrinsic_stable(alpha, j, vj)
 
@@ -175,8 +157,7 @@ def dirichlet_constant(alpha: float, j: int) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or j < 1:
-        raise ParameterError(f"j must be a positive integer, got {j!r}")
+    j = _count("j", j)
     return gamma_fn(1.0 / alpha) ** j / gamma_fn(j / alpha + 1.0)
 
 
@@ -196,10 +177,10 @@ def lattice_sum_partial(alpha: float, j: int, n: int) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if j not in (1, 2, 3):
-        raise ParameterError(f"j must be 1, 2 or 3, got {j!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < j:
-        raise ParameterError(f"n must be an integer >= j, got {n!r}")
+    j = _count("j", j)
+    if j > 3:
+        raise ParameterError(f"j must be 1, 2 or 3, got {j}")
+    n = _count("n", n, j)
     if n > _LATTICE_MAX_N[j]:
         raise ResourceError(
             f"lattice sum with j={j} capped at n={_LATTICE_MAX_N[j]}, got {n}"
@@ -247,10 +228,9 @@ def expected_faces_at_origin(n: int, d: int) -> float:
     factorial is materialised. For d = 3 the inner index collapses by
     partial fractions, giving an O(n) evaluation.
     """
+    n, d = _count("n", n), _count("d", d)
     if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+        raise ParameterError(f"d must be 2 or 3, got {d}")
     if n < d - 1:
         return 0.0
     if n > 10**7:
@@ -274,10 +254,9 @@ def expected_hull_vertices(n: int, d: int) -> float:
     position, whatever the step law: 2 H_n for d = 2 (Baxter 1961) and
     H_n^2 - H_n^(2) + 2 for d = 3 (Kabluchko, Vysotsky & Zaporozhets 2017),
     H_n^(r) = sum_k k^-r. Both are n + 1 while n <= d."""
+    n, d = _count("n", n), _count("d", d)
     if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+        raise ParameterError(f"d must be 2 or 3, got {d}")
     if n > 10**7:
         raise ResourceError(f"harmonic sums capped at n=10^7, got {n}")
     inv = 1.0 / np.arange(1, n + 1, dtype=np.float64)
@@ -300,10 +279,7 @@ def prob_origin_outside_walk_hull(n: int, d: int) -> Fraction:
     exact ``Fraction``; it is 1 while n < d."""
     from fractions import Fraction  # here, not at import: it loads decimal
 
-    for name, v in (("n", n), ("d", d)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-            raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-    n, d = int(n), int(d)
+    n, d = _count("n", n), _count("d", d)
     if n > 10**4:
         raise ResourceError(f"integer expansion capped at n=10^4, got {n}")
     coef = [1] + [0] * (d - 1)  # B(i, 0..d-1) for i = 0, 1, ..., n
@@ -321,13 +297,12 @@ def walk_ev_intrinsic(n: int, j: int, alpha: float, vj_zonoid: float) -> float:
     this converges to ``ev_intrinsic_stable`` with the same arguments.
     """
     alpha = _check_alpha_open(alpha)
-    if j not in (1, 2, 3):
-        raise ParameterError(f"j must be 1, 2 or 3, got {j!r}")
     vj_zonoid = float(vj_zonoid)
     if vj_zonoid < 0.0:
         raise ParameterError("vj_zonoid must be nonnegative")
+    lattice = lattice_sum_partial(alpha, j, n)  # checks j in 1..3 and n >= j
     pref = (gamma_fn(1.0 - 1.0 / alpha) / math.pi) ** j
-    return vj_zonoid * pref * lattice_sum_partial(alpha, j, n)
+    return vj_zonoid * pref * lattice
 
 
 def ev_sup_brownian_pow(p: float) -> float:

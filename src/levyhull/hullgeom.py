@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ResourceError
+from .errors import DimensionError, ParameterError, ResourceError, _count
 from .results import EstimateResult
 
 __all__ = [
@@ -87,10 +87,14 @@ class Polytope:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         if self.facets is not None:
-            f = np.asarray(self.facets)
-            listed = () if isinstance(self.facets, np.ndarray) else itertools.chain(*self.facets)
+            try:
+                f = np.asarray(self.facets)
+            except ValueError:  # ragged rows: refused below as a float array
+                f = np.empty(0)
+            rows = () if isinstance(self.facets, np.ndarray) else self.facets
             if f.dtype.kind not in "iu" or f.shape[1:] != (3,) or len(f) == 0 or any(
-                isinstance(i, (bool, np.bool_)) for i in listed  # a bool is no index
+                isinstance(i, (bool, np.bool_))  # a bool is no index
+                for i in itertools.chain.from_iterable(rows)
             ) or not 0 <= f.min() <= f.max() < len(verts):
                 raise ParameterError("facets must be a nonempty (F, 3) array of vertex indices")
             object.__setattr__(self, "facets", tuple(map(tuple, f.tolist())))
@@ -540,7 +544,7 @@ def zonotope_intrinsic_volume(generators, j: int) -> float:
     if g.ndim != 2 or len(g) == 0:
         raise ParameterError("generators must be a nonempty (m, d) array")
     m, d = g.shape
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or not 1 <= j <= d:
+    if _count("j", j) > d:
         raise ParameterError(f"need 1 <= j <= d={d}, got {j!r}")
     if m > _ZONOTOPE_MAX_GENERATORS:
         raise ResourceError(
@@ -573,10 +577,9 @@ def projection_intrinsic_estimate(
     """
     if p.dim != 3 or p.intrinsic_dim != 3:
         raise DimensionError("projection estimator needs a full-dimensional R^3 body")
-    if j not in (1, 2):
+    if _count("j", j) > 2:
         raise ParameterError(f"j must be 1 or 2, got {j!r}")
-    if samples < 2:
-        raise ParameterError("need at least 2 samples")
+    samples = _count("samples", samples, 2)
     dirs = rng.standard_normal((samples, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     verts = p.vertices

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ClosedFormTarget, gamma_fn
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _count
 from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
@@ -345,15 +345,14 @@ def estimate_mean_exit_time(
     """Mean first exit time from the unit ball, from an independent batch
     of paths. Paths that never exit within the horizon are dropped (their
     count is recoverable from ``trials`` minus the result's trials)."""
-    if trials < 2:
-        raise ParameterError("need at least 2 trials")
+    trials = _count("trials", trials, 2)
     n_steps = max(1, int(round(horizon / dt)))
     got = _first_exit_values(
         spec, horizon, n_steps, trials, seed, "mean_exit_time", lambda t, x: t
     )
     if got.size < 2:
         raise ConfigError("almost no paths exited; increase the horizon")
-    return EstimateResult.from_samples(got, seed=seed)
+    return EstimateResult.from_samples(got)
 
 
 def renewal_ratio_experiment(
@@ -371,8 +370,7 @@ def renewal_ratio_experiment(
     t_values = [float(t) for t in t_values]
     if not t_values or any(t <= 0.0 for t in t_values):
         raise ParameterError("t_values must be positive")
-    if trials < 2:
-        raise ParameterError("need at least 2 trials")
+    trials = _count("trials", trials, 2)
     et1 = estimate_mean_exit_time(
         spec,
         trials=et1_trials or max(trials, 1000),
@@ -398,7 +396,7 @@ def renewal_ratio_experiment(
                 "et1_trials": et1.trials,
             },
         )
-        out.append(EstimateResult.from_samples(vals, seed=seed, target=target))
+        out.append(EstimateResult.from_samples(vals, target=target))
     return out
 
 
@@ -446,8 +444,7 @@ def scaled_hull_convergence(
         raise ConfigError("convergence experiment implemented for d = 2")
     if not t_large >= 10.0:
         raise ParameterError(f"t_large must be >= 10, got {t_large!r}")
-    if trials < 10:
-        raise ParameterError("need at least 10 trials")
+    trials = _count("trials", trials, 10)
     if spec.jump_law == "pareto":
         alpha = float(spec.tail_alpha)
         if not 0.0 < alpha < 2.0:
@@ -511,8 +508,7 @@ def exit_value_tail_experiment(
     degenerate (drift-only) exits, which have no tail at all."""
     if spec.flavor != "cpp":
         raise ConfigError("exit-tail experiment expects a compound-jump spec")
-    if trials < 10:
-        raise ParameterError("need at least 10 trials")
+    trials = _count("trials", trials, 10)
     horizon = 60.0 / max(spec.jump_rate, 1e-12) if spec.jump_rate > 0 else 10.0
     got = _first_exit_values(
         spec, horizon, 1, trials, seed, "exit_value_tail",

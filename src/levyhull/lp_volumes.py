@@ -25,7 +25,7 @@ from .closed_form import (
     ev_sup_brownian_pow,
     unit_ball_volume,
 )
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _count
 from .hullgeom import Polytope, _sphere_spiral
 from .mc_engine import hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
@@ -59,10 +59,7 @@ class Ball:
 
 
 def _probe_directions(dim: int) -> np.ndarray:
-    if dim == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    return _sphere_spiral(64)
+    return _circle_grid(64) if dim == 2 else _sphere_spiral(64)
 
 
 class SupportFn:
@@ -220,8 +217,7 @@ def vp_ball_mixed(m, p: float, d: int, quad_points: int = 4096, rng=None) -> flo
         raise ParameterError(f"p must be >= 1, got {p!r}")
     if d not in (2, 3):
         raise ParameterError(f"d must be 2 or 3, got {d!r}")
-    if quad_points < 8:
-        raise ParameterError("quad_points must be >= 8")
+    quad_points = _count("quad_points", quad_points, 8)
     if not hasattr(m, "values"):
         m = SupportFn(m)
     if d == 2:
@@ -229,12 +225,12 @@ def vp_ball_mixed(m, p: float, d: int, quad_points: int = 4096, rng=None) -> flo
             breaks = np.unique(m.break_angles())
         else:
             breaks = np.empty(0)
-        th, wt = _circle_quad_angles(breaks, int(quad_points))
+        th, wt = _circle_quad_angles(breaks, quad_points)
         h = m.values(np.column_stack([np.cos(th), np.sin(th)]))
         return 0.5 * float(wt @ h**p)
     if rng is None:
         rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((int(quad_points), 3))
+    dirs = rng.standard_normal((quad_points, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     h = m.values(dirs)
     # (1/3) * 4pi * mean(h^p)
@@ -273,15 +269,15 @@ def verify_lp_brownian(
         raise ParameterError(f"p must be >= 1, got {p!r}")
     if d not in (2, 3):
         raise ParameterError(f"d must be 2 or 3, got {d!r}")
-    if trials < 2:
-        raise ParameterError("need at least 2 trials")
+    trials = _count("trials", trials, 2)
+    quad_points = _count("quad_points", quad_points)
     spec = StableSpec(flavor="brownian", c=0.5, d=d)
     target_val = ev_sup_brownian_pow(p) * 2.0 ** (-p / 2.0) * unit_ball_volume(d)
     target = ClosedFormTarget(
         "lp_brownian", target_val, {"p": p, "d": d, "n_steps": n_steps}
     )
     if d == 2:
-        grid = _circle_grid(int(quad_points))
+        grid = _circle_grid(quad_points)
         vals = walk_hull_values(
             spec, n_steps, 1.0, trials, seed, "lp_brownian",
             lambda poly, path: _hull_vp_one_trial(poly, p, grid),
@@ -290,13 +286,13 @@ def verify_lp_brownian(
 
         def one(rng):
             # the trial draws its directions before its path
-            dirs = rng.standard_normal((int(quad_points), 3))
+            dirs = rng.standard_normal((quad_points, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             path = sample_walk_path(spec, n_steps, 1.0, rng)
             return _hull_vp_one_trial(hull_of(path.points), p, dirs)
 
         vals = trial_values(seed, "lp_brownian", trials, one)
-    return EstimateResult.from_samples(vals, seed=seed, target=target)
+    return EstimateResult.from_samples(vals, target=target)
 
 
 def _sup_pow_stable_1d(alpha, p, grid_n, paths, seed) -> np.ndarray:
@@ -344,15 +340,18 @@ def verify_lp_stable_consistency(
         raise DomainError(f"need 1 <= p < alpha, got p={p!r}, alpha={alpha!r}")
     if d != 2:
         raise ParameterError("consistency experiment implemented for d = 2")
+    trials = _count("trials", trials, 2)
+    quad_points = _count("quad_points", quad_points)
+    grid_n, sup_paths = _count("grid_n", grid_n), _count("sup_paths", sup_paths)
     spec = StableSpec(alpha=alpha, c=float(c), d=2)
-    grid = _circle_grid(int(quad_points))
+    grid = _circle_grid(quad_points)
     vals = walk_hull_values(
         spec, n_steps, 1.0, trials, seed, "lp_stable_hull",
         lambda poly, path: _hull_vp_one_trial(poly, p, grid),
     )
-    hullside = EstimateResult.from_samples(vals, seed=seed)
+    hullside = EstimateResult.from_samples(vals)
 
-    sup_vals = _sup_pow_stable_1d(alpha, p, int(grid_n), int(sup_paths), seed)
+    sup_vals = _sup_pow_stable_1d(alpha, p, grid_n, sup_paths, seed)
     factor = float(c) ** (p / alpha) * unit_ball_volume(d)
-    supside = EstimateResult.from_samples(factor * sup_vals, seed=seed)
+    supside = EstimateResult.from_samples(factor * sup_vals)
     return hullside, supside

@@ -25,7 +25,7 @@ from .closed_form import (
     ev_intrinsic_isotropic,
     expected_faces_at_origin,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _count
 from .hullgeom import (
     hull2d,
     hull3d,
@@ -63,13 +63,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.spec, StableSpec):
             raise ConfigError("spec must be a StableSpec")
-        if int(self.trials) < 100:
-            raise ConfigError(f"trials must be >= 100, got {self.trials!r}")
-        if int(self.n_steps) < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        js = tuple(int(j) for j in self.j_orders)
+        object.__setattr__(self, "trials", _count("trials", self.trials, 100, ConfigError))
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 1, ConfigError))
+        js = tuple(_count("j_orders entry", j, 1, ConfigError) for j in self.j_orders)
         if js and not set(js) <= set(range(1, self.spec.d + 1)):
             raise ConfigError(
                 f"j_orders {js!r} must lie in 1..{self.spec.d}"
@@ -77,8 +73,8 @@ class ExperimentConfig:
         object.__setattr__(self, "j_orders", js)
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
-        if self.hill_k is not None and int(self.hill_k) < 1:
-            raise ConfigError(f"hill_k must be >= 1, got {self.hill_k!r}")
+        if self.hill_k is not None:
+            object.__setattr__(self, "hill_k", _count("hill_k", self.hill_k, 1, ConfigError))
 
     def orders(self) -> tuple:
         return self.j_orders or tuple(range(1, self.spec.d + 1))
@@ -160,7 +156,7 @@ def run_intrinsic_volume_experiment(cfg: ExperimentConfig):
             },
         )
         out.append(
-            EstimateResult.from_samples(vals[:, k], seed=cfg.master_seed, target=tgt)
+            EstimateResult.from_samples(vals[:, k], target=tgt)
         )
     return out
 
@@ -171,24 +167,19 @@ _GRAM_CHUNK = 8192
 def run_gram_experiment(
     d: int,
     j: int,
-    dist: str = "gaussian",
     trials: int = 10_000,
     seed: int = 0,
 ) -> EstimateResult:
     """E sqrt(det M^T M) for M with j i.i.d. standard Gaussian columns in
     R^d, against the target j! V_j((2 pi)^(-1/2) B^d)."""
-    d, j, trials = int(d), int(j), int(trials)
-    if not 1 <= j <= d <= 6:
+    d, j, trials = _count("d", d), _count("j", j), _count("trials", trials, 2)
+    if not j <= d <= 6:
         raise ParameterError(f"need 1 <= j <= d <= 6, got j={j}, d={d}")
-    if dist not in ("gaussian", "standard_gaussian"):
-        raise ParameterError(f"unsupported distribution {dist!r}")
-    if trials < 2:
-        raise ParameterError("need at least 2 trials")
     target = ClosedFormTarget(
         "gram_det",
         math.factorial(j)
         * ball_intrinsic_volume(d, j, 1.0 / math.sqrt(2.0 * math.pi)),
-        {"d": d, "j": j, "dist": dist},
+        {"d": d, "j": j},
     )
     stream = stream_id("gram_determinant")
 
@@ -200,7 +191,7 @@ def run_gram_experiment(
         return np.sqrt(np.maximum(dets, 0.0))
 
     out = np.concatenate([block(lo) for lo in range(0, trials, _GRAM_CHUNK)])
-    return EstimateResult.from_samples(out, seed=seed, target=target)
+    return EstimateResult.from_samples(out, target=target)
 
 
 def _facets_at(poly, x) -> int:
@@ -226,7 +217,7 @@ def run_boundary_origin_experiment(cfg: ExperimentConfig):
         return float(_facets_at(poly, path.points[0]) > 0)
 
     vals = _config_values(cfg, "boundary_origin", one)
-    freq = EstimateResult.from_samples(vals, seed=cfg.master_seed)
+    freq = EstimateResult.from_samples(vals)
     return freq, expected_faces_at_origin(cfg.n_steps, 2)
 
 
@@ -241,7 +232,7 @@ def run_interior_endpoint_experiment(cfg: ExperimentConfig) -> EstimateResult:
         return float(poly.intrinsic_dim == d and not _facets_at(poly, path.points[-1]))
 
     vals = _config_values(cfg, "interior_endpoint", one)
-    return EstimateResult.from_samples(vals, seed=cfg.master_seed)
+    return EstimateResult.from_samples(vals)
 
 
 def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
@@ -258,7 +249,7 @@ def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
         expected_faces_at_origin(cfg.n_steps, d),
         {"n": cfg.n_steps, "d": d},
     )
-    return EstimateResult.from_samples(vals, seed=cfg.master_seed, target=target)
+    return EstimateResult.from_samples(vals, target=target)
 
 
 def hill_tail_index(samples, k: int | None = None) -> float:
@@ -269,10 +260,8 @@ def hill_tail_index(samples, k: int | None = None) -> float:
         raise ParameterError("need at least 3 samples")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ParameterError("samples must be finite and strictly positive")
-    if k is None:
-        k = int(arr.size**0.6)
-    k = int(k)
-    if not 1 <= k < arr.size:
+    k = int(arr.size**0.6) if k is None else _count("k", k)
+    if k >= arr.size:
         raise ParameterError(f"k must satisfy 1 <= k < {arr.size}, got {k}")
     srt = np.sort(arr)[::-1]
     s = float(np.log(srt[:k] / srt[k]).sum())
@@ -291,9 +280,7 @@ def run_tail_index_experiment(cfg: ExperimentConfig):
     k = cfg.hill_k if cfg.hill_k is not None else int(cfg.trials**0.6)
     est = hill_tail_index(vals, k)
     stderr = est / math.sqrt(k) if math.isfinite(est) else 0.0
-    return EstimateResult(
-        mean=est, stderr=stderr, trials=cfg.trials, seed=cfg.master_seed
-    )
+    return EstimateResult(mean=est, stderr=stderr, trials=cfg.trials)
 
 
 def _kolmogorov_sf(lam: float) -> float:

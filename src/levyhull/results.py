@@ -24,7 +24,6 @@ class EstimateResult:
     mean: float
     stderr: float
     trials: int
-    seed: int = 0
     target: ClosedFormTarget | None = None
     z_score: float | None = None
 
@@ -35,7 +34,7 @@ class EstimateResult:
             raise ParameterError(f"stderr must be >= 0, got {self.stderr!r}")
 
     @classmethod
-    def from_samples(cls, values, seed=0, target=None) -> "EstimateResult":
+    def from_samples(cls, values, target=None) -> "EstimateResult":
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             raise ParameterError("cannot summarise zero samples")
@@ -50,7 +49,6 @@ class EstimateResult:
             mean=mean,
             stderr=stderr,
             trials=int(arr.size),
-            seed=int(seed),
             target=target,
             z_score=z,
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _count
 
 __all__ = [
     "StableSpec",
@@ -61,9 +61,7 @@ class StableSpec:
     def __post_init__(self):
         if self.flavor not in _FLAVORS:
             raise ParameterError(f"unknown flavor {self.flavor!r}")
-        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
-            raise ParameterError(f"d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _count("d", self.d))
         if self.flavor == "brownian":
             object.__setattr__(self, "alpha", 2.0)
         alpha = float(self.alpha)
@@ -179,7 +177,7 @@ def sample_isotropic_vec(spec: StableSpec, rng, size=None):
     """
     if spec.flavor == "cpp":
         raise ParameterError("compound Poisson increments have no unit-time sampler")
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _count("size", size)
     g = rng.standard_normal((n, spec.d))
     if spec.alpha == 2.0:
         out = math.sqrt(2.0 * spec.c) * g
@@ -196,9 +194,7 @@ def sample_walk_path(spec: StableSpec, n_steps: int, horizon: float, rng) -> Pat
     Self-similarity makes each skeleton point exactly distributed as the
     process at that grid time; only the in-between excursions are lost.
     """
-    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool) or n_steps < 1:
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    n_steps = int(n_steps)
+    n_steps = _count("n_steps", n_steps)
     horizon = float(horizon)
     if horizon <= 0.0:
         raise ParameterError(f"horizon must be positive, got {horizon!r}")

@@ -1008,8 +1008,8 @@ class TestPolytopeType:
 
     @pytest.mark.parametrize(
         "first",
-        [(0.5, 2, 1), (True, 2, 1), (99, 2, 1), (-1, 2, 1)],
-        ids=["fraction", "bool", "past-the-end", "negative"],
+        [(0.5, 2, 1), (True, 2, 1), (99, 2, 1), (-1, 2, 1), (1, 2)],
+        ids=["fraction", "bool", "past-the-end", "negative", "ragged"],
     )
     def test_facet_entries_must_be_vertex_indices(self, first):
         facets = (first, (0, 1, 3), (1, 2, 3), (2, 0, 3))
@@ -1019,6 +1019,11 @@ class TestPolytopeType:
     def test_empty_facets_rejected(self):
         with pytest.raises(ParameterError):
             Polytope(3, _regular_tetrahedron(), 3, ())
+
+    def test_facets_that_are_not_rows_rejected(self):
+        for facets in (5, [0, 1, 2]):
+            with pytest.raises(ParameterError):
+                Polytope(3, _regular_tetrahedron(), 3, facets)
 
     def test_json_round_trip_fields(self):
         p = hull3d(np.array(CUBE))

@@ -194,8 +194,6 @@ class TestGramExperiment:
             run_gram_experiment(2, 3, trials=100)
         with pytest.raises(ParameterError):
             run_gram_experiment(2, 0, trials=100)
-        with pytest.raises(ParameterError):
-            run_gram_experiment(2, 1, dist="cauchy", trials=100)
 
 
 class TestFacetsAt:
