@@ -2,7 +2,8 @@
 report emission.
 
 Each experiment kind is one entry of ``_KINDS``: its one-line description,
-its schema (key -> default and type), its plan-time check and its runner.
+its schema (key -> default, type and domain), its plan-time check of the
+rules that tie fields together, and its runner.
 A JSON config holds an "experiments" array; each entry names a kind plus
 its parameters (unknown keys are rejected, defaults are trials=10^4,
 n_steps=10^4, tolerance_sigma=4). Planning checks every entry before any
@@ -33,7 +34,7 @@ from .closed_form import (
     prob_origin_outside_walk_hull,
     walk_ev_intrinsic,
 )
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, ResourceError, _count, _real
 from .limits import (
     exit_value_tail_experiment,
     renewal_ratio_experiment,
@@ -111,91 +112,69 @@ def manifest_exit_code(manifest: RunManifest) -> int:
 # -- config schema -----------------------------------------------------
 
 _REQUIRED = object()
-# type -> how an error names one value and an array of them
-_WHAT = {
-    float: ("a number", "numbers"),
-    int: ("an integer", "integers"),
-    str: ("a string", "strings"),
-}
 
 
-def _cast_value(kind, key, value, typ):
-    """value as ``typ``: float, int or str, or [float] / [int] for a
+def _cast_value(kind, key, value, typ, domain):
+    """``value`` as the field's type, inside its domain: an int through
+    ``_count`` and a float through ``_real``, with ``domain`` as their
+    bounds, or a value from a tuple ``domain``; [int] / [float] is a
     non-empty array of them. A bool is never a number."""
-    many = isinstance(typ, list)
-    base = typ[0] if many else typ
-    allowed = (int, float) if base is float else base
-    items = value if many and isinstance(value, list) else [value]
-    if (many and not (isinstance(value, list) and value)) or any(
-        isinstance(v, bool) or not isinstance(v, allowed) for v in items
-    ):
-        one, plural = _WHAT[base]
-        what = f"a non-empty array of {plural}" if many else one
-        raise ConfigError(
-            f"experiment {kind!r}: field {key!r} must be {what}, got {value!r}"
-        )
-    return [base(v) for v in value] if many else base(value)
+    name = f"experiment {kind!r}: field {key!r}"
+    if isinstance(typ, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty array, got {value!r}")
+        return [_cast_value(kind, key, v, typ[0], domain) for v in value]
+    choices = domain if isinstance(domain, tuple) else ()
+    bounds = {} if choices else domain
+    if typ is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+    else:
+        value = (_count if typ is int else _real)(name, value, error=ConfigError, **bounds)
+    if choices and value not in choices:
+        raise ConfigError(f"{name} must be {' or '.join(map(str, choices))}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class _Kind:
     """One experiment kind. ``schema`` maps each key beyond ``_COMMON`` to
-    (default, type), with _REQUIRED for mandatory keys. ``check(p, bad)``
-    rejects what the runner cannot run by calling bad(field, message), and
-    may fill defaults that depend on other fields; ``min_trials`` and
-    ``dims`` (the allowed d, if any) are checked for every kind.
-    ``run(plan, seed)`` returns (rows, trends)."""
+    (default, type, domain), with _REQUIRED for mandatory keys; the domain
+    holds ``_count``'s or ``_real``'s bounds or a tuple of the allowed
+    values, and planning refuses a value outside it. ``check(p, bad)``
+    applies the rules that tie fields together by calling bad(field,
+    message), and may fill defaults that depend on other fields;
+    ``min_trials`` is the floor of ``trials``. ``run(plan, seed)`` returns
+    (rows, trends)."""
 
     description: str
     schema: dict
     run: Callable
     check: Callable | None = None
     min_trials: int = 2
-    dims: tuple = ()
 
 
 _COMMON = {
-    "label": (None, str),
-    "trials": (DEFAULT_TRIALS, int),
-    "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, float),
+    "label": (None, str, ()),
+    "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, float, {"gt": 0}),
 }
 _N_SERIES = {
-    "n_steps": (DEFAULT_N_STEPS, int),
-    "n_values": (None, [int]),
+    "n_steps": (DEFAULT_N_STEPS, int, {}),
+    "n_values": (None, [int], {}),
 }
 _SAMPLED_TRIALS = 100  # ExperimentConfig's floor for the walk-hull kinds
-
-
-def _check_common(p, bad, kind: _Kind):
-    if p["trials"] < kind.min_trials:
-        bad("trials", f"must be >= {kind.min_trials}")
-    if kind.dims and p["d"] not in kind.dims:
-        bad("d", "must be " + " or ".join(map(str, kind.dims)))
-    if p["tolerance_sigma"] <= 0:
-        bad("tolerance_sigma", "must be > 0")
-    if any(n < 1 for n in p.get("n_values") or ()):
-        bad("n_values", "must contain integers >= 1")
-    if p.get("n_steps", 1) < 1:
-        bad("n_steps", "must be >= 1")
-
-
-def _check_formula_walk(p, bad):
-    # the closed-form expectation formulas need Gamma(1 - 1/alpha)
-    if not 1.0 < p["alpha"] <= 2.0:
-        bad("alpha", "must lie in (1, 2] for formula experiments")
-    if p["c"] <= 0:
-        bad("c", "must be > 0")
+_SCALE = {"gt": 1e-12}  # StableSpec's floor for c
+_DIMS = (2, 3)
 
 
 def _check_hill_k(p, bad):
-    if p["hill_k"] is not None and not 1 <= p["hill_k"] < p["trials"]:
-        bad("hill_k", "must satisfy 1 <= hill_k < trials")
+    if p["hill_k"] is not None and p["hill_k"] >= p["trials"]:
+        bad("hill_k", "must be < trials")
 
 
 def _check_cpp(p, bad):
-    """The compound-Poisson fields, as StableSpec will need them."""
-    if p["jump_law"] not in ("pareto", "gaussian"):
-        bad("jump_law", "must be pareto or gaussian")
+    """The compound-Poisson rules that tie fields together, as StableSpec
+    will need them."""
     if p["jump_law"] == "pareto":
         if p["tail_alpha"] is None:
             bad("tail_alpha", "is required for pareto jumps")
@@ -204,8 +183,6 @@ def _check_cpp(p, bad):
                 "tail_alpha",
                 "must lie in (0, 2); at tail_alpha >= 2 use jump_law 'gaussian'",
             )
-    if p["jump_rate"] is not None and p["jump_rate"] < 0:
-        bad("jump_rate", "must be >= 0")
     if p.get("drift") is not None and len(p["drift"]) != p["d"]:
         bad("drift", f"must have d = {p['d']} entries")
     if not p["jump_rate"] and not any(p.get("drift") or ()):
@@ -215,12 +192,9 @@ def _check_cpp(p, bad):
 def _check_intrinsic(p, bad):
     if p["c"] is None:
         p["c"] = 0.5 if p["alpha"] == 2.0 else 1.0
-    _check_formula_walk(p, bad)
-    if p["horizon"] <= 0:
-        bad("horizon", "must be > 0")
     if p["j_orders"] is None:
         p["j_orders"] = list(range(1, p["d"] + 1))
-    if any(not 1 <= j <= p["d"] for j in p["j_orders"]):
+    if max(p["j_orders"]) > p["d"]:
         bad("j_orders", f"must lie in 1..{p['d']}")
     if len(set(p["j_orders"])) < len(p["j_orders"]):
         bad("j_orders", "must not repeat an order")
@@ -229,32 +203,19 @@ def _check_intrinsic(p, bad):
 
 
 def _check_gram(p, bad):
-    if not 1 <= p["j"] <= p["d"] <= 6:
+    if not p["j"] <= p["d"] <= 6:
         bad("j", "must satisfy 1 <= j <= d <= 6")
 
 
 def _check_tail_index(p, bad):
-    _check_formula_walk(p, bad)
-    if not 1 <= p["j"] <= p["d"]:
+    if p["j"] > p["d"]:
         bad("j", f"must lie in 1..{p['d']}")
     _check_hill_k(p, bad)
 
 
-def _check_lp_brownian(p, bad):
-    if p["p"] < 1.0:
-        bad("p", "must be >= 1")
-
-
 def _check_lp_consistency(p, bad):
-    if not 1.0 < p["alpha"] < 2.0:
-        bad("alpha", "must lie strictly in (1, 2)")
-    if not 1.0 <= p["p"] < p["alpha"]:
-        bad("p", f"must satisfy 1 <= p < alpha (p-means diverge at p >= alpha={p['alpha']})")
-    if p["c"] <= 0:
-        bad("c", "must be > 0")
-    for key in ("grid_n", "sup_paths"):
-        if p[key] < 1:
-            bad(key, "must be >= 1")
+    if p["p"] >= p["alpha"]:
+        bad("p", f"must be < alpha (p-means diverge at p >= alpha={p['alpha']})")
 
 
 # renewal keys that each flavor ignores; a value other than the default
@@ -267,37 +228,14 @@ _RENEWAL_UNUSED = {
 
 
 def _check_renewal(p, bad):
-    if any(t <= 0 for t in p["t_values"]):
-        bad("t_values", "must be positive")
-    if p["dt"] <= 0:
-        bad("dt", "must be > 0")
-    if p["flavor"] not in ("brownian", "isotropic", "cpp"):
-        bad("flavor", "must be brownian, isotropic, or cpp")
-    if p["d"] < 1:
-        bad("d", "must be >= 1")
-    if (p["et1_trials"] or 2) < 2:  # 0, like no value, takes the default
-        bad("et1_trials", "must be >= 2")
+    if p["et1_trials"] == 1:  # 0, like no value, takes the default
+        bad("et1_trials", "must be 0 (the default) or >= 2")
     schema = _KINDS["renewal_ratio"].schema
     for key in _RENEWAL_UNUSED[p["flavor"]]:
         if p[key] != schema[key][0]:
             bad(key, f"is not used by flavor {p['flavor']!r}; leave it out")
     if p["flavor"] == "cpp":
         _check_cpp(p, bad)
-        return
-    if p["flavor"] == "isotropic" and not 0.0 < p["alpha"] <= 2.0:
-        bad("alpha", "must lie in (0, 2]")
-    if p["c"] <= 0:
-        bad("c", "must be > 0")
-
-
-def _check_scaled_hull(p, bad):
-    _check_cpp(p, bad)
-    if p["jump_rate"] <= 0:
-        bad("jump_rate", "must be > 0")
-    if any(t < 10.0 for t in p["t_values"]):
-        bad("t_values", "must be >= 10")
-    if p["n_steps_limit"] < 1:
-        bad("n_steps_limit", "must be >= 1")
 
 
 def _check_exit_tail(p, bad):
@@ -320,16 +258,17 @@ def _plan_one(raw, index: int) -> PlannedExperiment:
             f"experiments[{index}]: unknown experiment kind {kind!r} (known: {known})"
         )
     entry = _KINDS[kind]
-    schema = {**_COMMON, **entry.schema}
+    trials = (DEFAULT_TRIALS, int, {"lo": entry.min_trials})
+    schema = {**_COMMON, "trials": trials, **entry.schema}
     unknown = set(raw) - set(schema) - {"kind"}
     if unknown:
         raise ConfigError(
             f"experiment {kind!r}: unknown keys {sorted(unknown)!r}"
         )
     params = {}
-    for key, (default, typ) in schema.items():
+    for key, (default, typ, domain) in schema.items():
         if key in raw:
-            params[key] = _cast_value(kind, key, raw[key], typ)
+            params[key] = _cast_value(kind, key, raw[key], typ, domain)
         elif default is _REQUIRED:
             raise ConfigError(f"experiment {kind!r}: field {key!r} is required")
         else:
@@ -339,7 +278,6 @@ def _plan_one(raw, index: int) -> PlannedExperiment:
     def bad(field, msg):
         raise ConfigError(f"experiment {kind!r}: field {field!r} {msg}")
 
-    _check_common(params, bad, entry)
     if entry.check is not None:
         entry.check(params, bad)
     return PlannedExperiment(kind=kind, label=label, params=params)
@@ -653,22 +591,22 @@ _KINDS = {
     "intrinsic_volumes": _Kind(
         "mean intrinsic volumes of walk hulls vs exact finite-n and limit values",
         {
-            "alpha": (2.0, float),
-            "c": (None, float),
-            "d": (2, int),
+            # the closed-form expectations need Gamma(1 - 1/alpha)
+            "alpha": (2.0, float, {"gt": 1, "le": 2}),
+            "c": (None, float, _SCALE),
+            "d": (2, int, _DIMS),
             **_N_SERIES,
-            "j_orders": (None, [int]),
-            "horizon": (1.0, float),
-            "rel_band": (0.05, float),
+            "j_orders": (None, [int], {}),
+            "horizon": (1.0, float, {"gt": 0}),
+            "rel_band": (0.05, float, {"ge": 0}),
         },
         _run_intrinsic,
         _check_intrinsic,
         min_trials=_SAMPLED_TRIALS,
-        dims=(2, 3),
     ),
     "gram_determinant": _Kind(
         "Gaussian Gram determinant mean vs j! * V_j of the scaled ball",
-        {"d": (_REQUIRED, int), "j": (_REQUIRED, int)},
+        {"d": (_REQUIRED, int, {}), "j": (_REQUIRED, int, {})},
         _run_gram,
         _check_gram,
         min_trials=_SAMPLED_TRIALS,
@@ -687,69 +625,64 @@ _KINDS = {
     ),
     "faces_count": _Kind(
         "mean number of hull faces at the origin vs the exact formula",
-        {"d": (2, int), **_N_SERIES},
+        {"d": (2, int, _DIMS), **_N_SERIES},
         _run_faces,
         min_trials=_SAMPLED_TRIALS,
-        dims=(2, 3),
     ),
     "tail_index": _Kind(
         "Hill tail index of hull functional samples (INFO)",
         {
-            "alpha": (_REQUIRED, float),
-            "c": (1.0, float),
-            "d": (2, int),
-            "j": (1, int),
-            "n_steps": (DEFAULT_N_STEPS, int),
-            "hill_k": (None, int),
+            "alpha": (_REQUIRED, float, {"gt": 1, "le": 2}),
+            "c": (1.0, float, _SCALE),
+            "d": (2, int, _DIMS),
+            "j": (1, int, {}),
+            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "hill_k": (None, int, {}),
         },
         _run_tail_index,
         _check_tail_index,
         min_trials=_SAMPLED_TRIALS,
-        dims=(2, 3),
     ),
     "lp_brownian": _Kind(
         "p-mean mixed volume of Brownian hulls vs the closed form",
         {
-            "p": (_REQUIRED, float),
-            "d": (2, int),
-            "n_steps": (DEFAULT_N_STEPS, int),
-            "quad_points": (4096, int),
-            "rel_band": (0.02, float),
+            "p": (_REQUIRED, float, {"ge": 1}),
+            "d": (2, int, _DIMS),
+            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "quad_points": (4096, int, {}),
+            "rel_band": (0.02, float, {"ge": 0}),
         },
         _run_lp_brownian,
-        _check_lp_brownian,
-        dims=(2, 3),
     ),
     "lp_stable_consistency": _Kind(
         "hull-route vs sup-route p-mean mixed volume for stable paths (INFO)",
         {
-            "alpha": (_REQUIRED, float),
-            "c": (1.0, float),
-            "p": (1.0, float),
-            "d": (2, int),
-            "n_steps": (DEFAULT_N_STEPS, int),
-            "grid_n": (20_000, int),
-            "sup_paths": (20_000, int),
-            "quad_points": (4096, int),
+            "alpha": (_REQUIRED, float, {"gt": 1, "lt": 2}),
+            "c": (1.0, float, _SCALE),
+            "p": (1.0, float, {"ge": 1}),
+            "d": (2, int, (2,)),
+            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "grid_n": (20_000, int, {}),
+            "sup_paths": (20_000, int, {}),
+            "quad_points": (4096, int, {}),
         },
         _run_lp_consistency,
         _check_lp_consistency,
-        dims=(2,),
     ),
     "renewal_ratio": _Kind(
         "unit-ball exit counts per unit time vs the independent renewal rate (INFO)",
         {
-            "t_values": (_REQUIRED, [float]),
-            "dt": (0.02, float),
-            "et1_trials": (None, int),
-            "alpha": (2.0, float),
-            "c": (0.5, float),
-            "d": (2, int),
-            "flavor": ("brownian", str),
-            "jump_law": ("pareto", str),
-            "jump_rate": (None, float),
-            "tail_alpha": (None, float),
-            "drift": (None, [float]),
+            "t_values": (_REQUIRED, [float], {"gt": 0}),
+            "dt": (0.02, float, {"gt": 0}),
+            "et1_trials": (None, int, {"lo": 0}),
+            "alpha": (2.0, float, {"gt": 0, "le": 2}),
+            "c": (0.5, float, _SCALE),
+            "d": (2, int, {}),
+            "flavor": ("brownian", str, ("brownian", "isotropic", "cpp")),
+            "jump_law": ("pareto", str, ("pareto", "gaussian")),
+            "jump_rate": (None, float, {"ge": 0}),
+            "tail_alpha": (None, float, {}),
+            "drift": (None, [float], {}),
         },
         _run_renewal,
         _check_renewal,
@@ -757,32 +690,30 @@ _KINDS = {
     "scaled_hull": _Kind(
         "KS comparison of rescaled long-horizon hulls with the fitted limit walk (INFO)",
         {
-            "tail_alpha": (None, float),
-            "jump_law": ("pareto", str),
-            "jump_rate": (1.0, float),
-            "d": (2, int),
-            "t_values": ([1e2, 1e4], [float]),
-            "n_steps_limit": (2000, int),
+            "tail_alpha": (None, float, {}),
+            "jump_law": ("pareto", str, ("pareto", "gaussian")),
+            "jump_rate": (1.0, float, {"gt": 0}),
+            "d": (2, int, (2,)),
+            "t_values": ([1e2, 1e4], [float], {"ge": 10}),
+            "n_steps_limit": (2000, int, {}),
         },
         _run_scaled_hull,
-        _check_scaled_hull,
+        _check_cpp,
         min_trials=10,  # scaled_hull_convergence's floor
-        dims=(2,),
     ),
     "exit_tail": _Kind(
         "Hill tail index of the first-exit displacement norm (INFO)",
         {
-            "tail_alpha": (None, float),
-            "jump_law": ("pareto", str),
-            "jump_rate": (3.0, float),
-            "d": (2, int),
-            "drift": (None, [float]),
-            "hill_k": (None, int),
+            "tail_alpha": (None, float, {}),
+            "jump_law": ("pareto", str, ("pareto", "gaussian")),
+            "jump_rate": (3.0, float, {"ge": 0}),
+            "d": (2, int, (2,)),
+            "drift": (None, [float], {}),
+            "hill_k": (None, int, {}),
         },
         _run_exit_tail,
         _check_exit_tail,
         min_trials=10,  # exit_value_tail_experiment's floor
-        dims=(2,),
     ),
 }
 

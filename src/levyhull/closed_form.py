@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResourceError, _count
+from .errors import DomainError, ParameterError, ResourceError, _count, _real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -78,22 +78,13 @@ def ball_intrinsic_volume(d: int, j: int, r: float) -> float:
     d, j = _count("d", d), _count("j", j, 0)
     if j > d:
         raise ParameterError(f"j must lie in 0..{d}, got {j}")
-    r = float(r)
-    if r < 0.0:
-        raise ParameterError(f"radius must be nonnegative, got {r!r}")
+    r = _real("r", r, ge=0)
     return (
         math.comb(d, j)
         * unit_ball_volume(d)
         / unit_ball_volume(d - j)
         * r**j
     )
-
-
-def _check_alpha_open(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"stability index must lie in (1, 2], got {alpha!r}")
-    return alpha
 
 
 def ev_intrinsic_stable(alpha: float, j: int, vj_zonoid: float) -> float:
@@ -108,11 +99,9 @@ def ev_intrinsic_stable(alpha: float, j: int, vj_zonoid: float) -> float:
 
     ``vj_zonoid`` is V_j of the zonoid, supplied by the caller.
     """
-    alpha = _check_alpha_open(alpha)
+    alpha = _real("alpha", alpha, gt=1, le=2, error=DomainError)
     j = _count("j", j)
-    vj_zonoid = float(vj_zonoid)
-    if vj_zonoid < 0.0:
-        raise ParameterError("vj_zonoid must be nonnegative")
+    vj_zonoid = _real("vj_zonoid", vj_zonoid, ge=0)
     num = (gamma_fn(1.0 - 1.0 / alpha) * gamma_fn(1.0 / alpha)) ** j
     return num / (math.pi**j * gamma_fn(j / alpha + 1.0)) * vj_zonoid
 
@@ -144,19 +133,15 @@ def ev_intrinsic_isotropic(alpha: float, c: float, d: int, j: int) -> float:
     The associated zonoid is the ball of radius c^(1/alpha), so this is
     ``ev_intrinsic_stable`` fed with the matching ball intrinsic volume.
     """
-    alpha = _check_alpha_open(alpha)
-    c = float(c)
-    if c <= 0.0:
-        raise ParameterError(f"c must be positive, got {c!r}")
+    alpha = _real("alpha", alpha, gt=1, le=2, error=DomainError)
+    c = _real("c", c, gt=0)
     vj = ball_intrinsic_volume(d, j, c ** (1.0 / alpha))
     return ev_intrinsic_stable(alpha, j, vj)
 
 
 def dirichlet_constant(alpha: float, j: int) -> float:
     """gamma(1/alpha)^j / gamma(j/alpha + 1), the limit of the lattice sums."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    alpha = _real("alpha", alpha, gt=0, le=2, error=DomainError)
     j = _count("j", j)
     return gamma_fn(1.0 / alpha) ** j / gamma_fn(j / alpha + 1.0)
 
@@ -174,9 +159,7 @@ def lattice_sum_partial(alpha: float, j: int, n: int) -> float:
     grows. Uses prefix sums (j = 2) and exact discrete convolution (j = 3),
     never a brute-force j-fold loop.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    alpha = _real("alpha", alpha, gt=0, le=2, error=DomainError)
     j = _count("j", j)
     if j > 3:
         raise ParameterError(f"j must be 1, 2 or 3, got {j}")
@@ -296,10 +279,8 @@ def walk_ev_intrinsic(n: int, j: int, alpha: float, vj_zonoid: float) -> float:
     Combines the gamma prefactor with the finite lattice sum; as n grows
     this converges to ``ev_intrinsic_stable`` with the same arguments.
     """
-    alpha = _check_alpha_open(alpha)
-    vj_zonoid = float(vj_zonoid)
-    if vj_zonoid < 0.0:
-        raise ParameterError("vj_zonoid must be nonnegative")
+    alpha = _real("alpha", alpha, gt=1, le=2, error=DomainError)
+    vj_zonoid = _real("vj_zonoid", vj_zonoid, ge=0)
     lattice = lattice_sum_partial(alpha, j, n)  # checks j in 1..3 and n >= j
     pref = (gamma_fn(1.0 - 1.0 / alpha) / math.pi) ** j
     return vj_zonoid * pref * lattice
@@ -313,9 +294,7 @@ def ev_sup_brownian_pow(p: float) -> float:
     sqrt(2) |N(0, 1)| by reflection, giving 2^p gamma((p+1)/2) / sqrt(pi).
     This is the directional support moment of the standard Brownian hull.
     """
-    p = float(p)
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p!r}")
+    p = _real("p", p, ge=1, error=DomainError)
     return 2.0**p * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ClosedFormTarget, gamma_fn
-from .errors import ConfigError, ParameterError, _count
+from .errors import ConfigError, ParameterError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
@@ -62,10 +62,9 @@ class ExitRecord:
         p = np.asarray(self.exit_points, dtype=np.float64)
         if t.ndim != 1 or p.ndim != 2 or len(t) != len(p):
             raise ParameterError("exit_times (k,) must align with exit_points (k, d)")
-        if not self.horizon > 0.0:
-            raise ParameterError(f"horizon must be > 0, got {self.horizon!r}")
+        horizon = _real("horizon", self.horizon, gt=0)
         if t.size:
-            if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] <= self.horizon):
+            if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] <= horizon):
                 raise ParameterError(
                     "exit times must be strictly increasing within (0, horizon]"
                 )
@@ -77,7 +76,7 @@ class ExitRecord:
         p.setflags(write=False)
         object.__setattr__(self, "exit_times", t)
         object.__setattr__(self, "exit_points", p)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def n_exits(self) -> int:
@@ -346,6 +345,7 @@ def estimate_mean_exit_time(
     of paths. Paths that never exit within the horizon are dropped (their
     count is recoverable from ``trials`` minus the result's trials)."""
     trials = _count("trials", trials, 2)
+    horizon, dt = _real("horizon", horizon, gt=0), _real("dt", dt, gt=0)
     n_steps = max(1, int(round(horizon / dt)))
     got = _first_exit_values(
         spec, horizon, n_steps, trials, seed, "mean_exit_time", lambda t, x: t
@@ -367,10 +367,11 @@ def renewal_ratio_experiment(
     from an independent batch. Both sides scan paths sampled at the same
     dt, so the grid detection bias largely cancels in the comparison. The
     rate estimate rides along in each result's target params."""
-    t_values = [float(t) for t in t_values]
-    if not t_values or any(t <= 0.0 for t in t_values):
-        raise ParameterError("t_values must be positive")
+    t_values = [_real("t_values entry", t, gt=0) for t in t_values]
+    if not t_values:
+        raise ParameterError("t_values must not be empty")
     trials = _count("trials", trials, 2)
+    dt = _real("dt", dt, gt=0)
     et1 = estimate_mean_exit_time(
         spec,
         trials=et1_trials or max(trials, 1000),
@@ -442,15 +443,10 @@ def scaled_hull_convergence(
         raise ConfigError("convergence experiment expects a compound-jump spec")
     if spec.d != 2:
         raise ConfigError("convergence experiment implemented for d = 2")
-    if not t_large >= 10.0:
-        raise ParameterError(f"t_large must be >= 10, got {t_large!r}")
+    t_large = _real("t_large", t_large, ge=10)
     trials = _count("trials", trials, 10)
-    if spec.jump_law == "pareto":
-        alpha = float(spec.tail_alpha)
-        if not 0.0 < alpha < 2.0:
-            raise ConfigError("heavy-jump tail index must lie in (0, 2)")
-    else:
-        alpha = 2.0  # square-integrable jumps attract to the Gaussian law
+    # square-integrable jumps attract to the Gaussian law
+    alpha = spec.tail_alpha if spec.jump_law == "pareto" else 2.0
 
     # batch of exit records: renewal spans and embedded-walk increments,
     # pooled across paths (the renewal increments are i.i.d.)

@@ -25,7 +25,7 @@ from .closed_form import (
     ev_sup_brownian_pow,
     unit_ball_volume,
 )
-from .errors import DomainError, ParameterError, _count
+from .errors import DomainError, ParameterError, _count, _real
 from .hullgeom import Polytope, _sphere_spiral
 from .mc_engine import hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
@@ -54,8 +54,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius >= 0.0:
-            raise ParameterError(f"radius must be >= 0, got {self.radius!r}")
+        object.__setattr__(self, "radius", _real("radius", self.radius, ge=0))
 
 
 def _probe_directions(dim: int) -> np.ndarray:
@@ -156,9 +155,7 @@ def lp_sum_support(a: SupportFn, b: SupportFn, p: float):
     p -> infinity tends to the support of the convex union."""
     if not isinstance(a, SupportFn) or not isinstance(b, SupportFn):
         raise ParameterError("lp_sum_support needs two SupportFn arguments")
-    p = float(p)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p!r}")
+    p = _real("p", p, ge=1)
     if a.dim is not None and b.dim is not None and a.dim != b.dim:
         raise ParameterError("bodies live in different dimensions")
     probe = _probe_directions(a.dim or b.dim or 2)
@@ -212,9 +209,7 @@ def vp_ball_mixed(m, p: float, d: int, quad_points: int = 4096, rng=None) -> flo
     quad_points uniform random directions from ``rng``. For M = B^d the
     value is kappa_d for every p.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p!r}")
+    p = _real("p", p, ge=1)
     if d not in (2, 3):
         raise ParameterError(f"d must be 2 or 3, got {d!r}")
     quad_points = _count("quad_points", quad_points, 8)
@@ -264,9 +259,7 @@ def verify_lp_brownian(
     walk's hull is inner, so the estimate carries a small negative
     discretization bias, shrinking with n_steps.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p!r}")
+    p = _real("p", p, ge=1)
     if d not in (2, 3):
         raise ParameterError(f"d must be 2 or 3, got {d!r}")
     trials = _count("trials", trials, 2)
@@ -332,18 +325,14 @@ def verify_lp_stable_consistency(
     Both are inner discretizations, so they share a small negative bias.
     Requires 1 <= p < alpha < 2: the supremum moment diverges at p = alpha.
     """
-    alpha = float(alpha)
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"alpha must lie in (1, 2), got {alpha!r}")
-    p = float(p)
-    if not 1.0 <= p < alpha:
-        raise DomainError(f"need 1 <= p < alpha, got p={p!r}, alpha={alpha!r}")
+    alpha = _real("alpha", alpha, gt=1, lt=2, error=DomainError)
+    p = _real("p", p, ge=1, lt=alpha, error=DomainError)
     if d != 2:
         raise ParameterError("consistency experiment implemented for d = 2")
     trials = _count("trials", trials, 2)
     quad_points = _count("quad_points", quad_points)
     grid_n, sup_paths = _count("grid_n", grid_n), _count("sup_paths", sup_paths)
-    spec = StableSpec(alpha=alpha, c=float(c), d=2)
+    spec = StableSpec(alpha=alpha, c=c, d=2)
     grid = _circle_grid(quad_points)
     vals = walk_hull_values(
         spec, n_steps, 1.0, trials, seed, "lp_stable_hull",
@@ -352,6 +341,6 @@ def verify_lp_stable_consistency(
     hullside = EstimateResult.from_samples(vals)
 
     sup_vals = _sup_pow_stable_1d(alpha, p, grid_n, sup_paths, seed)
-    factor = float(c) ** (p / alpha) * unit_ball_volume(d)
+    factor = spec.c ** (p / alpha) * unit_ball_volume(d)
     supside = EstimateResult.from_samples(factor * sup_vals)
     return hullside, supside

@@ -25,7 +25,7 @@ from .closed_form import (
     ev_intrinsic_isotropic,
     expected_faces_at_origin,
 )
-from .errors import ConfigError, ParameterError, _count
+from .errors import ConfigError, ParameterError, _count, _real
 from .hullgeom import (
     hull2d,
     hull3d,
@@ -71,8 +71,8 @@ class ExperimentConfig:
                 f"j_orders {js!r} must lie in 1..{self.spec.d}"
             )
         object.__setattr__(self, "j_orders", js)
-        if not self.horizon > 0.0:
-            raise ConfigError(f"horizon must be > 0, got {self.horizon!r}")
+        horizon = _real("horizon", self.horizon, gt=0, error=ConfigError)
+        object.__setattr__(self, "horizon", horizon)
         if self.hill_k is not None:
             object.__setattr__(self, "hill_k", _count("hill_k", self.hill_k, 1, ConfigError))
 

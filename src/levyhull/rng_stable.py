@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _count
+from .errors import ParameterError, _count, _real
 
 __all__ = [
     "StableSpec",
@@ -64,30 +64,17 @@ class StableSpec:
         object.__setattr__(self, "d", _count("d", self.d))
         if self.flavor == "brownian":
             object.__setattr__(self, "alpha", 2.0)
-        alpha = float(self.alpha)
-        if not 0.0 < alpha <= 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2], got {alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
-        c = float(self.c)
-        if c <= 1e-12:
-            raise ParameterError(f"scale c must exceed 1e-12, got {c!r}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, gt=0, le=2))
+        object.__setattr__(self, "c", _real("c", self.c, gt=1e-12))
         if self.flavor == "cpp":
             if self.jump_law not in _JUMP_LAWS:
                 raise ParameterError(f"unknown jump law {self.jump_law!r}")
             if self.jump_law == "pareto":
-                if self.tail_alpha is None or not 0.0 < float(self.tail_alpha) < 2.0:
-                    raise ParameterError(
-                        f"tail_alpha must lie in (0, 2), got {self.tail_alpha!r}"
-                    )
-                object.__setattr__(self, "tail_alpha", float(self.tail_alpha))
-            if self.jump_rate is None or float(self.jump_rate) < 0.0:
-                raise ParameterError(
-                    f"jump_rate must be >= 0, got {self.jump_rate!r}"
-                )
-            object.__setattr__(self, "jump_rate", float(self.jump_rate))
+                tail_alpha = _real("tail_alpha", self.tail_alpha, gt=0, lt=2)
+                object.__setattr__(self, "tail_alpha", tail_alpha)
+            object.__setattr__(self, "jump_rate", _real("jump_rate", self.jump_rate, ge=0))
             drift = self.drift if self.drift is not None else (0.0,) * self.d
-            drift = tuple(float(v) for v in drift)
+            drift = tuple(_real("drift entry", v) for v in drift)
             if len(drift) != self.d:
                 raise ParameterError(
                     f"drift must have length d={self.d}, got {len(drift)}"
@@ -130,12 +117,8 @@ def sample_stable_1d(alpha, scale, rng, size=None):
     exponential mixing variable; alpha = 1 reduces to a Cauchy tangent,
     alpha = 2 reduces to N(0, 2 scale^2) through the same expression.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha!r}")
-    scale = float(scale)
-    if scale <= 0.0:
-        raise ParameterError(f"scale must be positive, got {scale!r}")
+    alpha = _real("alpha", alpha, gt=0, le=2)
+    scale = _real("scale", scale, gt=0)
     phi = (rng.random(size) - 0.5) * math.pi
     if alpha == 1.0:
         return scale * np.tan(phi)
@@ -156,9 +139,7 @@ def sample_positive_stable(beta, rng, size=None):
 
     with V uniform on (0, pi) and W unit exponential.
     """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta!r}")
+    beta = _real("beta", beta, gt=0, lt=1)
     v = rng.random(size) * math.pi
     w = rng.standard_exponential(size)
     return (
@@ -195,9 +176,7 @@ def sample_walk_path(spec: StableSpec, n_steps: int, horizon: float, rng) -> Pat
     process at that grid time; only the in-between excursions are lost.
     """
     n_steps = _count("n_steps", n_steps)
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon!r}")
+    horizon = _real("horizon", horizon, gt=0)
     incs = sample_isotropic_vec(spec, rng, n_steps)
     incs *= (horizon / n_steps) ** (1.0 / spec.alpha)
     pts = np.empty((n_steps + 1, spec.d))
@@ -218,9 +197,7 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
     """
     if spec.flavor != "cpp":
         raise ParameterError("sample_cpp_path requires a cpp-flavored spec")
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon!r}")
+    horizon = _real("horizon", horizon, gt=0)
     n_jumps = int(rng.poisson(spec.jump_rate * horizon)) if spec.jump_rate > 0 else 0
     drift = np.asarray(spec.drift, dtype=np.float64)
     jt = np.sort(rng.random(n_jumps) * horizon) if n_jumps else np.empty(0)

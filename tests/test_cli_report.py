@@ -239,6 +239,11 @@ MID_RUN_FAILURES = {
     "intrinsic_n_below_j": (dict(IV, n_values=[1, 40]), "n_values"),
     "intrinsic_n_steps_below_j": (dict(IV, d=3, n_steps=2), "n_steps"),
     "lp_stable_sup_paths_zero": (dict(LP_STABLE, sup_paths=0), "sup_paths"),
+    "lp_brownian_quad_points_zero": (
+        {"kind": "lp_brownian", "p": 1.0, "quad_points": 0},
+        "quad_points",
+    ),
+    "lp_stable_quad_points_zero": (dict(LP_STABLE, quad_points=0), "quad_points"),
     "tail_index_j_above_d": (
         {"kind": "tail_index", "alpha": 1.5, "trials": 100, "j": 3},
         "j",
@@ -567,6 +572,31 @@ class TestCli:
         assert rows[0] == list(CSV_COLUMNS) and [r[0] for r in rows[1:]] == ["gram_determinant"]
         assert not (out_dir / "summary.json").exists()
         assert not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "text,kind,field",
+        [
+            ('{"kind": "gram_determinant", "d": 2, "j": 1, "trials": 400,'
+             ' "tolerance_sigma": 1e999}', "gram_determinant", "tolerance_sigma"),
+            ('{"kind": "lp_brownian", "p": 1.0, "n_steps": 100, "trials": 100,'
+             ' "rel_band": 1e999}', "lp_brownian", "rel_band"),
+            ('{"kind": "exit_tail", "tail_alpha": 1.5, "trials": 100,'
+             ' "drift": [NaN, 0.0]}', "exit_tail", "drift"),
+        ],
+        ids=["tolerance_sigma_inf", "rel_band_inf", "drift_nan"],
+    )
+    def test_non_finite_number_refused_before_any_run(
+        self, tmp_path, capsys, text, kind, field
+    ):
+        # strict JSON reads 1e999 as inf; an infinite band made every row PASS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"experiments": [{text}]}}', encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert f"'{kind}'" in err and f"'{field}'" in err
+        assert not (out_dir / "results.csv").exists()
 
     def test_cli_seed_matches_library(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, _cfg(GRAM))
