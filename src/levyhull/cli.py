@@ -3,9 +3,10 @@
 Subcommands: `run <config.json>` executes a JSON experiment plan,
 `smoke` runs the fast built-in suite, `list-experiments` prints the
 known experiment kinds. Exit codes: 0 all non-INFO verdicts PASS,
-1 any FAIL, 2 configuration error, 3 I/O error. --threads is accepted
-for compatibility and has no effect: every experiment runs its trials
-serially in trial-index order.
+1 any FAIL, 2 configuration error, 3 I/O error. --threads K (default 1)
+splits every trial loop across K processes forked once per run, capped
+at the CPUs the process may use (Linux only; elsewhere trials run
+serially). results.csv is byte-identical at every K.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .cli_report import (
     run_all,
     smoke_plans,
 )
-from .errors import LevyHullError
+from .errors import ConfigError, LevyHullError, _count
 
 
 def _add_run_options(parser):
@@ -36,7 +37,10 @@ def _add_run_options(parser):
         "--threads",
         type=int,
         default=1,
-        help="accepted for compatibility; has no effect (trials run serially)",
+        help=(
+            "processes to split the trial loops across, capped at the usable "
+            "CPUs (default 1; Linux only); results do not depend on it"
+        ),
     )
     parser.add_argument(
         "--dump-polytopes",
@@ -75,11 +79,13 @@ def main(argv=None) -> int:
             print(f"{kind:24s} {description}")
         return 0
     try:
+        threads = _count("--threads", args.threads, error=ConfigError)
         plans = load_config(args.config) if args.command == "run" else smoke_plans()
         manifest = run_all(
             plans,
             args.out,
             master_seed=args.seed,
+            threads=threads,
             dump_polytopes=args.dump_polytopes,
         )
     except LevyHullError as exc:

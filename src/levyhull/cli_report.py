@@ -36,6 +36,8 @@ from .closed_form import (
 )
 from .errors import ConfigError, ResourceError, _count, _real
 from .limits import (
+    _ET1_HORIZON,
+    _walk_steps,
     exit_value_tail_experiment,
     renewal_ratio_experiment,
     scaled_hull_convergence,
@@ -43,6 +45,7 @@ from .limits import (
 from .lp_volumes import verify_lp_brownian, verify_lp_stable_consistency
 from .mc_engine import (
     ExperimentConfig,
+    _processes,
     run_boundary_origin_experiment,
     run_faces_experiment,
     run_gram_experiment,
@@ -102,6 +105,7 @@ class RunManifest:
     results: list
     verdicts: dict
     trends: dict
+    processes: int = 1  # the processes that ran the trial loops
 
 
 def manifest_exit_code(manifest: RunManifest) -> int:
@@ -236,6 +240,10 @@ def _check_renewal(p, bad):
             bad(key, f"is not used by flavor {p['flavor']!r}; leave it out")
     if p["flavor"] == "cpp":
         _check_cpp(p, bad)
+    try:  # the longest walk: the largest t or the E T_1 batch's horizon
+        _walk_steps(p["flavor"], max(*p["t_values"], _ET1_HORIZON), p["dt"])
+    except ResourceError as exc:
+        bad("dt", f"is too small: {exc}")
 
 
 def _check_exit_tail(p, bad):
@@ -772,10 +780,18 @@ def run_all(
     threads: int = 1,
     dump_polytopes: bool = False,
 ) -> RunManifest:
-    """Execute plans in order, each in one serial loop of trials, rewriting
-    out_dir/results.csv after each plan; summary.json and manifest.json come last.
-    ``threads`` is accepted for compatibility and has no effect: trials
-    always run serially in trial-index order."""
+    """Execute plans in order, rewriting out_dir/results.csv after each
+    plan; summary.json and manifest.json come last.
+
+    ``threads`` = N > 1 splits every trial loop across N processes (capped
+    at the CPUs this process may use; Linux only, serial elsewhere): the
+    first loop of the run forks N - 1 workers, and every process then runs
+    the rest of the plan loop, each computing its own block of each trial
+    loop (see ``mc_engine``). So a runner in ``_RUNNERS`` must only return
+    its rows and trends and write nothing: every process runs it. Only
+    this process writes files, after it has reaped every worker. The
+    values, and so results.csv, are the same at any ``threads``."""
+    threads = _count("threads", threads, error=ConfigError)
     if not plans:
         raise ConfigError("no experiments to run")
     out = Path(out_dir)
@@ -783,13 +799,15 @@ def run_all(
     rows = []
     verdicts = {}
     trends = {}
-    for plan in plans:
-        plan_rows, plan_trends = _RUNNERS[plan.kind](plan, master_seed)
-        rows.extend(plan_rows)
-        trends.update(plan_trends)
-        labels = {r["verdict"] for r in plan_rows}
-        verdicts[plan.label] = next((v for v in ("FAIL", "PASS") if v in labels), "INFO")
-        write_results_csv(rows, out / "results.csv")  # a later failing plan keeps these rows
+    with _processes(threads) as team:
+        for plan in plans:
+            plan_rows, plan_trends = _RUNNERS[plan.kind](plan, master_seed)
+            rows.extend(plan_rows)
+            trends.update(plan_trends)
+            labels = {r["verdict"] for r in plan_rows}
+            verdicts[plan.label] = next((v for v in ("FAIL", "PASS") if v in labels), "INFO")
+            if not team.rank:  # a later failing plan keeps these rows
+                write_results_csv(rows, out / "results.csv")
     digest = _config_digest(plans, master_seed)
     now = datetime.now(timezone.utc)
     timestamp = now.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -801,6 +819,7 @@ def run_all(
         results=rows,
         verdicts=verdicts,
         trends=trends,
+        processes=team.processes,
     )
     payload = asdict(manifest)
     summary = {

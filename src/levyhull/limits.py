@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ClosedFormTarget, gamma_fn
-from .errors import ConfigError, ParameterError, _count, _real
+from .errors import ConfigError, ParameterError, ResourceError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
@@ -334,19 +334,39 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     return np.array([v for v in vals if v is not None], dtype=np.float64)
 
 
+_MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
+_ET1_HORIZON = 40.0  # the horizon of the E T_1 batch of renewal_ratio_experiment
+
+
+def _walk_steps(flavor: str, horizon: float, dt: float) -> int:
+    """The number of dt steps of a walk up to ``horizon``, refused past
+    _MAX_WALK_STEPS; 1 for a cpp path, which is sampled at its jumps and
+    ignores dt."""
+    if flavor == "cpp":
+        return 1
+    steps = horizon / dt
+    if not steps <= _MAX_WALK_STEPS:
+        raise ResourceError(
+            f"dt = {dt!r} needs {steps:.3g} steps per path up to time {horizon!r}, "
+            f"more than the cap of {_MAX_WALK_STEPS}"
+        )
+    return max(1, int(round(steps)))
+
+
 def estimate_mean_exit_time(
     spec: StableSpec,
     trials: int = 2000,
     seed: int = 0,
-    horizon: float = 40.0,
+    horizon: float = _ET1_HORIZON,
     dt: float = 0.01,
 ) -> EstimateResult:
     """Mean first exit time from the unit ball, from an independent batch
     of paths. Paths that never exit within the horizon are dropped (their
-    count is recoverable from ``trials`` minus the result's trials)."""
+    count is recoverable from ``trials`` minus the result's trials). A walk
+    longer than horizon / dt = 10^6 steps raises ResourceError."""
     trials = _count("trials", trials, 2)
     horizon, dt = _real("horizon", horizon, gt=0), _real("dt", dt, gt=0)
-    n_steps = max(1, int(round(horizon / dt)))
+    n_steps = _walk_steps(spec.flavor, horizon, dt)
     got = _first_exit_values(
         spec, horizon, n_steps, trials, seed, "mean_exit_time", lambda t, x: t
     )
@@ -366,12 +386,15 @@ def renewal_ratio_experiment(
     """E[N_t / t] for each t, against the renewal rate 1/E(T_1) estimated
     from an independent batch. Both sides scan paths sampled at the same
     dt, so the grid detection bias largely cancels in the comparison. The
-    rate estimate rides along in each result's target params."""
+    rate estimate rides along in each result's target params. A walk
+    longer than 10^6 steps (t / dt, or 40 / dt for the E T_1 batch) raises
+    ResourceError before any path is drawn."""
     t_values = [_real("t_values entry", t, gt=0) for t in t_values]
     if not t_values:
         raise ParameterError("t_values must not be empty")
     trials = _count("trials", trials, 2)
     dt = _real("dt", dt, gt=0)
+    n_steps = [_walk_steps(spec.flavor, t, dt) for t in t_values]
     et1 = estimate_mean_exit_time(
         spec,
         trials=et1_trials or max(trials, 1000),
@@ -380,11 +403,10 @@ def renewal_ratio_experiment(
     )
     rate = 1.0 / et1.mean
     out = []
-    for t_idx, t in enumerate(t_values):
-        n_steps = max(1, int(round(t / dt)))
+    for t_idx, (t, n) in enumerate(zip(t_values, n_steps)):
         vals = trial_values(
             seed, f"renewal_ratio_{t_idx}", trials,
-            lambda rng: _record_for(spec, t, n_steps, rng).n_exits / t,
+            lambda rng: _record_for(spec, t, n, rng).n_exits / t,
         )
         target = ClosedFormTarget(
             "renewal_rate",

@@ -27,7 +27,7 @@ from .closed_form import (
 )
 from .errors import DomainError, ParameterError, _count, _real
 from .hullgeom import Polytope, _sphere_spiral
-from .mc_engine import hull_of, trial_values, walk_hull_values
+from .mc_engine import _ordered_map, hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
 from .rng_stable import (
     StableSpec,
@@ -236,7 +236,7 @@ def _hull_vp_one_trial(poly: Polytope, p: float, dirs: np.ndarray) -> float:
     """One trial's V_p(B^d, poly) by the plain rule: the mean of h^p over
     ``dirs`` (the circle grid in d = 2, random unit directions in d = 3)
     times the sphere's measure over d."""
-    h = (dirs @ poly.vertices.T).max(axis=1)
+    h = (poly.vertices @ dirs.T).max(axis=0)
     if poly.dim == 2:
         return math.pi * float(np.mean(h**p))
     return 4.0 * math.pi / 3.0 * float(np.mean(h**p))
@@ -293,18 +293,16 @@ def _sup_pow_stable_1d(alpha, p, grid_n, paths, seed) -> np.ndarray:
     one value per path, from grid_n-step embedded walks. One-sided grid
     bias: the discrete supremum underestimates the path supremum."""
     stream = stream_id("lp_sup_side")
-    out = np.empty(paths)
     step_scale = (1.0 / grid_n) ** (1.0 / alpha)
     chunk = max(1, int(2_000_000 // grid_n))
-    k = 0
-    while k < paths:
-        b = min(chunk, paths - k)
+
+    def one_chunk(k):
         rng = trial_rng(seed, stream, k)
+        b = min(chunk, paths - k)
         incs = sample_stable_1d(alpha, step_scale, rng, size=(b, grid_n))
-        sups = np.maximum(np.cumsum(incs, axis=1).max(axis=1), 0.0)
-        out[k : k + b] = sups**p
-        k += b
-    return out
+        return np.maximum(np.cumsum(incs, axis=1).max(axis=1), 0.0) ** p
+
+    return np.concatenate(_ordered_map(one_chunk, range(0, paths, chunk)))
 
 
 def verify_lp_stable_consistency(

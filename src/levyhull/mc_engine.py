@@ -6,15 +6,27 @@ closed-form target when one exists. Reproducibility contract, kept by
 ``trial_values``, the one trial loop of every sampled experiment in the
 package: trial t seeds its own generator from (master_seed, stream of the
 experiment's name, t) and returns its value, and the values are collected
-in trial-index order in one serial loop, so a config and seed always give
-the same bits. ``walk_hull_values`` runs that loop over sampled walks and
-their hulls, and ``hull_of`` is the one place that picks the 2-D or 3-D
-hull by dimension.
+in trial-index order, so a config and seed always give the same bits.
+``walk_hull_values`` runs that loop over sampled walks and their hulls,
+and ``hull_of`` is the one place that picks the 2-D or 3-D hull by
+dimension.
+
+Every trial loop goes through ``_ordered_map``. It is serial unless a
+run is in progress under ``_processes(n)`` (``cli_report.run_all`` with
+``threads`` = n > 1). Then, at the first loop of the run, n - 1 worker
+processes are forked once, and from there on every process runs the same
+code: each computes its own contiguous block of every loop, and the
+blocks are swapped over pipes, so that every process holds the whole
+list in index order. The values, and hence the bits, are those of the
+serial loop. Linux only: elsewhere runs stay serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +37,7 @@ from .closed_form import (
     ev_intrinsic_isotropic,
     expected_faces_at_origin,
 )
-from .errors import ConfigError, ParameterError, _count, _real
+from .errors import ConfigError, LevyHullError, ParameterError, _count, _real
 from .hullgeom import (
     hull2d,
     hull3d,
@@ -87,11 +99,158 @@ def _require_walk_spec(spec: StableSpec, dims=(2, 3)):
         raise ConfigError("experiment needs a stable or Brownian walk, not cpp")
 
 
+class _Team:
+    """The processes of one run: this one, rank 0, and after its first
+    ``map`` n - 1 forked workers of ranks 1 .. n - 1. Every process makes
+    the same ``map`` calls in the same order, because every process runs
+    the same code on the same inputs."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rank = 0
+        self.pids = []  # the parent's workers, in rank order
+        # (reader, writer) pipe files: the parent's, one pair per worker in
+        # rank order; a worker's, one pair to the parent
+        self.links = None
+        self.busy = False  # inside a map's own block: nested maps run serially
+
+    @property
+    def processes(self) -> int:
+        """The number of processes that ran this run's loops."""
+        return self.n if self.links is not None else 1
+
+    def _fork(self):
+        pipes = [(os.pipe(), os.pipe()) for _ in range(self.n - 1)]  # (up, down)
+        try:
+            for rank, ((_, up_w), (down_r, _)) in enumerate(pipes, start=1):
+                pid = os.fork()
+                if pid == 0:
+                    for fd in {fd for pair in pipes for ends in pair for fd in ends}:
+                        if fd not in (up_w, down_r):
+                            os.close(fd)
+                    self.rank, self.pids = rank, []
+                    self.links = [(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))]
+                    return
+                self.pids.append(pid)
+        finally:
+            if not self.rank:  # the parent keeps the other ends, also if a fork failed
+                self.links = []
+                for (up_r, up_w), (down_r, down_w) in pipes:
+                    os.close(up_w)
+                    os.close(down_r)
+                    self.links.append((os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb")))
+
+    def map(self, fn, items) -> list:
+        if self.links is None:
+            self._fork()
+        lo = len(items) * self.rank // self.n
+        hi = len(items) * (self.rank + 1) // self.n
+        values, failure = [], None
+        self.busy = True
+        try:
+            for i in range(lo, hi):
+                values.append(fn(items[i]))
+        except Exception as exc:  # raised below, once every block is in
+            failure = exc
+        finally:
+            self.busy = False
+        blocks = self._swap((values, failure))
+        for _, exc in blocks:  # the first failing block holds the lowest index
+            if exc is not None:
+                raise exc
+        return [v for block, _ in blocks for v in block]
+
+    def _swap(self, mine) -> list:
+        """Every process's (values, exception or None) block, in rank order:
+        the workers send theirs to the parent, which sends all of them back."""
+        try:
+            if self.rank:
+                reader, writer = self.links[0]
+                pickle.dump(mine, writer, pickle.HIGHEST_PROTOCOL)
+                writer.flush()
+                blocks = pickle.load(reader)
+                blocks[self.rank] = mine
+                return blocks
+            blocks = [mine] + [pickle.load(reader) for reader, _ in self.links]
+            payload = pickle.dumps(blocks, pickle.HIGHEST_PROTOCOL)
+            for _, writer in self.links:
+                writer.write(payload)
+                writer.flush()
+            return blocks
+        except (EOFError, OSError, pickle.UnpicklingError) as exc:
+            peer = "the parent process" if self.rank else "a worker process"
+            raise LevyHullError(f"{peer} of this run is gone ({exc!r})") from exc
+
+    def close(self, failed: bool):
+        """The parent's end of the run: close the pipes and reap every
+        worker, killing it first if the run failed."""
+        for reader, writer in self.links or ():
+            reader.close()
+            try:
+                writer.close()
+            except OSError:  # a write to a dead worker left bytes to flush
+                pass
+        if failed and self.pids:
+            import signal
+
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in self.pids:
+            os.waitpid(pid, 0)
+        self.pids = []
+
+
+_team = None  # the _Team of the run in progress in this process, if any
+
+
+def _process_count(n: int) -> int:
+    """n, capped at the CPUs this process may run on; 1 where the system
+    cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else max(1, min(n, len(affinity(0))))
+
+
+@contextmanager
+def _processes(n: int):
+    """Run the body with every ``_ordered_map`` split across up to n
+    processes, the parent and workers it forks at the body's first loop.
+    Yields the run's _Team. A worker never leaves the body: it ends there
+    with ``os._exit``. The parent reaps every worker before it leaves."""
+    global _team
+    team = _team = _Team(_process_count(n))
+    try:
+        yield team
+    except BaseException:
+        if team.rank:
+            os._exit(1)
+        team.close(failed=True)
+        raise
+    else:
+        if team.rank:
+            os._exit(0)
+        team.close(failed=False)
+    finally:
+        _team = None
+
+
+def _ordered_map(fn, items) -> list:
+    """[fn(x) for x in items] for a sized, indexable ``items``. Inside
+    ``_processes(n)`` with n > 1, each process computes one of n contiguous
+    blocks of the items and receives the others, so every process returns
+    the whole list in order; if an item fails, every process raises the
+    exception of the lowest failing index. A call made from inside ``fn``
+    runs serially in the process that makes it."""
+    team = _team
+    if team is None or team.n == 1 or team.busy:
+        return [fn(x) for x in items]
+    return team.map(fn, items)
+
+
 def trial_values(seed: int, name: str, trials: int, fn) -> list:
     """[fn(rng) for each trial t < trials], rng = trial_rng(seed,
-    stream_id(name), t), in trial-index order."""
+    stream_id(name), t), in trial-index order, through ``_ordered_map``."""
     stream = stream_id(name)
-    return [fn(trial_rng(seed, stream, t)) for t in range(trials)]
+    return _ordered_map(lambda t: fn(trial_rng(seed, stream, t)), range(trials))
 
 
 def hull_of(points: np.ndarray):
@@ -190,7 +349,7 @@ def run_gram_experiment(
         dets = np.linalg.det(x @ np.swapaxes(x, 1, 2))
         return np.sqrt(np.maximum(dets, 0.0))
 
-    out = np.concatenate([block(lo) for lo in range(0, trials, _GRAM_CHUNK)])
+    out = np.concatenate(_ordered_map(block, range(0, trials, _GRAM_CHUNK)))
     return EstimateResult.from_samples(out, target=target)
 
 

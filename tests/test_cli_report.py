@@ -2,13 +2,14 @@
 
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 from levyhull.cli import main
-from levyhull import prob_origin_outside_walk_hull
+from levyhull import cli_report, prob_origin_outside_walk_hull
 from levyhull.cli_report import (
     CSV_COLUMNS,
     _config_digest,
@@ -43,6 +44,15 @@ def _cfg(*entries):
 def _read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+TWO_CPUS = pytest.mark.skipif(CPUS < 2, reason="needs 2 usable CPUs")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPlanning:
@@ -192,6 +202,9 @@ PLAN_TIME_REJECTIONS = {
     "lp_stable_alpha_2": (dict(LP_STABLE, alpha=2.0), "alpha"),
     "renewal_t_zero": (dict(RENEWAL, t_values=[2.0, 0.0]), "t_values"),
     "renewal_dt_zero": (dict(RENEWAL, dt=0.0), "dt"),
+    # walks of more than 10^6 steps: the E T_1 batch's 40 / dt, the largest t / dt
+    "renewal_dt_tiny": (dict(RENEWAL, dt=1e-300, trials=2, et1_trials=2), "dt"),
+    "renewal_t_over_dt": (dict(RENEWAL, t_values=[2.0, 1e5], dt=0.02), "dt"),
     "renewal_unknown_flavor": (dict(RENEWAL, flavor="levy"), "flavor"),
     "exit_tail_no_tail_alpha": ({"kind": "exit_tail"}, "tail_alpha"),
     "exit_tail_d3": (dict(EXIT, d=3), "d"),
@@ -402,6 +415,37 @@ class TestRunAll:
             tmp_path / "t4" / "results.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("threads", [0, -1, 1.0, True])
+    def test_thread_count_must_be_a_positive_integer(self, tmp_path, threads):
+        with pytest.raises(ConfigError, match="^threads must be an integer >= 1"):
+            run_all(plan_experiments(_cfg(GRAM)), tmp_path / "out", threads=threads)
+        assert not (tmp_path / "out").exists()
+
+    def test_processes_recorded(self, tmp_path):
+        plans = plan_experiments(_cfg(GRAM))
+        assert run_all(plans, tmp_path / "t1").processes == 1
+        manifest = run_all(plans, tmp_path / "t2", threads=2)
+        assert manifest.processes == min(2, CPUS)
+        for name in ("summary.json", "manifest.json"):
+            assert json.loads((tmp_path / "t2" / name).read_text())["processes"] == min(2, CPUS)
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_only_the_parent_writes_results(self, tmp_path, monkeypatch):
+        log = tmp_path / "writers.txt"
+        write = cli_report.write_results_csv
+
+        def logged(rows, path):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            write(rows, path)
+
+        monkeypatch.setattr(cli_report, "write_results_csv", logged)
+        manifest = run_all(plan_experiments(_cfg(GRAM, INTRINSIC)), tmp_path / "out", threads=2)
+        assert manifest.processes == 2
+        assert log.read_text().split() == [str(os.getpid())] * 2  # once per plan
+        _assert_no_child_left()
+
     def test_impossible_tolerance_fails_run(self, tmp_path):
         plans = plan_experiments(_cfg(dict(GRAM, tolerance_sigma=1e-6)))
         manifest = run_all(plans, tmp_path)
@@ -544,7 +588,7 @@ class TestCli:
         assert main(["run", cfg, "--out", str(blocker / "out")]) == 3
         assert "i/o error:" in capsys.readouterr().err
 
-    def test_threads_flag_accepted_and_ignored(self, tmp_path, capsys):
+    def test_threads_flag_splits_trials_keeping_results_bytes(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, _cfg(GRAM, INTRINSIC))
         assert main(["run", cfg, "--threads", "2", "--out", str(tmp_path / "t2")]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "plain")]) == 0
@@ -552,8 +596,19 @@ class TestCli:
         assert (tmp_path / "t2" / "results.csv").read_bytes() == (
             tmp_path / "plain" / "results.csv"
         ).read_bytes()
+        summary = json.loads((tmp_path / "t2" / "summary.json").read_text())
+        assert summary["processes"] == min(2, CPUS)
+        _assert_no_child_left()
 
-    def test_failed_plan_keeps_finished_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_two(self, tmp_path, capsys, threads):
+        cfg = self._write_cfg(tmp_path, _cfg(GRAM))
+        assert main(["run", cfg, "--threads", threads, "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error: --threads must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=TWO_CPUS)])
+    def test_failed_plan_keeps_finished_rows(self, tmp_path, capsys, threads):
         # The cpp renewal passes planning, then fails in run_all: at jump rate
         # 0.001 almost no path leaves the unit ball within the horizon.
         renewal = {
@@ -566,12 +621,13 @@ class TestCli:
         }
         cfg = self._write_cfg(tmp_path, _cfg(GRAM, renewal))
         out_dir = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out_dir)]) == 2
+        assert main(["run", cfg, "--threads", threads, "--out", str(out_dir)]) == 2
         assert "almost no paths exited" in capsys.readouterr().err
         rows = _read_csv(out_dir / "results.csv")
         assert rows[0] == list(CSV_COLUMNS) and [r[0] for r in rows[1:]] == ["gram_determinant"]
         assert not (out_dir / "summary.json").exists()
         assert not (out_dir / "manifest.json").exists()
+        _assert_no_child_left()
 
     @pytest.mark.parametrize(
         "text,kind,field",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levyhull.errors import ConfigError, ParameterError
+from levyhull.errors import ConfigError, ParameterError, ResourceError
 from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
@@ -629,6 +629,15 @@ class TestMeanExitTime:
         with pytest.raises(ParameterError):
             estimate_mean_exit_time(BROWNIAN2, trials=1)
 
+    def test_walk_longer_than_the_step_cap_refused(self):
+        # round(40 / 1e-300) steps used to reach numpy as an array shape
+        with pytest.raises(ResourceError, match="^dt = 1e-300 needs 4e\\+301 steps"):
+            estimate_mean_exit_time(BROWNIAN2, trials=2, dt=1e-300)
+        with pytest.raises(ResourceError, match="cap of 1000000"):
+            estimate_mean_exit_time(BROWNIAN2, trials=2, horizon=10.0, dt=1e-5 * 0.999)
+        # a cpp path is sampled at its jumps: dt takes no memory there
+        assert estimate_mean_exit_time(HEAVY, trials=20, dt=1e-300).trials > 0
+
 
 class TestRenewalRatio:
     def test_pure_drift_rate_is_exactly_two(self):
@@ -666,6 +675,13 @@ class TestRenewalRatio:
             renewal_ratio_experiment(BROWNIAN2, [1.0, -2.0], trials=100, seed=0)
         with pytest.raises(ParameterError):
             renewal_ratio_experiment(BROWNIAN2, [1.0], trials=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "t_values,dt", [([2.0], 1e-300), ([2.0, 1e5], 0.02)], ids=["et1_batch", "largest_t"]
+    )
+    def test_walk_longer_than_the_step_cap_refused(self, t_values, dt):
+        with pytest.raises(ResourceError, match="cap of 1000000"):
+            renewal_ratio_experiment(BROWNIAN2, t_values, trials=2, dt=dt, et1_trials=2)
 
 
 class TestScaledHullConvergence:

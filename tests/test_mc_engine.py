@@ -3,6 +3,11 @@ scale, exact reproducibility on rerun, and the estimator
 plumbing (Hill, KS)."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from levyhull import (
     ConfigError,
     EstimateResult,
+    LevyHullError,
     ParameterError,
     StableSpec,
     ball_intrinsic_volume,
@@ -26,9 +32,12 @@ from levyhull import (
     trial_rng,
     walk_ev_intrinsic,
 )
+from levyhull import mc_engine
 from levyhull.mc_engine import (
     ExperimentConfig,
     _facets_at,
+    _ordered_map,
+    _processes,
     hill_tail_index,
     hull_of,
     ks_two_sample,
@@ -51,6 +60,26 @@ def _cfg(spec=BROWNIAN2, **kw):
     kw.setdefault("n_steps", 1000)
     kw.setdefault("trials", 200)
     return ExperimentConfig(spec, **kw)
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _cpus(n):
+    return pytest.mark.skipif(CPUS < n, reason=f"needs {n} usable CPUs, the host has {CPUS}")
+
+
+def _in_processes(n, fn, *args):
+    """fn(*args) inside a run of n processes, and the run's process count.
+    The workers end inside the run, so only this process returns."""
+    with _processes(n) as team:
+        got = fn(*args)
+    return got, team.processes
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExperimentConfig:
@@ -148,11 +177,13 @@ class TestIntrinsicVolumeExperiment:
             errs.append(r.stderr)
         assert means[1] > means[0] - 3.0 * math.hypot(*errs)
 
+    @_cpus(2)
     def test_deterministic_across_threads(self):
-        # trials run serially in index order; a rerun gives the same bits
+        # serial, and split across two processes: the same bits
         cfg = _cfg(trials=120, master_seed=8)
         a = run_intrinsic_volume_experiment(cfg)
-        b = run_intrinsic_volume_experiment(cfg)
+        b, processes = _in_processes(2, run_intrinsic_volume_experiment, cfg)
+        assert processes == 2
         for ra, rb in zip(a, b):
             assert ra.mean == rb.mean and ra.stderr == rb.stderr
 
@@ -181,10 +212,12 @@ class TestGramExperiment:
             r = run_gram_experiment(d, j, trials=40_000, seed=7)
             assert abs(r.z_score) < 5.0
 
+    @_cpus(2)
     def test_deterministic_across_threads(self):
-        # trials run serially in index order; a rerun gives the same bits
+        # serial, and its four 8192-trial blocks split across two processes
         a = run_gram_experiment(3, 2, trials=30_000, seed=1)
-        b = run_gram_experiment(3, 2, trials=30_000, seed=1)
+        b, processes = _in_processes(2, run_gram_experiment, 3, 2, 30_000, 1)
+        assert processes == 2
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_validation(self):
@@ -559,3 +592,134 @@ class TestTrialLoop:
         pts = np.random.default_rng(0).standard_normal((50, 3))
         assert hull_of(pts[:, :2]).vertices.tolist() == hull2d(pts[:, :2]).vertices.tolist()
         assert hull_of(pts).vertices.tolist() == hull3d(pts).vertices.tolist()
+
+
+def _value(i):
+    return i, float(np.sqrt(i)), [i] * (i % 3)
+
+
+class TestOrderedMap:
+    """``_ordered_map`` inside ``_processes(n)``: n contiguous blocks, one
+    per process, swapped so every process holds the serial list."""
+
+    @pytest.mark.parametrize("n", [pytest.param(n, marks=_cpus(n)) for n in (2, 3)])
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 50])
+    def test_returns_the_serial_list(self, n, size):
+        got, processes = _in_processes(n, _ordered_map, _value, range(size))
+        assert got == [_value(i) for i in range(size)]
+        assert processes == n
+        _assert_no_child_left()
+
+    @_cpus(2)
+    def test_each_process_computes_one_contiguous_block(self):
+        got, _ = _in_processes(2, _ordered_map, lambda i: os.getpid(), range(9))
+        assert got[:4] == [os.getpid()] * 4
+        assert len(set(got[4:])) == 1 and got[4] != os.getpid()
+
+    @_cpus(2)
+    def test_trial_values_under_two_processes(self):
+        fn = lambda rng: rng.standard_normal(3).tolist()  # noqa: E731
+        got, _ = _in_processes(2, trial_values, 7, "faces_count", 11, fn)
+        assert got == trial_values(7, "faces_count", 11, fn)
+
+    @_cpus(2)
+    @pytest.mark.parametrize("bad,first", [((6, 8), 6), ((3, 7), 3)], ids=["worker", "both"])
+    def test_every_process_raises_the_lowest_failing_index(self, tmp_path, bad, first):
+        # ten items: the parent computes 0..4, the worker 5..9
+        def fn(i):
+            if i in bad:
+                raise ValueError(f"trial {i}")
+            return i
+
+        with _processes(2):
+            try:
+                _ordered_map(fn, range(10))
+            except ValueError as exc:
+                (tmp_path / f"{os.getpid()}.txt").write_text(str(exc))
+        raised = sorted(p.read_text() for p in tmp_path.iterdir())
+        assert raised == [f"trial {first}"] * 2
+        with pytest.raises(ValueError, match=f"^trial {first}$"):
+            _in_processes(2, _ordered_map, fn, range(10))
+        _assert_no_child_left()
+
+    @_cpus(2)
+    def test_nested_call_runs_serially(self):
+        def outer(i):
+            return _ordered_map(lambda j: (i, j, os.getpid()), range(3))
+
+        got, _ = _in_processes(2, _ordered_map, outer, range(4))
+        assert [[(i, j) for i, j, _ in row] for row in got] == [
+            [(i, j) for j in range(3)] for i in range(4)
+        ]
+        assert all(len({pid for _, _, pid in row}) == 1 for row in got)
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _in_processes(8, _ordered_map, _value, range(5)) == (
+            [_value(i) for i in range(5)], 1
+        )
+        monkeypatch.delattr(os, "sched_getaffinity")  # not on every system: serial
+        assert _in_processes(8, _ordered_map, _value, range(5))[1] == 1
+
+    def test_a_run_without_loops_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert _in_processes(2, sum, [1, 2]) == (3, 1)
+        assert mc_engine._team is None
+
+    @_cpus(2)
+    def test_a_dead_worker_makes_the_parent_raise(self):
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent:
+                os._exit(3)
+            return i
+
+        with pytest.raises(LevyHullError, match="a worker process of this run is gone"):
+            _in_processes(2, _ordered_map, fn, range(4))
+        _assert_no_child_left()
+
+    @_cpus(2)
+    def test_the_worker_of_a_dead_parent_leaves_at_its_next_swap(self, tmp_path):
+        # the parent ends without reaping its worker; the worker's next swap
+        # finds the pipes closed and raises, and so it exits
+        marker = tmp_path / "worker"
+        script = f"""
+import os, time
+from levyhull.errors import LevyHullError
+from levyhull.mc_engine import _ordered_map, _processes
+parent = os.getpid()
+with _processes(2) as team:
+    _ordered_map(abs, range(2))
+    if not team.rank:
+        os._exit(0)
+    while os.getppid() == parent:
+        time.sleep(0.01)
+    try:
+        _ordered_map(abs, range(2))
+    except LevyHullError as exc:
+        with open({str(marker)!r} + ".part", "w") as fh:
+            fh.write(str(exc))
+        os.replace({str(marker)!r} + ".part", {str(marker)!r})
+        raise
+"""
+        src = Path(mc_engine.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=60,
+            check=True,
+        )
+        deadline = time.monotonic() + 30
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert "the parent process of this run is gone" in marker.read_text()
