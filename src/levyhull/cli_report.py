@@ -36,6 +36,7 @@ from .closed_form import (
 )
 from .errors import ConfigError, ResourceError, _count, _real
 from .limits import (
+    _DRIFT_TAIL_HORIZON,
     _ET1_HORIZON,
     _walk_steps,
     exit_value_tail_experiment,
@@ -176,9 +177,10 @@ def _check_hill_k(p, bad):
         bad("hill_k", "must be < trials")
 
 
-def _check_cpp(p, bad):
+def _check_cpp(p, bad, horizon=math.inf):
     """The compound-Poisson rules that tie fields together, as StableSpec
-    will need them."""
+    will need them; a path without jumps must leave the unit ball, which
+    it does at t = 1/||drift||, by the experiment's ``horizon``."""
     if p["jump_law"] == "pareto":
         if p["tail_alpha"] is None:
             bad("tail_alpha", "is required for pareto jumps")
@@ -191,6 +193,9 @@ def _check_cpp(p, bad):
         bad("drift", f"must have d = {p['d']} entries")
     if not p["jump_rate"] and not any(p.get("drift") or ()):
         bad("jump_rate", "must be > 0 unless drift is nonzero: the path never moves")
+    if not p["jump_rate"] and math.hypot(*p["drift"]) * horizon < 1.0:
+        bad("drift", f"must have norm >= 1/{horizon:g} without jumps: the path leaves "
+            f"the unit ball only at t = 1/norm, past the horizon {horizon:g}")
 
 
 def _check_intrinsic(p, bad):
@@ -239,7 +244,7 @@ def _check_renewal(p, bad):
         if p[key] != schema[key][0]:
             bad(key, f"is not used by flavor {p['flavor']!r}; leave it out")
     if p["flavor"] == "cpp":
-        _check_cpp(p, bad)
+        _check_cpp(p, bad, _ET1_HORIZON)
     try:  # the longest walk: the largest t or the E T_1 batch's horizon
         _walk_steps(p["flavor"], max(*p["t_values"], _ET1_HORIZON), p["dt"])
     except ResourceError as exc:
@@ -247,7 +252,7 @@ def _check_renewal(p, bad):
 
 
 def _check_exit_tail(p, bad):
-    _check_cpp(p, bad)
+    _check_cpp(p, bad, _DRIFT_TAIL_HORIZON)
     _check_hill_k(p, bad)
 
 

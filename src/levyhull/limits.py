@@ -336,6 +336,7 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
 
 _MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
 _ET1_HORIZON = 40.0  # the horizon of the E T_1 batch of renewal_ratio_experiment
+_DRIFT_TAIL_HORIZON = 10.0  # the horizon of exit_value_tail_experiment without jumps
 
 
 def _walk_steps(flavor: str, horizon: float, dt: float) -> int:
@@ -527,7 +528,8 @@ def exit_value_tail_experiment(
     if spec.flavor != "cpp":
         raise ConfigError("exit-tail experiment expects a compound-jump spec")
     trials = _count("trials", trials, 10)
-    horizon = 60.0 / max(spec.jump_rate, 1e-12) if spec.jump_rate > 0 else 10.0
+    rate = spec.jump_rate
+    horizon = 60.0 / max(rate, 1e-12) if rate > 0 else _DRIFT_TAIL_HORIZON
     got = _first_exit_values(
         spec, horizon, 1, trials, seed, "exit_value_tail",
         lambda t, x: np.linalg.norm(x),

@@ -16,16 +16,16 @@ run is in progress under ``_processes(n)`` (``cli_report.run_all`` with
 ``threads`` = n > 1). Then, at the first loop of the run, n - 1 worker
 processes are forked once, and from there on every process runs the same
 code: each computes its own contiguous block of every loop, and the
-blocks are swapped over pipes, so that every process holds the whole
-list in index order. The values, and hence the bits, are those of the
-serial loop. Linux only: elsewhere runs stay serial.
+blocks pass through one ``multiprocessing`` connection per worker, so that
+every process holds the whole list in index order. The values, and hence
+the bits, are those of the serial loop. Linux only: elsewhere runs stay
+serial.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -109,9 +109,7 @@ class _Team:
         self.n = n
         self.rank = 0
         self.pids = []  # the parent's workers, in rank order
-        # (reader, writer) pipe files: the parent's, one pair per worker in
-        # rank order; a worker's, one pair to the parent
-        self.links = None
+        self.links = None  # connections: to each worker in rank order, or to the parent
         self.busy = False  # inside a map's own block: nested maps run serially
 
     @property
@@ -120,25 +118,21 @@ class _Team:
         return self.n if self.links is not None else 1
 
     def _fork(self):
-        pipes = [(os.pipe(), os.pipe()) for _ in range(self.n - 1)]  # (up, down)
-        try:
-            for rank, ((_, up_w), (down_r, _)) in enumerate(pipes, start=1):
-                pid = os.fork()
-                if pid == 0:
-                    for fd in {fd for pair in pipes for ends in pair for fd in ends}:
-                        if fd not in (up_w, down_r):
-                            os.close(fd)
-                    self.rank, self.pids = rank, []
-                    self.links = [(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))]
-                    return
-                self.pids.append(pid)
-        finally:
-            if not self.rank:  # the parent keeps the other ends, also if a fork failed
-                self.links = []
-                for (up_r, up_w), (down_r, down_w) in pipes:
-                    os.close(up_w)
-                    os.close(down_r)
-                    self.links.append((os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb")))
+        # imported here: serial runs never pay for the multiprocessing package
+        from multiprocessing.connection import Pipe
+
+        self.links = []
+        for rank in range(1, self.n):
+            mine, theirs = Pipe()
+            self.links.append(mine)
+            pid = os.fork()
+            if pid == 0:  # keep no other end open, so a dead peer reads as EOF
+                for link in self.links:
+                    link.close()
+                self.rank, self.pids, self.links = rank, [], [theirs]
+                return
+            theirs.close()
+            self.pids.append(pid)
 
     def map(self, fn, items) -> list:
         if self.links is None:
@@ -154,48 +148,33 @@ class _Team:
             failure = exc
         finally:
             self.busy = False
-        blocks = self._swap((values, failure))
+        # the workers send their (values, exception or None) block to the
+        # parent, which sends every process's block back in rank order
+        try:
+            if self.rank:
+                self.links[0].send((values, failure))
+                blocks = self.links[0].recv()
+                blocks[self.rank] = (values, failure)
+            else:
+                blocks = [(values, failure)] + [link.recv() for link in self.links]
+                for link in self.links:
+                    link.send(blocks)
+        except (EOFError, OSError) as exc:
+            peer = "the parent process" if self.rank else "a worker process"
+            raise LevyHullError(f"{peer} of this run is gone ({exc!r})") from exc
         for _, exc in blocks:  # the first failing block holds the lowest index
             if exc is not None:
                 raise exc
         return [v for block, _ in blocks for v in block]
 
-    def _swap(self, mine) -> list:
-        """Every process's (values, exception or None) block, in rank order:
-        the workers send theirs to the parent, which sends all of them back."""
-        try:
-            if self.rank:
-                reader, writer = self.links[0]
-                pickle.dump(mine, writer, pickle.HIGHEST_PROTOCOL)
-                writer.flush()
-                blocks = pickle.load(reader)
-                blocks[self.rank] = mine
-                return blocks
-            blocks = [mine] + [pickle.load(reader) for reader, _ in self.links]
-            payload = pickle.dumps(blocks, pickle.HIGHEST_PROTOCOL)
-            for _, writer in self.links:
-                writer.write(payload)
-                writer.flush()
-            return blocks
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            peer = "the parent process" if self.rank else "a worker process"
-            raise LevyHullError(f"{peer} of this run is gone ({exc!r})") from exc
-
     def close(self, failed: bool):
-        """The parent's end of the run: close the pipes and reap every
-        worker, killing it first if the run failed."""
-        for reader, writer in self.links or ():
-            reader.close()
-            try:
-                writer.close()
-            except OSError:  # a write to a dead worker left bytes to flush
-                pass
-        if failed and self.pids:
-            import signal
-
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
+        """The parent's end of the run: close the connections and reap
+        every worker, killing it first if the run failed."""
+        for link in self.links or ():
+            link.close()
         for pid in self.pids:
+            if failed:
+                os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
         self.pids = []
 

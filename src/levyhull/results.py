@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ClosedFormTarget
-from .errors import ParameterError
+from .errors import ParameterError, _count
 
 __all__ = ["EstimateResult"]
 
@@ -28,8 +28,7 @@ class EstimateResult:
     z_score: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+        object.__setattr__(self, "trials", _count("trials", self.trials))
         if not (self.stderr >= 0.0):
             raise ParameterError(f"stderr must be >= 0, got {self.stderr!r}")
 

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,18 @@ def _read_csv(path):
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 TWO_CPUS = pytest.mark.skipif(CPUS < 2, reason="needs 2 usable CPUs")
+
+
+# passes planning, then fails in run_all: at jump rate 0.001 almost no
+# path leaves the unit ball within the horizon
+SLOW_EXIT_RENEWAL = {
+    "kind": "renewal_ratio",
+    "flavor": "cpp",
+    "jump_law": "gaussian",
+    "jump_rate": 0.001,
+    "t_values": [2.0],
+    "et1_trials": 50,
+}
 
 
 def _assert_no_child_left():
@@ -272,6 +287,17 @@ MID_RUN_FAILURES = {
         dict(CPP_RENEWAL, jump_rate=None, drift=[0.0, 0.0]),
         "jump_rate",
     ),
+    # drift-only paths leave the unit ball at t = 1/||drift||, after the horizon
+    "exit_tail_slow_drift_only": (
+        {"kind": "exit_tail", "jump_rate": 0, "drift": [0.05, 0.0], "jump_law": "gaussian",
+         "trials": 50},
+        "drift",
+    ),
+    "cpp_renewal_slow_drift_only": (
+        {"kind": "renewal_ratio", "flavor": "cpp", "jump_rate": 0, "drift": [0.02, 0.0],
+         "jump_law": "gaussian", "t_values": [100.0], "trials": 20, "et1_trials": 20},
+        "drift",
+    ),
 }
 
 # (entry, key its renewal flavor ignores): a value other than the schema
@@ -348,6 +374,20 @@ class TestPlanTimeChecks:
     def test_drift_only_exit_tail_accepted(self):
         (plan,) = plan_experiments(_cfg(dict(EXIT, jump_rate=0.0, drift=[0.5, 0.0])))
         assert plan.params["jump_rate"] == 0.0
+
+    def test_drift_reaching_the_sphere_at_the_horizon_runs(self, tmp_path):
+        # ||drift|| * horizon = 1 (horizons 10 and 40): the path reaches the
+        # unit sphere exactly at the horizon, and the drift scanner counts
+        # that as the exit of every path
+        tail = {"kind": "exit_tail", "jump_rate": 0.0, "drift": [0.1, 0.0],
+                "jump_law": "gaussian", "trials": 10}
+        renewal = {"kind": "renewal_ratio", "flavor": "cpp", "drift": [0.025, 0.0],
+                   "jump_law": "gaussian", "t_values": [2.0], "trials": 2, "et1_trials": 2}
+        manifest = run_all(plan_experiments(_cfg(tail, renewal)), tmp_path)
+        tail_row, renewal_row = manifest.results
+        assert tail_row["mean"] == math.inf  # every exit norm is the same
+        assert json.loads(renewal_row["param_json"])["et1_mean"] == pytest.approx(40.0)
+        assert renewal_row["mean"] == 0.0  # no exit before t = 2
 
     @pytest.mark.parametrize("name", CONFIG_DIGESTS)
     def test_config_digest_unchanged(self, name):
@@ -428,6 +468,20 @@ class TestRunAll:
         assert manifest.processes == min(2, CPUS)
         for name in ("summary.json", "manifest.json"):
             assert json.loads((tmp_path / "t2" / name).read_text())["processes"] == min(2, CPUS)
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failed_plan"])
+    def test_a_run_leaves_no_descriptor_open(self, tmp_path, failing):
+        plans = plan_experiments(_cfg(GRAM, SLOW_EXIT_RENEWAL if failing else INTRINSIC))
+        before = len(os.listdir("/proc/self/fd"))
+        if failing:
+            with pytest.raises(ConfigError, match="almost no paths exited"):
+                run_all(plans, tmp_path, threads=2)
+        else:
+            assert run_all(plans, tmp_path, threads=2).processes == 2
+        assert len(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
     @TWO_CPUS
@@ -599,6 +653,29 @@ class TestCli:
         summary = json.loads((tmp_path / "t2" / "summary.json").read_text())
         assert summary["processes"] == min(2, CPUS)
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=TWO_CPUS)])
+    def test_only_a_parallel_run_imports_multiprocessing(self, tmp_path, threads):
+        # the team imports multiprocessing.connection when it forks, so a
+        # serial run pays nothing for it
+        cfg = self._write_cfg(tmp_path, _cfg(GRAM))
+        script = (
+            "import sys\n"
+            "from levyhull.cli import main\n"
+            f"assert main(['run', {cfg!r}, '--threads', {threads!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('multiprocessing.connection' in sys.modules)\n"
+        )
+        src = Path(cli_report.__file__).resolve().parents[1]
+        got = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert got.stdout.splitlines()[-1] == str(threads != "1")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exits_two(self, tmp_path, capsys, threads):

@@ -12,6 +12,7 @@ import pytest
 from levyhull import (
     Ball,
     ConfigError,
+    EstimateResult,
     ExperimentConfig,
     ParameterError,
     StableSpec,
@@ -82,6 +83,7 @@ ENTRIES = [
     ("walk_ev_intrinsic.n", "n", 1, lambda v: walk_ev_intrinsic(v, 1, 1.5, 1.0)),
     ("walk_ev_intrinsic.j", "j", 1, lambda v: walk_ev_intrinsic(100, v, 1.5, 1.0)),
     ("StableSpec.d", "d", 1, lambda v: StableSpec(d=v)),
+    ("EstimateResult.trials", "trials", 1, lambda v: EstimateResult(1.0, 0.0, trials=v)),
     ("sample_walk_path.n_steps", "n_steps", 1,
      lambda v: sample_walk_path(BROWNIAN2, v, 1.0, _rng())),
     ("sample_isotropic_vec.size", "size", 1, lambda v: sample_isotropic_vec(BROWNIAN2, _rng(), v)),

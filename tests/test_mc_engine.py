@@ -723,3 +723,55 @@ with _processes(2) as team:
         while not marker.exists() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert "the parent process of this run is gone" in marker.read_text()
+
+    @_cpus(2)
+    def test_a_worker_holds_no_end_of_an_earlier_workers_connection(self, tmp_path):
+        # three processes, also on a 2-CPU host. Once the parent is gone,
+        # worker 2 stays alive, holding every descriptor it has, until
+        # worker 1 has left; if worker 2 held the parent's end of worker 1's
+        # connection, worker 1 would not see the parent go until worker 2
+        # gave up waiting
+        script = f"""
+import os, time
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+from levyhull.errors import LevyHullError
+from levyhull.mc_engine import _ordered_map, _processes
+one = {str(tmp_path / "1")!r}
+parent = os.getpid()
+with _processes(3) as team:
+    _ordered_map(abs, range(3))
+    if not team.rank:
+        os._exit(0)
+    while os.getppid() == parent:
+        time.sleep(0.01)
+    if team.rank == 2:
+        deadline = time.monotonic() + 20
+        while not os.path.exists(one) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with open(one + ".seen.part", "w") as fh:
+            fh.write(str(os.path.exists(one)))
+        os.replace(one + ".seen.part", one + ".seen")
+        os._exit(0)
+    try:
+        _ordered_map(abs, range(3))
+    except LevyHullError as exc:
+        with open(one + ".part", "w") as fh:
+            fh.write(str(exc))
+        os.replace(one + ".part", one)
+        raise
+"""
+        src = Path(mc_engine.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=60,
+            check=True,
+        )
+        seen = tmp_path / "1.seen"
+        deadline = time.monotonic() + 40
+        while not seen.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert seen.read_text() == "True"  # worker 1 left while worker 2 held on
+        assert "the parent process of this run is gone" in (tmp_path / "1").read_text()
