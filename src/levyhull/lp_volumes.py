@@ -288,19 +288,51 @@ def verify_lp_brownian(
     return EstimateResult.from_samples(vals, target=target)
 
 
+# Draws per seeded chunk of the supremum side. Chunk k holds the paths
+# from k on and draws from trial_rng(seed, stream, k), so this number
+# fixes the streams: changing it changes every sup-side value.
+_SUP_CHUNK_DRAWS = 2_000_000
+_SUP_BLOCK = 16_384  # draws per sampler call, so temporaries stay near 1 MB
+
+
+class _SplitStream:
+    """One chunk's draws, served as the single (b, grid_n) sampler call
+    would take them: uniforms from ``u``, exponentials from ``w``, a copy
+    of the same generator advanced past the chunk's b * grid_n uniforms
+    (Generator.random takes one 64-bit output per double)."""
+
+    def __init__(self, u: np.random.Generator, w: np.random.Generator):
+        self.random = u.random
+        self.standard_exponential = w.standard_exponential
+
+
 def _sup_pow_stable_1d(alpha, p, grid_n, paths, seed) -> np.ndarray:
     """(sup of a unit-scale 1-d symmetric alpha-stable path on [0,1])^p,
     one value per path, from grid_n-step embedded walks. One-sided grid
-    bias: the discrete supremum underestimates the path supremum."""
+    bias: the discrete supremum underestimates the path supremum. Each
+    chunk goes through the sampler in blocks of at most _SUP_BLOCK draws,
+    with the same bits as one sampler call per chunk."""
     stream = stream_id("lp_sup_side")
     step_scale = (1.0 / grid_n) ** (1.0 / alpha)
-    chunk = max(1, int(2_000_000 // grid_n))
+    chunk = max(1, int(_SUP_CHUNK_DRAWS // grid_n))
+    rows = max(1, _SUP_BLOCK // grid_n)
 
     def one_chunk(k):
-        rng = trial_rng(seed, stream, k)
         b = min(chunk, paths - k)
-        incs = sample_stable_1d(alpha, step_scale, rng, size=(b, grid_n))
-        return np.maximum(np.cumsum(incs, axis=1).max(axis=1), 0.0) ** p
+        u, w = trial_rng(seed, stream, k), trial_rng(seed, stream, k)
+        w.bit_generator.advance(b * grid_n)
+        rng = _SplitStream(u, w)
+        top = np.full(b, -np.inf)
+        for r0 in range(0, b, rows):
+            top_r = top[r0 : r0 + rows]
+            for t0 in range(0, grid_n, _SUP_BLOCK):
+                size = (top_r.size, min(_SUP_BLOCK, grid_n - t0))
+                incs = sample_stable_1d(alpha, step_scale, rng, size=size)
+                if t0:
+                    incs[:, 0] += run  # add.accumulate is sequential: same sums
+                run = np.cumsum(incs, axis=1, out=incs)[:, -1]
+                np.maximum(top_r, incs.max(axis=1), out=top_r)
+        return np.maximum(top, 0.0) ** p
 
     return np.concatenate(_ordered_map(one_chunk, range(0, paths, chunk)))
 

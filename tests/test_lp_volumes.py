@@ -3,6 +3,7 @@ experiments. Deterministic identities are pinned near machine precision;
 Monte Carlo checks use generous sigma bands at small scale."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from levyhull import (
     hull3d,
     intrinsic_volumes_2d,
     lp_sum_support,
+    sample_stable_1d,
     sample_walk_path,
     stream_id,
     trial_rng,
@@ -28,8 +30,14 @@ from levyhull import (
     verify_lp_brownian,
     verify_lp_stable_consistency,
     vp_ball_mixed,
+    walk_ev_intrinsic,
 )
-from levyhull.lp_volumes import _circle_grid, _hull_vp_one_trial, _sup_pow_stable_1d
+from levyhull.lp_volumes import (
+    _SUP_BLOCK,
+    _circle_grid,
+    _hull_vp_one_trial,
+    _sup_pow_stable_1d,
+)
 
 
 def _square(half=0.5):
@@ -305,6 +313,70 @@ class TestSupSideSpitzerOracle:
         z = (sups.mean() - exact) / (sups.std(ddof=1) / math.sqrt(sups.size))
         assert exact == pytest.approx(1.2741, abs=1e-4)
         assert abs(z) <= 4.0
+
+
+class TestSpitzerSumScale:
+    # The exact sup-side mean at p = 1, Spitzer's sum
+    # Gamma(1 - 1/alpha)/pi * sum_k (k/n)^(1/alpha) / k, is the gamma
+    # prefactor times the j = 1 lattice sum, so closed_form already holds it.
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("n", [1, 2000, 20_000])
+    def test_spitzer_sum_is_walk_ev_intrinsic_of_order_one(self, alpha, n):
+        spitzer = math.gamma(1.0 - 1.0 / alpha) / math.pi * math.fsum(
+            (k / n) ** (1.0 / alpha) / k for k in range(1, n + 1)
+        )
+        assert walk_ev_intrinsic(n, 1, alpha, 1.0) == pytest.approx(spitzer, rel=1e-12)
+
+
+def _sup_pow_one_call_per_chunk(alpha, p, grid_n, paths, seed):
+    # the sup side as one sampler call per chunk of 2*10^6 // grid_n paths
+    stream = stream_id("lp_sup_side")
+    chunk = max(1, 2_000_000 // grid_n)
+    out = []
+    for k in range(0, paths, chunk):
+        rng = trial_rng(seed, stream, k)
+        incs = sample_stable_1d(
+            alpha, (1.0 / grid_n) ** (1.0 / alpha), rng, size=(min(chunk, paths - k), grid_n)
+        )
+        out.append(np.maximum(np.cumsum(incs, axis=1).max(axis=1), 0.0) ** p)
+    return np.concatenate(out)
+
+
+SUP_SHAPES = {
+    # (grid_n, paths): rows per block are _SUP_BLOCK // grid_n whole paths
+    "one_step": (1, 5),
+    "below_block_partial_chunk": (300, 6_700),  # chunks 6,666 + 34; blocks of 54 rows
+    "at_block": (_SUP_BLOCK, 3),
+    "one_above_block_partial_chunk": (_SUP_BLOCK + 1, 123),  # chunks 122 + 1
+    "several_blocks": (3 * _SUP_BLOCK + 7, 3),
+}
+
+
+class TestSupSideStreamsInBlocks:
+    # _sup_pow_stable_1d feeds the sampler in blocks of at most _SUP_BLOCK
+    # draws, serving the exponentials from a generator advanced past the
+    # chunk's uniforms. Equal bytes here also pin the fact that makes that
+    # work: Generator.random takes exactly one 64-bit output per double.
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.95, 2.0])
+    @pytest.mark.parametrize("shape", SUP_SHAPES.values(), ids=SUP_SHAPES.keys())
+    def test_same_bytes_as_one_sampler_call_per_chunk(self, alpha, shape):
+        grid_n, paths = shape
+        for p in (1.0, 1.3):
+            got = _sup_pow_stable_1d(alpha, p, grid_n, paths, 9)
+            expected = _sup_pow_one_call_per_chunk(alpha, p, grid_n, paths, 9)
+            assert got.tobytes() == expected.tobytes()
+
+    # Bound and shapes fixed before the first run; one sampler call per
+    # chunk peaked near 80 MB at each shape.
+    @pytest.mark.parametrize("grid_n, paths", [(2000, 2000), (20_000, 200), (10**6, 2)])
+    def test_peak_allocation_does_not_grow_with_the_chunk(self, grid_n, paths):
+        tracemalloc.start()
+        try:
+            _sup_pow_stable_1d(1.5, 1.0, grid_n, paths, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 # -- stream pins -------------------------------------------------------
