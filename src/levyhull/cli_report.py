@@ -38,10 +38,11 @@ from .errors import ConfigError, ResourceError, _count, _real
 from .limits import (
     _DRIFT_TAIL_HORIZON,
     _ET1_HORIZON,
+    _scaled_hull_ks,
+    _scaled_hull_limit,
     _walk_steps,
     exit_value_tail_experiment,
     renewal_ratio_experiment,
-    scaled_hull_convergence,
 )
 from .lp_volumes import verify_lp_brownian, verify_lp_stable_consistency
 from .mc_engine import (
@@ -564,14 +565,10 @@ def _run_scaled_hull(plan, seed):
     spec = _cpp_spec(p)
     rows = []
     stats = []
+    # the fit and limit-walk batches do not depend on t: built once
+    limit = _scaled_hull_limit(spec, p["trials"], seed, p["n_steps_limit"])
     for t in p["t_values"]:
-        stat, p_value, report = scaled_hull_convergence(
-            spec,
-            t,
-            trials=p["trials"],
-            seed=seed,
-            n_steps_limit=p["n_steps_limit"],
-        )
+        stat, p_value, report = _scaled_hull_ks(spec, limit, t, p["trials"], seed)
         stats.append(stat)
         params = {
             "t": t,
@@ -796,6 +793,7 @@ def run_all(
     its rows and trends and write nothing: every process runs it. Only
     this process writes files, after it has reaped every worker. The
     values, and so results.csv, are the same at any ``threads``."""
+    master_seed = _count("master_seed", master_seed, 0, ConfigError)
     threads = _count("threads", threads, error=ConfigError)
     if not plans:
         raise ConfigError("no experiments to run")

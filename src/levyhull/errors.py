@@ -54,6 +54,8 @@ class ConfigError(LevyHullError, ValueError):
 def _count(name: str, value, lo: int = 1, error: type = ParameterError) -> int:
     """``value`` as an ``int`` if it is an integer, not a bool, and >= lo;
     otherwise raise ``error`` naming the argument."""
+    if type(value) is int and value >= lo:  # the common case, without the ABC check
+        return value
     if not isinstance(value, Integral) or isinstance(value, bool) or value < lo:
         raise error(f"{name} must be an integer >= {lo}, got {value!r}")
     return int(value)

@@ -305,9 +305,8 @@ def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
     if spec.flavor != "cpp":
         return scan(sample_walk_path(spec, n_steps, horizon, rng), mode="linear")
     path = sample_cpp_path(spec, horizon, rng)
-    drift = np.asarray(spec.drift, dtype=np.float64)
-    if float(np.abs(drift).max()) > 0.0:
-        return scan(path, drift=drift)
+    if any(spec.drift):  # a finite tuple: truthy iff some entry is nonzero
+        return scan(path, drift=spec.drift)
     return scan(path, mode="grid")
 
 
@@ -451,23 +450,10 @@ def _fit_attractor_scale(inc_coords: np.ndarray, alpha: float) -> float:
     return tail_const * tauberian
 
 
-def scaled_hull_convergence(
-    spec: StableSpec,
-    t_large: float,
-    trials: int = 400,
-    seed: int = 0,
-    n_steps_limit: int = 2000,
-):
-    """Compare V_1 of the rescaled long-horizon hull t^(-1/alpha) Z_t with
-    V_1 of a fitted stable-walk hull run to time 1/E(T_1). Returns
-    (ks_stat, p_value, report). The comparison is one-dimensional: it
-    probes the scaling limit, not the full set-valued law."""
-    if spec.flavor != "cpp":
-        raise ConfigError("convergence experiment expects a compound-jump spec")
-    if spec.d != 2:
-        raise ConfigError("convergence experiment implemented for d = 2")
-    t_large = _real("t_large", t_large, ge=10)
-    trials = _count("trials", trials, 10)
+def _scaled_hull_limit(spec: StableSpec, trials: int, seed: int, n_steps_limit: int):
+    """The t-independent side of ``scaled_hull_convergence``, checked by
+    its caller: (alpha, E T_1, fitted c, V_1 of each fitted stable-walk
+    hull run to time 1/E T_1). A runner comparing several t builds it once."""
     # square-integrable jumps attract to the Gaussian law
     alpha = spec.tail_alpha if spec.jump_law == "pareto" else 2.0
 
@@ -487,7 +473,18 @@ def scaled_hull_convergence(
     et1 = float(all_spans.mean())
     c_fit = _fit_attractor_scale(all_incs, alpha)
     limit_spec = StableSpec(alpha=alpha, c=c_fit, d=2)
+    vb = np.array(
+        walk_hull_values(
+            limit_spec, n_steps_limit, 1.0 / et1, trials, seed, "scaled_hull_limit",
+            lambda poly, path: intrinsic_volumes_2d(poly)[1],
+        )
+    )
+    return alpha, et1, c_fit, vb
 
+
+def _scaled_hull_ks(spec: StableSpec, limit, t_large: float, trials: int, seed: int):
+    """``scaled_hull_convergence`` at one t, on its ``_scaled_hull_limit``."""
+    alpha, et1, c_fit, vb = limit
     factor = t_large ** (-1.0 / alpha)
 
     def one_long(rng):
@@ -495,12 +492,6 @@ def scaled_hull_convergence(
         return intrinsic_volumes_2d(hull2d(factor * path.points))[1]
 
     va = np.array(trial_values(seed, "scaled_hull_long", trials, one_long))
-    vb = np.array(
-        walk_hull_values(
-            limit_spec, n_steps_limit, 1.0 / et1, trials, seed, "scaled_hull_limit",
-            lambda poly, path: intrinsic_volumes_2d(poly)[1],
-        )
-    )
     stat, p = ks_two_sample(va, vb)
     report = {
         "alpha": alpha,
@@ -514,6 +505,27 @@ def scaled_hull_convergence(
         "mean_limit": float(vb.mean()),
     }
     return stat, p, report
+
+
+def scaled_hull_convergence(
+    spec: StableSpec,
+    t_large: float,
+    trials: int = 400,
+    seed: int = 0,
+    n_steps_limit: int = 2000,
+):
+    """Compare V_1 of the rescaled long-horizon hull t^(-1/alpha) Z_t with
+    V_1 of a fitted stable-walk hull run to time 1/E(T_1). Returns
+    (ks_stat, p_value, report). The comparison is one-dimensional: it
+    probes the scaling limit, not the full set-valued law."""
+    if spec.flavor != "cpp":
+        raise ConfigError("convergence experiment expects a compound-jump spec")
+    if spec.d != 2:
+        raise ConfigError("convergence experiment implemented for d = 2")
+    t_large = _real("t_large", t_large, ge=10)
+    trials = _count("trials", trials, 10)
+    limit = _scaled_hull_limit(spec, trials, seed, n_steps_limit)
+    return _scaled_hull_ks(spec, limit, t_large, trials, seed)
 
 
 def exit_value_tail_experiment(

@@ -85,6 +85,8 @@ class ExperimentConfig:
         object.__setattr__(self, "j_orders", js)
         horizon = _real("horizon", self.horizon, gt=0, error=ConfigError)
         object.__setattr__(self, "horizon", horizon)
+        seed = _count("master_seed", self.master_seed, 0, ConfigError)
+        object.__setattr__(self, "master_seed", seed)
         if self.hill_k is not None:
             object.__setattr__(self, "hill_k", _count("hill_k", self.hill_k, 1, ConfigError))
 

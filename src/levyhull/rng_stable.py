@@ -100,9 +100,10 @@ class PathSample:
             raise ParameterError("times must be 1-d and points 2-d")
         if len(self.times) != len(self.points) or len(self.times) < 1:
             raise ParameterError("times and points must align and be nonempty")
-        if self.times[0] != 0.0 or np.any(self.points[0] != 0.0):
+        t = self.times
+        if t[0] != 0.0 or self.points[0].any():  # NaN counts as nonzero
             raise ParameterError("paths must start at the origin at time 0")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
+        if not (t[1:] > t[:-1]).all():
             raise ParameterError("times must be strictly increasing")
 
     @property
@@ -201,7 +202,8 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
     n_jumps = int(rng.poisson(spec.jump_rate * horizon)) if spec.jump_rate > 0 else 0
     drift = np.asarray(spec.drift, dtype=np.float64)
     jt = np.sort(rng.random(n_jumps) * horizon) if n_jumps else np.empty(0)
-    jt = jt[jt > 0.0]
+    if n_jumps and jt[0] <= 0.0:  # jt is sorted, so any zero time is first
+        jt = jt[jt > 0.0]
     n_jumps = len(jt)
     if n_jumps == 0:
         times = np.array([0.0, horizon])
@@ -209,9 +211,10 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
         return PathSample(times, pts)
     if spec.jump_law == "pareto":
         norms = rng.random(n_jumps) ** (-1.0 / spec.tail_alpha)
-        dirs = rng.standard_normal((n_jumps, spec.d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        jumps = norms[:, None] * dirs
+        jumps = rng.standard_normal((n_jumps, spec.d))
+        # the unit directions, scaled in place; the norm is np.linalg.norm's
+        jumps /= np.sqrt(np.add.reduce(jumps * jumps, axis=1, keepdims=True))
+        jumps *= norms[:, None]
     else:
         jumps = rng.standard_normal((n_jumps, spec.d))
     if (jt[1:] == jt[:-1]).any():  # jt is sorted, so equal times are neighbors
@@ -221,7 +224,7 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
         jumps = merged
     times = np.concatenate(([0.0], jt, [horizon])) if jt[-1] < horizon else np.concatenate(([0.0], jt))
     pts = np.zeros((len(times), spec.d))
-    pts[1 : len(jt) + 1] = np.cumsum(jumps, axis=0)
+    np.cumsum(jumps, axis=0, out=pts[1 : len(jt) + 1])
     if len(times) > len(jt) + 1:
         pts[-1] = pts[-2]
     pts += times[:, None] * drift
@@ -241,6 +244,18 @@ def trial_rng(master_seed: int, stream: int, trial: int) -> np.random.Generator:
 
     Seeding by the full (master_seed, stream, trial) tuple makes every
     trial reproducible in isolation, so parallel schedules and trial order
-    cannot change any result.
+    cannot change any result. The seed is the SeedSequence of the three
+    integers' little-endian 32-bit words, at least one word each: the
+    entropy numpy derives from the tuple itself, so the generator is the
+    one ``np.random.default_rng((master_seed, stream, trial))`` gives,
+    without numpy's Python-level coercion of the tuple.
     """
-    return np.random.default_rng((int(master_seed), int(stream), int(trial)))
+    words = []
+    for name, x in (("master_seed", master_seed), ("stream", stream), ("trial", trial)):
+        x = _count(name, x, 0)
+        words.append(x & 0xFFFFFFFF)
+        while x > 0xFFFFFFFF:
+            x >>= 32
+            words.append(x & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))

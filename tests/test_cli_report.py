@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from levyhull.cli import main
-from levyhull import cli_report, prob_origin_outside_walk_hull
+from levyhull import cli_report, limits, mc_engine, prob_origin_outside_walk_hull
 from levyhull.cli_report import (
     CSV_COLUMNS,
     _config_digest,
@@ -461,6 +462,43 @@ class TestRunAll:
             run_all(plan_experiments(_cfg(GRAM)), tmp_path / "out", threads=threads)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_master_seed_must_be_a_nonnegative_integer(self, tmp_path, seed):
+        # 1.5 once ran as seed 1 under a digest of its own
+        with pytest.raises(ConfigError, match="^master_seed must be an integer >= 0"):
+            run_all(plan_experiments(_cfg(GRAM)), tmp_path / "out", master_seed=seed)
+        assert not (tmp_path / "out").exists()
+
+    def test_scaled_hull_builds_its_limit_side_once_per_plan(self, monkeypatch):
+        calls = Counter()
+        real = mc_engine.trial_values
+
+        def counting(seed, name, trials, fn):
+            calls[name] += 1
+            return real(seed, name, trials, fn)
+
+        # the limit walks run through mc_engine.walk_hull_values
+        monkeypatch.setattr(limits, "trial_values", counting)
+        monkeypatch.setattr(mc_engine, "trial_values", counting)
+        entry = dict(SCALED, t_values=[20.0, 50.0], trials=20, n_steps_limit=100)
+        (plan,) = plan_experiments(_cfg(entry))
+        rows, trend = cli_report._run_scaled_hull(plan, 3)
+        assert calls == {"scaled_hull_fit": 1, "scaled_hull_limit": 1, "scaled_hull_long": 2}
+        spec = cli_report._cpp_spec(plan.params)
+        stats = []
+        for row, t in zip(rows, (20.0, 50.0)):
+            stat, p_value, report = limits.scaled_hull_convergence(
+                spec, t, trials=20, seed=3, n_steps_limit=100
+            )
+            stats.append(stat)
+            params = json.loads(row["param_json"])
+            assert (row["mean"], row["trials"], params["t"]) == (stat, 20, t)
+            assert params["p_value"] == p_value
+            assert (params["et1_mean"], params["fitted_c"]) == (
+                report["et1_mean"], report["fitted_c"]
+            )
+        assert trend[plan.label]["ks_stats"] == stats
+
     def test_processes_recorded(self, tmp_path):
         plans = plan_experiments(_cfg(GRAM))
         assert run_all(plans, tmp_path / "t1").processes == 1
@@ -730,6 +768,13 @@ class TestCli:
         assert "configuration error:" in err
         assert f"'{kind}'" in err and f"'{field}'" in err
         assert not (out_dir / "results.csv").exists()
+
+    def test_negative_seed_exits_two_before_any_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["smoke", "--seed", "-1", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: master_seed must be an integer >= 0, got -1\n"
+        assert not out_dir.exists()
 
     def test_cli_seed_matches_library(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, _cfg(GRAM))

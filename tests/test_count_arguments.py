@@ -36,6 +36,7 @@ from levyhull import (
     sample_isotropic_vec,
     sample_walk_path,
     scaled_hull_convergence,
+    trial_rng,
     unit_ball_volume,
     verify_lp_brownian,
     verify_lp_stable_consistency,
@@ -96,6 +97,10 @@ ENTRIES = [
     ("ExperimentConfig.n_steps", "n_steps", 1, lambda v: _config(n_steps=v)),
     ("ExperimentConfig.j_orders", "j_orders entry", 1, lambda v: _config(j_orders=(v,))),
     ("ExperimentConfig.hill_k", "hill_k", 1, lambda v: _config(hill_k=v)),
+    ("ExperimentConfig.master_seed", "master_seed", 0, lambda v: _config(master_seed=v)),
+    ("trial_rng.master_seed", "master_seed", 0, lambda v: trial_rng(v, 0, 0)),
+    ("trial_rng.stream", "stream", 0, lambda v: trial_rng(0, v, 0)),
+    ("trial_rng.trial", "trial", 0, lambda v: trial_rng(0, 0, v)),
     ("run_gram_experiment.d", "d", 1, lambda v: run_gram_experiment(v, 1, trials=100)),
     ("run_gram_experiment.j", "j", 1, lambda v: run_gram_experiment(2, v, trials=100)),
     ("run_gram_experiment.trials", "trials", 2, lambda v: run_gram_experiment(2, 1, trials=v)),

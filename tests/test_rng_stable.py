@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyhull import (
     ParameterError,
@@ -293,3 +295,155 @@ class TestReproducibility:
         p1 = sample_walk_path(spec, 50, 1.0, trial_rng(9, 1, 0))
         p2 = sample_walk_path(spec, 50, 1.0, trial_rng(9, 1, 0))
         assert np.array_equal(p1.points, p2.points)
+
+    def test_trial_rng_is_numpys_own_seeding_of_the_triple(self):
+        # the words trial_rng seeds from are the entropy numpy derives from
+        # the (master_seed, stream, trial) tuple, so the generators agree
+        seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, np.int64(7))
+        for a in seeds:
+            for b in (0, stream_id("x"), 2**64 - 1):
+                for c in (0, 1, 2**32):
+                    got = trial_rng(a, b, c).bit_generator.state
+                    assert got == np.random.default_rng((a, b, c)).bit_generator.state
+
+    @given(st.tuples(*[st.integers(min_value=0, max_value=2**128 - 1)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_trial_rng_matches_numpy_on_any_triple(self, triple):
+        got = trial_rng(*triple).bit_generator.state
+        assert got == np.random.default_rng(triple).bit_generator.state
+
+    def test_trial_rng_refuses_a_fractional_seed(self):
+        # int() once truncated it, so seed 1.5 ran as seed 1
+        with pytest.raises(ParameterError, match="^master_seed must be an integer >= 0"):
+            trial_rng(1.5, 0, 0)
+
+
+# -- frozen copies of the samplers' earlier code, which every change to them
+# must reproduce bit for bit
+
+
+def _frozen_cpp_path(spec, horizon, rng):
+    """(times, points) of sample_cpp_path as first written."""
+    n_jumps = int(rng.poisson(spec.jump_rate * horizon)) if spec.jump_rate > 0 else 0
+    drift = np.asarray(spec.drift, dtype=np.float64)
+    jt = np.sort(rng.random(n_jumps) * horizon) if n_jumps else np.empty(0)
+    jt = jt[jt > 0.0]
+    n_jumps = len(jt)
+    if n_jumps == 0:
+        return np.array([0.0, horizon]), np.vstack([np.zeros(spec.d), drift * horizon])
+    if spec.jump_law == "pareto":
+        norms = rng.random(n_jumps) ** (-1.0 / spec.tail_alpha)
+        dirs = rng.standard_normal((n_jumps, spec.d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        jumps = norms[:, None] * dirs
+    else:
+        jumps = rng.standard_normal((n_jumps, spec.d))
+    if (jt[1:] == jt[:-1]).any():
+        jt, inv = np.unique(jt, return_inverse=True)
+        merged = np.zeros((len(jt), spec.d))
+        np.add.at(merged, inv, jumps)
+        jumps = merged
+    if jt[-1] < horizon:
+        times = np.concatenate(([0.0], jt, [horizon]))
+    else:
+        times = np.concatenate(([0.0], jt))
+    pts = np.zeros((len(times), spec.d))
+    pts[1 : len(jt) + 1] = np.cumsum(jumps, axis=0)
+    if len(times) > len(jt) + 1:
+        pts[-1] = pts[-2]
+    pts += times[:, None] * drift
+    return times, pts
+
+
+def _frozen_path_ok(times, points):
+    """PathSample's origin and monotonicity checks as first written."""
+    times = np.asarray(times, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if times[0] != 0.0 or np.any(points[0] != 0.0):
+        return False
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return not (len(times) > 1 and not np.all(np.diff(times) > 0.0))
+
+
+class _StubRng:
+    """Four jumps at the given (unsorted) times, with fixed norms and
+    directions."""
+
+    def __init__(self, times):
+        self.uniform = [np.array(times), np.array([0.5, 0.25, 0.8, 1.0])]
+
+    def poisson(self, lam):
+        return 4
+
+    def random(self, n):
+        return self.uniform.pop(0)[:n]
+
+    def standard_normal(self, shape):
+        return np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [-1.0, 0.0]])[: shape[0]]
+
+
+def _same_bytes(path, frozen):
+    times, points = frozen
+    assert path.times.tobytes() == times.tobytes()
+    assert path.points.shape == points.shape
+    assert path.points.tobytes() == points.tobytes()
+
+
+class TestSamplersMatchFrozenCode:
+    @pytest.mark.parametrize("law", ["pareto", "gaussian"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("drifting", [False, True], ids=["no_drift", "drift"])
+    @pytest.mark.parametrize("rate", [0.0, 0.7, 6.0])
+    def test_cpp_path_bytes(self, law, d, drifting, rate):
+        drift = tuple(0.3 * (k + 1) * (-1) ** k for k in range(d)) if drifting else None
+        tail = 1.5 if law == "pareto" else None
+        spec = StableSpec(
+            flavor="cpp", d=d, tail_alpha=tail, jump_rate=rate, drift=drift, jump_law=law
+        )
+        stream = stream_id("frozen_cpp")
+        for t in range(40):
+            horizon = (0.5, 3.0, 20.0)[t % 3]
+            path = sample_cpp_path(spec, horizon, trial_rng(1, stream, t))
+            _same_bytes(path, _frozen_cpp_path(spec, horizon, trial_rng(1, stream, t)))
+
+    @pytest.mark.parametrize(
+        "times", [[0.5, 0.25, 0.5, 0.75], [0.0, 0.25, 0.0, 0.75], [1.0, 0.25, 0.5, 0.75]],
+        ids=["equal_times_merged", "zero_times_dropped", "jump_at_horizon"],
+    )
+    def test_cpp_path_bytes_on_stubbed_draws(self, times):
+        spec = StableSpec(flavor="cpp", d=2, tail_alpha=1.0, jump_rate=1.0, drift=(1.0, 0.0))
+        path = sample_cpp_path(spec, 2.0, _StubRng(times))
+        _same_bytes(path, _frozen_cpp_path(spec, 2.0, _StubRng(times)))
+
+    @pytest.mark.parametrize(
+        "times,origin",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 0.0]),
+            ([0.0], [0.0, 0.0]),
+            ([0.0, 1.0, 1.0], [0.0, 0.0]),
+            ([0.0, 2.0, 1.0], [0.0, 0.0]),
+            ([0.0, math.nan, 2.0], [0.0, 0.0]),
+            ([0.0, 1.0, math.nan], [0.0, 0.0]),
+            ([0.0, 1.0, math.inf], [0.0, 0.0]),
+            ([0.0, math.inf, math.inf], [0.0, 0.0]),
+            ([0.0, -math.inf, 1.0], [0.0, 0.0]),
+            ([0.0, 5e-324, 1e308], [0.0, 0.0]),
+            ([-0.0, 1.0], [0.0, 0.0]),
+            ([math.nan, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [-0.0, 0.0]),
+            ([0.0, 1.0], [0.0, -0.0]),
+            ([0.0, 1.0], [math.nan, 0.0]),
+            ([0.0, 1.0], [0.0, math.nan]),
+            ([0.0, 1.0], [0.0, 1e-300]),
+            ([0.0], [math.inf, 0.0]),
+        ],
+    )
+    def test_path_sample_accepts_and_refuses_as_before(self, times, origin):
+        points = np.zeros((len(times), 2))
+        points[0] = origin
+        try:
+            PathSample(np.array(times), points)
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert accepted == _frozen_path_ok(times, points)
