@@ -308,12 +308,16 @@ def plan_experiments(obj) -> list:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("'experiments' must be a non-empty array")
     plans = [_plan_one(e, i) for i, e in enumerate(entries)]
-    seen = {}
+    # a repeated label becomes label#k, skipping every label the config asks
+    # for and every label already given out, so no two plans share a label
+    requested, taken = {plan.label for plan in plans}, set()
     unique = []
     for plan in plans:
-        n = seen.get(plan.label, 0)
-        seen[plan.label] = n + 1
-        label = plan.label if n == 0 else f"{plan.label}#{n + 1}"
+        label, k = plan.label, 1
+        while label in taken or (k > 1 and label in requested):
+            k += 1
+            label = f"{plan.label}#{k}"
+        taken.add(label)
         unique.append(PlannedExperiment(plan.kind, label, plan.params))
     return unique
 
@@ -325,6 +329,8 @@ def load_config(path) -> list:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: invalid byte at offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -758,15 +764,16 @@ def write_results_csv(rows, path):
 
 
 def _dump_polytopes(plans, seed, out_dir):
-    """A few sample hulls per walk experiment with an n series, for
-    inspection."""
+    """Three sample hulls per walk experiment with an n series, at its
+    first n and its horizon, for inspection."""
     dumped = {}
     for plan in plans:
         if "n_values" not in _KINDS[plan.kind].schema:
             continue
         spec, n = _walk_spec(plan.params), _n_series(plan.params)[0]
+        horizon = plan.params.get("horizon", 1.0)
         dumped[plan.label] = walk_hull_values(
-            spec, n, 1.0, 3, seed, f"dump_{plan.label}", lambda poly, path: poly.vertices.tolist()
+            spec, n, horizon, 3, seed, f"dump_{plan.label}", lambda poly, path: poly.vertices.tolist()
         )
     if dumped:
         path = Path(out_dir) / "polytopes.json"

@@ -23,12 +23,10 @@ __all__ = [
     "unit_ball_volume",
     "ball_intrinsic_volume",
     "ev_intrinsic_stable",
-    "ev_intrinsic_brownian",
     "ev_intrinsic_isotropic",
     "dirichlet_constant",
     "lattice_sum_partial",
     "expected_faces_at_origin",
-    "expected_hull_vertices",
     "prob_origin_outside_walk_hull",
     "walk_ev_intrinsic",
     "ev_sup_brownian_pow",
@@ -104,27 +102,6 @@ def ev_intrinsic_stable(alpha: float, j: int, vj_zonoid: float) -> float:
     vj_zonoid = _real("vj_zonoid", vj_zonoid, ge=0)
     num = (gamma_fn(1.0 - 1.0 / alpha) * gamma_fn(1.0 / alpha)) ** j
     return num / (math.pi**j * gamma_fn(j / alpha + 1.0)) * vj_zonoid
-
-
-def ev_intrinsic_brownian(d: int, j: int) -> float:
-    """Expected V_j of the hull of standard Brownian motion run for unit time.
-
-    Specialises ``ev_intrinsic_stable`` at alpha = 2 with the ball zonoid of
-    radius 2^(-1/2); the gamma factors collapse to
-
-        binom(d, j) (pi/2)^(j/2) gamma((d-j)/2 + 1)
-        ------------------------------------------- .
-              gamma(j/2 + 1) gamma(d/2 + 1)
-    """
-    d, j = _count("d", d), _count("j", j)
-    if j > d:
-        raise ParameterError(f"j must lie in 1..{d}, got {j}")
-    return (
-        math.comb(d, j)
-        * (math.pi / 2.0) ** (j / 2.0)
-        * gamma_fn((d - j) / 2.0 + 1.0)
-        / (gamma_fn(j / 2.0 + 1.0) * gamma_fn(d / 2.0 + 1.0))
-    )
 
 
 def ev_intrinsic_isotropic(alpha: float, c: float, d: int, j: int) -> float:
@@ -229,24 +206,6 @@ def expected_faces_at_origin(n: int, d: int) -> float:
     t = np.arange(2, n + 1, dtype=np.float64)
     inner = 2.0 / t * harmonic[1:n]
     return 2.0 * float((r[n - 2 :: -1] * inner).sum())
-
-
-def expected_hull_vertices(n: int, d: int) -> float:
-    """Expected vertex count of conv(S_0, ..., S_n) for an n-step walk in
-    R^d, d in {2, 3}, with symmetric exchangeable increments in general
-    position, whatever the step law: 2 H_n for d = 2 (Baxter 1961) and
-    H_n^2 - H_n^(2) + 2 for d = 3 (Kabluchko, Vysotsky & Zaporozhets 2017),
-    H_n^(r) = sum_k k^-r. Both are n + 1 while n <= d."""
-    n, d = _count("n", n), _count("d", d)
-    if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d}")
-    if n > 10**7:
-        raise ResourceError(f"harmonic sums capped at n=10^7, got {n}")
-    inv = 1.0 / np.arange(1, n + 1, dtype=np.float64)
-    if d == 2:
-        return 2.0 * float(inv.sum())
-    # H_n^2 - H_n^(2) = 2 sum_{i < j} 1/(i j) = 2 sum_j H_{j-1} / j
-    return 2.0 * float(inv[1:] @ np.cumsum(inv)[:-1]) + 2.0
 
 
 def prob_origin_outside_walk_hull(n: int, d: int) -> Fraction:

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ResourceError, _count
-from .results import EstimateResult
+from .errors import DimensionError, ParameterError
 
 __all__ = [
     "Polytope",
@@ -40,11 +39,6 @@ __all__ = [
     "hull3d",
     "intrinsic_volumes_2d",
     "intrinsic_volumes_3d",
-    "gram_det",
-    "zonotope_intrinsic_volume",
-    "projection_intrinsic_estimate",
-    "boundary_distances",
-    "hausdorff",
 ]
 
 
@@ -519,188 +513,3 @@ def intrinsic_volumes_3d(p: Polytope) -> IntrinsicVolumes:
     length = np.linalg.norm(verts[hi] - verts[lo], axis=1)
     v1 = float(length @ ang) / (2.0 * math.pi)
     return IntrinsicVolumes((1.0, v1, surface / 2.0, vol))
-
-
-def gram_det(vectors) -> float:
-    """sqrt(det(M^T M)): the j-volume of the parallelepiped spanned by the
-    rows. Zero for linearly dependent input; round-off negatives clamp."""
-    m = np.asarray(vectors, dtype=np.float64)
-    if m.ndim != 2:
-        raise ParameterError("gram_det needs a (j, d) array of row vectors")
-    j, d = m.shape
-    if j < 1 or j > d:
-        raise ParameterError(f"need 1 <= j <= d, got j={j}, d={d}")
-    g = m @ m.T
-    return math.sqrt(max(float(np.linalg.det(g)), 0.0))
-
-
-_ZONOTOPE_MAX_GENERATORS = 25
-
-
-def zonotope_intrinsic_volume(generators, j: int) -> float:
-    """V_j of the Minkowski sum of segments [0, g_k]: the sum of gram_det
-    over all j-subsets of generators. Exact, order- and sign-invariant."""
-    g = np.asarray(generators, dtype=np.float64)
-    if g.ndim != 2 or len(g) == 0:
-        raise ParameterError("generators must be a nonempty (m, d) array")
-    m, d = g.shape
-    if _count("j", j) > d:
-        raise ParameterError(f"need 1 <= j <= d={d}, got {j!r}")
-    if m > _ZONOTOPE_MAX_GENERATORS:
-        raise ResourceError(
-            f"at most {_ZONOTOPE_MAX_GENERATORS} generators supported, got {m}"
-        )
-    if m < j:
-        return 0.0
-    # Canonicalize so permutations and sign flips of generators produce a
-    # bit-identical computation: flip each row's leading nonzero positive
-    # (negation is exact), then sort rows lexicographically.
-    lead = (g != 0.0).argmax(axis=1)
-    sign = np.sign(g[np.arange(m), lead])
-    sign[sign == 0.0] = 1.0
-    gc = g * sign[:, None]
-    gc = gc[np.lexsort(gc.T[::-1])]
-    combos = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
-    mats = gc[combos]  # (ncomb, j, d)
-    grams = np.einsum("kjd,kld->kjl", mats, mats)
-    dets = np.maximum(np.linalg.det(grams), 0.0)
-    return float(np.sort(np.sqrt(dets)).sum())
-
-
-def projection_intrinsic_estimate(
-    p: Polytope, j: int, samples: int, rng
-) -> EstimateResult:
-    """Monte Carlo V_j of a full-dimensional R^3 polytope from uniformly
-    random orthogonal projections: V_1 = 2 E(width along u) and
-    V_2 = 2 E(shadow area perpendicular to u). Unbiased; stderr reported.
-    Cross-checks intrinsic_volumes_3d through independent geometry.
-    """
-    if p.dim != 3 or p.intrinsic_dim != 3:
-        raise DimensionError("projection estimator needs a full-dimensional R^3 body")
-    if _count("j", j) > 2:
-        raise ParameterError(f"j must be 1 or 2, got {j!r}")
-    samples = _count("samples", samples, 2)
-    dirs = rng.standard_normal((samples, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    verts = p.vertices
-    if j == 1:
-        proj = dirs @ verts.T
-        vals = 2.0 * (proj.max(axis=1) - proj.min(axis=1))
-        return EstimateResult.from_samples(vals)
-    vals = np.empty(samples)
-    for k in range(samples):
-        u = dirs[k]
-        ref = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(u, ref)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u, e1)
-        flat = np.column_stack([verts @ e1, verts @ e2])
-        vals[k] = 2.0 * intrinsic_volumes_2d(hull2d(flat))[2]
-    return EstimateResult.from_samples(vals)
-
-
-def _point_triangles_dist(x, a, b, c) -> np.ndarray:
-    """Distance from x to each triangle in a batch (a, b, c): (F, 3) each."""
-    ab, ac, ap = b - a, c - a, x - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = x - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = x - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
-    closest = np.empty_like(a)
-    done = np.zeros(len(a), dtype=bool)
-
-    m = (d1 <= 0) & (d2 <= 0)
-    closest[m] = a[m]
-    done |= m
-    m = (~done) & (d3 >= 0) & (d4 <= d3)
-    closest[m] = b[m]
-    done |= m
-    m = (~done) & (d6 >= 0) & (d5 <= d6)
-    closest[m] = c[m]
-    done |= m
-    vc = d1 * d4 - d3 * d2
-    m = (~done) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_ab = np.where(d1 - d3 != 0.0, d1 / (d1 - d3), 0.0)
-    closest[m] = a[m] + t_ab[m, None] * ab[m]
-    done |= m
-    vb = d5 * d2 - d1 * d6
-    m = (~done) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_ac = np.where(d2 - d6 != 0.0, d2 / (d2 - d6), 0.0)
-    closest[m] = a[m] + t_ac[m, None] * ac[m]
-    done |= m
-    va = d3 * d6 - d5 * d4
-    m = (~done) & (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    denom_bc = (d4 - d3) + (d5 - d6)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_bc = np.where(denom_bc != 0.0, (d4 - d3) / denom_bc, 0.0)
-    closest[m] = b[m] + t_bc[m, None] * (c[m] - b[m])
-    done |= m
-    m = ~done
-    denom_in = np.maximum(va + vb + vc, 1e-300)
-    v = vb / denom_in
-    w = vc / denom_in
-    closest[m] = a[m] + v[m, None] * ab[m] + w[m, None] * ac[m]
-    return np.linalg.norm(x - closest, axis=1)
-
-
-def boundary_distances(poly: Polytope, x) -> np.ndarray:
-    """Distance from the point x to each boundary face of the hull: the
-    edges of a polygon, the facets of a 3-D mesh. A lower-dimensional hull
-    (point, segment, or planar polygon in R^3) has no interior, so it is
-    one face and its entry is the distance to the body itself."""
-    v = poly.vertices
-    x = np.asarray(x, dtype=np.float64)
-    if poly.intrinsic_dim <= 1:  # a point is a segment with equal ends
-        e = v[-1] - v[0]
-        t = float(np.clip((x - v[0]) @ e / max(e @ e, 1e-300), 0.0, 1.0))
-        return np.array([np.linalg.norm(x - (v[0] + t * e))])
-    if poly.dim == 2:
-        e = np.roll(v, -1, axis=0) - v
-        tt = ((x - v) * e).sum(axis=1) / np.maximum((e * e).sum(axis=1), 1e-300)
-        proj = v + np.clip(tt, 0.0, 1.0)[:, None] * e
-        return np.linalg.norm(x - proj, axis=1)
-    if poly.facets is None:  # planar polygon in R^3: fan-triangulate it
-        fan = np.repeat(v[:1], len(v) - 2, axis=0)
-        return np.array([_point_triangles_dist(x, fan, v[1:-1], v[2:]).min()])
-    f = np.asarray(poly.facets)
-    return _point_triangles_dist(x, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
-
-
-def _dist_to_polytope(body: Polytope, x: np.ndarray, eps: float) -> float:
-    """Distance from x to the body: 0 within eps of its interior, else the
-    distance to its nearest boundary face."""
-    v = body.vertices
-    if body.intrinsic_dim == 2 and body.dim == 2:
-        nxt = np.roll(v, -1, axis=0)
-        cr = (nxt[:, 0] - v[:, 0]) * (x[1] - v[:, 1]) - (nxt[:, 1] - v[:, 1]) * (
-            x[0] - v[:, 0]
-        )
-        edge_len = np.maximum(np.linalg.norm(nxt - v, axis=1), 1e-300)
-        if np.all(cr / edge_len >= -eps):  # signed distance to each edge line
-            return 0.0
-    elif body.intrinsic_dim == 3:
-        f = np.asarray(body.facets, dtype=np.int64)
-        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-        raw_n = np.cross(b - a, c - a)
-        unit_n = raw_n / np.maximum(np.linalg.norm(raw_n, axis=1, keepdims=True), 1e-300)
-        if np.all(np.einsum("ij,ij->i", unit_n, x - a) <= eps):
-            return 0.0
-    return float(boundary_distances(body, x).min())
-
-
-def hausdorff(pa: Polytope, pb: Polytope) -> float:
-    """Hausdorff distance between two convex polytopes of the same ambient
-    dimension. Convexity makes the vertex-to-body maximum exact."""
-    if pa.dim != pb.dim:
-        raise ParameterError("polytopes must share ambient dimension")
-    eps = max(geom_eps(pa.vertices), geom_eps(pb.vertices))
-    d_ab = max(_dist_to_polytope(pb, va, eps) for va in pa.vertices)
-    d_ba = max(_dist_to_polytope(pa, vb, eps) for vb in pb.vertices)
-    return max(d_ab, d_ba)

@@ -1,10 +1,9 @@
-"""L_p support-function arithmetic and mixed volumes against the unit ball.
+"""L_p mixed volumes of path hulls against the unit ball.
 
-The p-mean combination of two support functions is again a support
-function, and the first-variation mixed volume of the unit ball with a
-body M reduces to a spherical integral of h(M, u)^p. Only the ball case
-of the weighting measure is implemented: there it is plain surface
-measure, which keeps every number here independently checkable.
+The first-variation mixed volume of the unit ball with a body M reduces to
+a spherical integral, V_p(B^d, M) = (1/d) * integral of h(M, u)^p over the
+unit sphere. Each trial evaluates it by a plain rule on the hull's support
+function: a fixed circle grid in d = 2, random unit directions in d = 3.
 
 Two verification experiments tie the geometry to the sampling layer: the
 Brownian hull's expected V_p against its gamma-factor closed form, and a
@@ -15,7 +14,6 @@ hull support functions vs the one-dimensional running-supremum moment).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +24,7 @@ from .closed_form import (
     unit_ball_volume,
 )
 from .errors import DomainError, ParameterError, _count, _real
-from .hullgeom import Polytope, _sphere_spiral
+from .hullgeom import Polytope
 from .mc_engine import _ordered_map, hull_of, trial_values, walk_hull_values
 from .results import EstimateResult
 from .rng_stable import (
@@ -38,130 +36,9 @@ from .rng_stable import (
 )
 
 __all__ = [
-    "Ball",
-    "SupportFn",
-    "lp_sum_support",
-    "vp_ball_mixed",
     "verify_lp_brownian",
     "verify_lp_stable_consistency",
 ]
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Origin-centered ball of radius r, as a support-function body."""
-
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _real("radius", self.radius, ge=0))
-
-
-def _probe_directions(dim: int) -> np.ndarray:
-    return _circle_grid(64) if dim == 2 else _sphere_spiral(64)
-
-
-class SupportFn:
-    """Support function h(body, .) of a polytope or ball.
-
-    Bodies must contain the origin, so that h >= 0 on the sphere; this is
-    checked on a probe grid at construction. Callable on a single unit
-    vector; ``values`` evaluates a (m, d) batch.
-    """
-
-    def __init__(self, body):
-        if isinstance(body, Ball):
-            self.dim = None  # a ball works in any ambient dimension
-        elif isinstance(body, Polytope):
-            self.dim = body.dim
-            probe = _probe_directions(body.dim)
-            if float(self.values_for(body, probe).min()) < -1e-9 * _scale_of(body):
-                raise DomainError("body does not contain the origin (h < 0)")
-        else:
-            raise ParameterError(f"unsupported body type {type(body).__name__}")
-        self.body = body
-
-    @staticmethod
-    def values_for(body, dirs: np.ndarray) -> np.ndarray:
-        if isinstance(body, Ball):
-            return body.radius * np.linalg.norm(dirs, axis=1)
-        return (dirs @ body.vertices.T).max(axis=1)
-
-    def values(self, dirs) -> np.ndarray:
-        dirs = np.asarray(dirs, dtype=np.float64)
-        if dirs.ndim != 2:
-            raise ParameterError("dirs must be a (m, d) array")
-        if self.dim is not None and dirs.shape[1] != self.dim:
-            raise ParameterError("direction dimension mismatch")
-        return self.values_for(self.body, dirs)
-
-    def break_angles(self) -> np.ndarray:
-        """Circle angles where h stops being smooth (polytope edge
-        normals). Empty for balls. Meaningful in dimension 2 only."""
-        if isinstance(self.body, Ball):
-            return np.empty(0)
-        if self.dim != 2:
-            raise ParameterError("break angles are a planar notion")
-        v = self.body.vertices
-        if self.body.intrinsic_dim == 0:
-            return np.empty(0)
-        if self.body.intrinsic_dim == 1:
-            e = v[1] - v[0]
-            a = math.atan2(-e[0], e[1])
-            return np.sort(np.mod([a, a + math.pi], 2.0 * math.pi))
-        edges = np.roll(v, -1, axis=0) - v
-        # outward normal of a CCW edge (dx, dy) points along (dy, -dx)
-        return np.sort(np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), 2.0 * math.pi))
-
-    def __call__(self, u) -> float:
-        return float(self.values(np.asarray(u, dtype=np.float64)[None, :])[0])
-
-
-def _scale_of(body: Polytope) -> float:
-    return float(np.abs(body.vertices).max()) + 1e-300
-
-
-class _LpSumFn:
-    """(h_a^p + h_b^p)^(1/p), evaluated through the max for stability so
-    that large p neither overflows nor loses the max-norm limit."""
-
-    def __init__(self, a: SupportFn, b: SupportFn, p: float):
-        self.a, self.b, self.p = a, b, p
-        self.dim = a.dim if a.dim is not None else b.dim
-
-    def values(self, dirs) -> np.ndarray:
-        ha = self.a.values(dirs)
-        hb = self.b.values(dirs)
-        if float(min(ha.min(), hb.min())) < 0.0:
-            raise DomainError("support values must be nonnegative")
-        m = np.maximum(ha, hb)
-        safe = np.maximum(m, 1e-300)
-        return safe * (
-            (ha / safe) ** self.p + (hb / safe) ** self.p
-        ) ** (1.0 / self.p)
-
-    def break_angles(self) -> np.ndarray:
-        return np.sort(
-            np.concatenate([self.a.break_angles(), self.b.break_angles()])
-        )
-
-    def __call__(self, u) -> float:
-        return float(self.values(np.asarray(u, dtype=np.float64)[None, :])[0])
-
-
-def lp_sum_support(a: SupportFn, b: SupportFn, p: float):
-    """Support function of the L_p combination of two origin-containing
-    bodies: u -> (h_a(u)^p + h_b(u)^p)^(1/p). p = 1 is the Minkowski sum;
-    p -> infinity tends to the support of the convex union."""
-    if not isinstance(a, SupportFn) or not isinstance(b, SupportFn):
-        raise ParameterError("lp_sum_support needs two SupportFn arguments")
-    p = _real("p", p, ge=1)
-    if a.dim is not None and b.dim is not None and a.dim != b.dim:
-        raise ParameterError("bodies live in different dimensions")
-    probe = _probe_directions(a.dim or b.dim or 2)
-    if float(a.values(probe).min()) < 0.0 or float(b.values(probe).min()) < 0.0:
-        raise DomainError("support values must be nonnegative (origin inside)")
-    return _LpSumFn(a, b, p)
 
 
 @lru_cache(maxsize=8)
@@ -170,66 +47,6 @@ def _circle_grid(n: int) -> np.ndarray:
     grid = np.column_stack([np.cos(th), np.sin(th)])
     grid.setflags(write=False)
     return grid
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _circle_quad_angles(breaks: np.ndarray, budget: int):
-    """Gauss-Legendre nodes and weights for the circle, composite over the
-    smooth arcs between consecutive break angles. Spectrally accurate on
-    each arc, so kinked polygon support functions still integrate to near
-    machine precision."""
-    two_pi = 2.0 * math.pi
-    if breaks.size == 0:
-        th = np.linspace(0.0, two_pi, budget, endpoint=False)
-        return th, np.full(budget, two_pi / budget)
-    order = max(8, min(96, int(round(budget / breaks.size))))
-    x, w = _leggauss(order)
-    lo = breaks
-    hi = np.concatenate([breaks[1:], [breaks[0] + two_pi]])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    th = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return th, wt
-
-
-def vp_ball_mixed(m, p: float, d: int, quad_points: int = 4096, rng=None) -> float:
-    """V_p(B^d, M) = (1/d) * integral of h(M, u)^p over the unit sphere.
-
-    d = 2 integrates deterministically: composite Gauss-Legendre between
-    the kink angles of h when the body exposes them, plain periodic grid
-    otherwise, with about quad_points nodes in total. d = 3 averages over
-    quad_points uniform random directions from ``rng``. For M = B^d the
-    value is kappa_d for every p.
-    """
-    p = _real("p", p, ge=1)
-    if d not in (2, 3):
-        raise ParameterError(f"d must be 2 or 3, got {d!r}")
-    quad_points = _count("quad_points", quad_points, 8)
-    if not hasattr(m, "values"):
-        m = SupportFn(m)
-    if d == 2:
-        if hasattr(m, "break_angles"):
-            breaks = np.unique(m.break_angles())
-        else:
-            breaks = np.empty(0)
-        th, wt = _circle_quad_angles(breaks, quad_points)
-        h = m.values(np.column_stack([np.cos(th), np.sin(th)]))
-        return 0.5 * float(wt @ h**p)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((quad_points, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    h = m.values(dirs)
-    # (1/3) * 4pi * mean(h^p)
-    return 4.0 * math.pi / 3.0 * float(np.mean(h**p))
 
 
 def _hull_vp_one_trial(poly: Polytope, p: float, dirs: np.ndarray) -> float:

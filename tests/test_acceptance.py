@@ -34,7 +34,6 @@ from levyhull.hullgeom import (
     hull3d,
     intrinsic_volumes_2d,
     intrinsic_volumes_3d,
-    zonotope_intrinsic_volume,
 )
 from levyhull.limits import exit_value_tail_experiment, renewal_ratio_experiment
 from levyhull.lp_volumes import verify_lp_brownian, verify_lp_stable_consistency
@@ -48,6 +47,7 @@ from levyhull.mc_engine import (
 )
 from levyhull.cli_report import plan_experiments, run_all
 from levyhull.rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
+from oracles import zonotope_intrinsic_volume
 
 pytestmark = pytest.mark.acceptance
 

@@ -93,6 +93,14 @@ class TestPlanning:
         plans = plan_experiments(_cfg(GRAM, GRAM))
         assert [p.label for p in plans] == ["gram_determinant", "gram_determinant#2"]
 
+    @pytest.mark.parametrize(
+        "asked,given",
+        [(["x", "x", "x#2"], ["x", "x#3", "x#2"]), (["x#2", "x", "x"], ["x#2", "x", "x#3"])],
+    )
+    def test_generated_labels_skip_requested_ones(self, asked, given):
+        plans = plan_experiments(_cfg(*(dict(GRAM, label=label) for label in asked)))
+        assert [p.label for p in plans] == given
+
     def test_custom_label_kept(self):
         entry = dict(GRAM, label="gram-low")
         plans = plan_experiments(_cfg(entry))
@@ -635,6 +643,19 @@ class TestRunAll:
         ]
         assert dumped == {entry["kind"]: expected}
 
+    def test_dump_polytopes_uses_the_plan_horizon(self, tmp_path):
+        run_all(plan_experiments(_cfg(dict(INTRINSIC, horizon=4.0))), tmp_path,
+                master_seed=3, dump_polytopes=True)
+        dumped = json.loads((tmp_path / "polytopes.json").read_text())
+        stream = stream_id("dump_intrinsic_volumes")
+        spec = StableSpec(flavor="brownian", c=0.5, d=2)
+        expected = [
+            hull2d(sample_walk_path(spec, 40, 4.0, trial_rng(3, stream, i)).points)
+            .vertices.tolist()
+            for i in range(3)
+        ]
+        assert dumped == {"intrinsic_volumes": expected}
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, obj):
@@ -667,6 +688,26 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, _cfg({"kind": "volume_of_doom"}))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    def test_duplicate_label_cannot_hide_a_fail(self, tmp_path, capsys):
+        failing = dict(GRAM, label="x#2", tolerance_sigma=1e-9)
+        cfg = self._write_cfg(tmp_path, _cfg(failing, dict(GRAM, label="x"), dict(GRAM, label="x")))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["verdicts"] == {"x#2": "FAIL", "x": "PASS", "x#3": "PASS"}
+        assert "FAIL x#2" in capsys.readouterr().out
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        # a latin-1 e-acute in the label: one byte that is no UTF-8
+        text = json.dumps(_cfg(dict(GRAM, label="caf\u00e9")), ensure_ascii=False)
+        cfg.write_bytes(text.encode("latin-1"))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert str(cfg) in err and "offset" in err
+        assert not out_dir.exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

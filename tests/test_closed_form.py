@@ -15,18 +15,17 @@ from levyhull import (
     ResourceError,
     ball_intrinsic_volume,
     dirichlet_constant,
-    ev_intrinsic_brownian,
     ev_intrinsic_isotropic,
     ev_intrinsic_stable,
     ev_sup_brownian_pow,
     expected_faces_at_origin,
-    expected_hull_vertices,
     gamma_fn,
     lattice_sum_partial,
     prob_origin_outside_walk_hull,
     unit_ball_volume,
     walk_ev_intrinsic,
 )
+from oracles import ev_intrinsic_brownian, expected_hull_vertices
 
 SQRT_PI = math.sqrt(math.pi)
 

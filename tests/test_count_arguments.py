@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from levyhull import (
-    Ball,
     ConfigError,
     EstimateResult,
     ExperimentConfig,
@@ -20,17 +19,14 @@ from levyhull import (
     dirichlet_constant,
     errors,
     estimate_mean_exit_time,
-    ev_intrinsic_brownian,
     ev_intrinsic_isotropic,
     ev_intrinsic_stable,
     exit_value_tail_experiment,
     expected_faces_at_origin,
-    expected_hull_vertices,
     hill_tail_index,
     hull3d,
     lattice_sum_partial,
     prob_origin_outside_walk_hull,
-    projection_intrinsic_estimate,
     renewal_ratio_experiment,
     run_gram_experiment,
     sample_isotropic_vec,
@@ -40,8 +36,14 @@ from levyhull import (
     unit_ball_volume,
     verify_lp_brownian,
     verify_lp_stable_consistency,
-    vp_ball_mixed,
     walk_ev_intrinsic,
+)
+from oracles import (
+    Ball,
+    ev_intrinsic_brownian,
+    expected_hull_vertices,
+    projection_intrinsic_estimate,
+    vp_ball_mixed,
     zonotope_intrinsic_volume,
 )
 

@@ -20,21 +20,23 @@ from levyhull import (
     Polytope,
     ResourceError,
     StableSpec,
-    boundary_distances,
-    expected_hull_vertices,
     geom_eps,
-    gram_det,
-    hausdorff,
     hull2d,
     hull3d,
     intrinsic_volumes_2d,
     intrinsic_volumes_3d,
-    projection_intrinsic_estimate,
     sample_walk_path,
     trial_rng,
-    zonotope_intrinsic_volume,
 )
 from levyhull.hullgeom import _FacetStore
+from oracles import (
+    boundary_distances,
+    expected_hull_vertices,
+    gram_det,
+    hausdorff,
+    projection_intrinsic_estimate,
+    zonotope_intrinsic_volume,
+)
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 CUBE = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
@@ -615,7 +617,7 @@ def _mean_z(counts, exact: float) -> float:
 
 class TestVertexCountOracle:
     """Mean vertex counts of walk hulls against the exact values, which hold
-    for every isotropic stable step law (closed_form.expected_hull_vertices).
+    for every isotropic stable step law (oracles.expected_hull_vertices).
     The seeds, trial counts and the 4-sigma band were fixed before the
     first run."""
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from levyhull.errors import ConfigError, ParameterError, ResourceError
-from levyhull.hullgeom import hausdorff, hull2d, intrinsic_volumes_2d
+from levyhull.hullgeom import hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
     _dot,
@@ -35,6 +35,7 @@ from levyhull.rng_stable import (
     stream_id,
     trial_rng,
 )
+from oracles import hausdorff
 
 BROWNIAN2 = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
 HEAVY = StableSpec(alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=3.0)

@@ -11,17 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyhull import (
-    Ball,
     DomainError,
     EstimateResult,
     ParameterError,
     StableSpec,
-    SupportFn,
     ev_sup_brownian_pow,
     hull2d,
     hull3d,
     intrinsic_volumes_2d,
-    lp_sum_support,
     sample_stable_1d,
     sample_walk_path,
     stream_id,
@@ -29,7 +26,6 @@ from levyhull import (
     unit_ball_volume,
     verify_lp_brownian,
     verify_lp_stable_consistency,
-    vp_ball_mixed,
     walk_ev_intrinsic,
 )
 from levyhull.lp_volumes import (
@@ -38,6 +34,7 @@ from levyhull.lp_volumes import (
     _hull_vp_one_trial,
     _sup_pow_stable_1d,
 )
+from oracles import Ball, SupportFn, lp_sum_support, vp_ball_mixed
 
 
 def _square(half=0.5):

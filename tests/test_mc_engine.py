@@ -19,7 +19,6 @@ from levyhull import (
     ParameterError,
     StableSpec,
     ball_intrinsic_volume,
-    boundary_distances,
     expected_faces_at_origin,
     geom_eps,
     hull2d,
@@ -50,6 +49,7 @@ from levyhull.mc_engine import (
     trial_values,
     walk_hull_values,
 )
+from oracles import boundary_distances
 
 BROWNIAN2 = StableSpec(flavor="brownian", c=0.5, d=2)
 BROWNIAN3 = StableSpec(flavor="brownian", c=0.5, d=3)

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from levyhull import (
-    Ball,
     ConfigError,
     DomainError,
     ExitRecord,
     ExperimentConfig,
     ParameterError,
     StableSpec,
-    SupportFn,
     ball_intrinsic_volume,
     dirichlet_constant,
     errors,
@@ -29,7 +27,6 @@ from levyhull import (
     ev_intrinsic_stable,
     ev_sup_brownian_pow,
     lattice_sum_partial,
-    lp_sum_support,
     renewal_ratio_experiment,
     sample_cpp_path,
     sample_positive_stable,
@@ -38,9 +35,9 @@ from levyhull import (
     scaled_hull_convergence,
     verify_lp_brownian,
     verify_lp_stable_consistency,
-    vp_ball_mixed,
     walk_ev_intrinsic,
 )
+from oracles import Ball, SupportFn, lp_sum_support, vp_ball_mixed
 
 BROWNIAN2 = StableSpec(flavor="brownian", c=0.5, d=2)
 HEAVY = StableSpec(d=2, flavor="cpp", tail_alpha=1.5, jump_rate=1.0)
