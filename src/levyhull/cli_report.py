@@ -38,6 +38,7 @@ from .errors import ConfigError, ResourceError, _count, _real
 from .limits import (
     _DRIFT_TAIL_HORIZON,
     _ET1_HORIZON,
+    _MAX_WALK_STEPS,
     _scaled_hull_ks,
     _scaled_hull_limit,
     _walk_steps,
@@ -164,9 +165,10 @@ _COMMON = {
     "label": (None, str, ()),
     "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, float, {"gt": 0}),
 }
+_WALK_STEPS = {"hi": _MAX_WALK_STEPS}  # a walk's steps, capped as renewal walks are
 _N_SERIES = {
-    "n_steps": (DEFAULT_N_STEPS, int, {}),
-    "n_values": (None, [int], {}),
+    "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
+    "n_values": (None, [int], _WALK_STEPS),
 }
 _SAMPLED_TRIALS = 100  # ExperimentConfig's floor for the walk-hull kinds
 _SCALE = {"gt": 1e-12}  # StableSpec's floor for c
@@ -402,6 +404,12 @@ def _cpp_spec(p):
     )
 
 
+def _decreasing(label, key, values):
+    """The trend of a series that should not rise: {label: {key: values,
+    "decreasing": whether no value exceeds the one before it}}."""
+    return {label: {key: values, "decreasing": all(b <= a for a, b in zip(values, values[1:]))}}
+
+
 def _n_series(p):
     return p["n_values"] if p.get("n_values") else [p["n_steps"]]
 
@@ -526,8 +534,7 @@ def _run_lp_consistency(plan, seed):
         seed=seed,
         quad_points=p["quad_points"],
     )
-    combined = math.hypot(hull.stderr, sup.stderr)
-    gap_z = (hull.mean - sup.mean) / combined if combined > 0 else 0.0
+    gap_z = _z(hull.mean, math.hypot(hull.stderr, sup.stderr), sup.mean)
     base = {"alpha": p["alpha"], "c": p["c"], "p": p["p"], "n": p["n_steps"]}
     rows = [
         _row(plan, {**base, "side": "hull"}, hull, sup.mean, z=gap_z),
@@ -538,12 +545,8 @@ def _run_lp_consistency(plan, seed):
 
 def _run_renewal(plan, seed):
     p = plan.params
-    if p["flavor"] == "cpp":
-        spec = _cpp_spec(p)
-    else:
-        spec = StableSpec(alpha=p["alpha"], c=p["c"], d=p["d"], flavor=p["flavor"])
     results = renewal_ratio_experiment(
-        spec,
+        _cpp_spec(p) if p["flavor"] == "cpp" else _walk_spec(p),
         p["t_values"],
         trials=p["trials"],
         seed=seed,
@@ -557,13 +560,7 @@ def _run_renewal(plan, seed):
         gaps.append(abs(r.mean - rate) / rate if rate else math.inf)
         params = {"t": t, "dt": p["dt"], "et1_mean": r.target.params["et1_mean"]}
         rows.append(_row(plan, params, r, rate))
-    trend = {
-        plan.label: {
-            "rel_gaps": gaps,
-            "decreasing": all(b <= a for a, b in zip(gaps, gaps[1:])),
-        }
-    }
-    return rows, trend
+    return rows, _decreasing(plan.label, "rel_gaps", gaps)
 
 
 def _run_scaled_hull(plan, seed):
@@ -584,13 +581,7 @@ def _run_scaled_hull(plan, seed):
             "fitted_c": report["fitted_c"],
         }
         rows.append(_row(plan, params, EstimateResult(stat, 0.0, p["trials"])))
-    trend = {
-        plan.label: {
-            "ks_stats": stats,
-            "decreasing": all(b <= a for a, b in zip(stats, stats[1:])),
-        }
-    }
-    return rows, trend
+    return rows, _decreasing(plan.label, "ks_stats", stats)
 
 
 def _run_exit_tail(plan, seed):
@@ -652,7 +643,7 @@ _KINDS = {
             "c": (1.0, float, _SCALE),
             "d": (2, int, _DIMS),
             "j": (1, int, {}),
-            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
             "hill_k": (None, int, {}),
         },
         _run_tail_index,
@@ -664,7 +655,7 @@ _KINDS = {
         {
             "p": (_REQUIRED, float, {"ge": 1}),
             "d": (2, int, _DIMS),
-            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
             "quad_points": (4096, int, {}),
             "rel_band": (0.02, float, {"ge": 0}),
         },
@@ -677,7 +668,7 @@ _KINDS = {
             "c": (1.0, float, _SCALE),
             "p": (1.0, float, {"ge": 1}),
             "d": (2, int, (2,)),
-            "n_steps": (DEFAULT_N_STEPS, int, {}),
+            "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
             "grid_n": (20_000, int, {}),
             "sup_paths": (20_000, int, {}),
             "quad_points": (4096, int, {}),
@@ -711,7 +702,7 @@ _KINDS = {
             "jump_rate": (1.0, float, {"gt": 0}),
             "d": (2, int, (2,)),
             "t_values": ([1e2, 1e4], [float], {"ge": 10}),
-            "n_steps_limit": (2000, int, {}),
+            "n_steps_limit": (2000, int, _WALK_STEPS),
         },
         _run_scaled_hull,
         _check_cpp,

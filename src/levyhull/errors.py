@@ -2,9 +2,9 @@
 each kind of numeric argument.
 
 Counts (``_count``): a dimension, an index, a number of steps, trials or
-points is a Python or numpy integer, never a bool, and at least its
-floor. Nothing is rounded, so a closed form is never evaluated at an
-index the caller did not ask for.
+points is a Python or numpy integer, never a bool, at least its floor
+and at most its cap, if it has one. Nothing is rounded, so a closed form
+is never evaluated at an index the caller did not ask for.
 
 Reals (``_real``): a stability index, a scale, a radius, a moment order,
 a horizon or a time step is a Python or numpy real, never a bool, finite,
@@ -51,13 +51,14 @@ class ConfigError(LevyHullError, ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-def _count(name: str, value, lo: int = 1, error: type = ParameterError) -> int:
-    """``value`` as an ``int`` if it is an integer, not a bool, and >= lo;
-    otherwise raise ``error`` naming the argument."""
-    if type(value) is int and value >= lo:  # the common case, without the ABC check
+def _count(name: str, value, lo: int = 1, error: type = ParameterError, hi=math.inf) -> int:
+    """``value`` as an ``int`` if it is an integer, not a bool, and in [lo,
+    hi]; otherwise raise ``error`` naming the argument."""
+    if type(value) is int and lo <= value <= hi:  # the common case, without the ABC check
         return value
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < lo:
-        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+    if not isinstance(value, Integral) or isinstance(value, bool) or not lo <= value <= hi:
+        where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be an integer {where}, got {value!r}")
     return int(value)
 
 

@@ -125,9 +125,6 @@ class IntrinsicVolumes:
     def __getitem__(self, j: int) -> float:
         return self.values[j]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _lex_end(x: np.ndarray, y: np.ndarray, i: int, pick) -> int:
     """Among the points sharing x[i], the one ``pick`` selects by y."""

@@ -310,23 +310,13 @@ def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
     return scan(path, mode="grid")
 
 
-def _record_for(spec: StableSpec, horizon: float, n_steps: int, rng) -> ExitRecord:
-    return _scan_for(spec, horizon, n_steps, rng, exit_times)
-
-
-def _first_exit(spec: StableSpec, horizon: float, n_steps: int, rng):
-    """(time, point) of the first unit-ball exit of one sampled path, or
-    None; the scan stops at that exit."""
-    return next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
-
-
 def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     """value(time, point) of each trial's first exit, in trial order; paths
     that never exit are dropped. Only the values outlive their trial, not
     the exit point, which may be a view of the whole path."""
 
     def one(rng):
-        first = _first_exit(spec, horizon, n_steps, rng)
+        first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
         return None if first is None else value(*first)
 
     vals = trial_values(seed, name, trials, one)
@@ -406,7 +396,7 @@ def renewal_ratio_experiment(
     for t_idx, (t, n) in enumerate(zip(t_values, n_steps)):
         vals = trial_values(
             seed, f"renewal_ratio_{t_idx}", trials,
-            lambda rng: _record_for(spec, t, n, rng).n_exits / t,
+            lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t,
         )
         target = ClosedFormTarget(
             "renewal_rate",
@@ -462,7 +452,7 @@ def _scaled_hull_limit(spec: StableSpec, trials: int, seed: int, n_steps_limit: 
     fit_horizon = 60.0 / max(spec.jump_rate, 1e-12)
     recs = trial_values(
         seed, "scaled_hull_fit", max(300, trials),
-        lambda rng: _record_for(spec, fit_horizon, 1, rng),
+        lambda rng: _scan_for(spec, fit_horizon, 1, rng, exit_times),
     )
     recs = [rec for rec in recs if rec.n_exits]
     if len(recs) < 10:

@@ -26,6 +26,7 @@ from levyhull.cli_report import (
 )
 from levyhull.errors import ConfigError
 from levyhull.hullgeom import hull2d, hull3d
+from levyhull.results import EstimateResult
 from levyhull.rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
 
 # Cheap experiment entries reused across tests.  gram_determinant is the
@@ -234,7 +235,31 @@ PLAN_TIME_REJECTIONS = {
     "exit_tail_d3": (dict(EXIT, d=3), "d"),
     "empty_list": (dict(RENEWAL, t_values=[]), "t_values"),
     "bool_in_list": ({"kind": "boundary_origin", "n_values": [10, True]}, "n_values"),
+    # walks of more than 10^6 steps, capped like renewal walks; planning only
+    "intrinsic_n_steps_over_cap": (dict(IV, n_steps=10**6 + 1), "n_steps"),
+    "faces_n_values_over_cap": (
+        {"kind": "faces_count", "n_values": [10, 10**6 + 1], "trials": 100},
+        "n_values",
+    ),
+    "scaled_hull_n_steps_limit_over_cap": (dict(SCALED, n_steps_limit=10**6 + 1), "n_steps_limit"),
 }
+
+# (minimal entry, walk-length field): every field that sets how many steps a
+# walk takes is capped at limits._MAX_WALK_STEPS
+WALK_LENGTH_FIELDS = [
+    (dict(IV), "n_steps"),
+    (dict(IV), "n_values"),
+    ({"kind": "boundary_origin", "trials": 100}, "n_steps"),
+    ({"kind": "boundary_origin", "trials": 100}, "n_values"),
+    ({"kind": "interior_endpoint", "trials": 100}, "n_steps"),
+    ({"kind": "interior_endpoint", "trials": 100}, "n_values"),
+    ({"kind": "faces_count", "trials": 100}, "n_steps"),
+    ({"kind": "faces_count", "trials": 100}, "n_values"),
+    ({"kind": "tail_index", "alpha": 1.5, "trials": 100}, "n_steps"),
+    ({"kind": "lp_brownian", "p": 1.0}, "n_steps"),
+    (dict(LP_STABLE), "n_steps"),
+    (dict(SCALED), "n_steps_limit"),
+]
 
 # Configs that passed planning and then raised inside run_all, after the
 # experiments before them had run and before any output was written.
@@ -398,6 +423,19 @@ class TestPlanTimeChecks:
         assert json.loads(renewal_row["param_json"])["et1_mean"] == pytest.approx(40.0)
         assert renewal_row["mean"] == 0.0  # no exit before t = 2
 
+    @pytest.mark.parametrize(
+        "entry,field", WALK_LENGTH_FIELDS, ids=[f"{e['kind']}-{f}" for e, f in WALK_LENGTH_FIELDS]
+    )
+    def test_walk_length_capped_at_plan_time(self, entry, field):
+        assert limits._MAX_WALK_STEPS == 10**6
+        for steps, ok in ((10**6, True), (10**6 + 1, False)):
+            value = [steps] if field == "n_values" else steps
+            if ok:
+                (plan,) = plan_experiments(_cfg(dict(entry, **{field: value})))
+                assert plan.params[field] == value
+            else:
+                _assert_rejected(dict(entry, **{field: value}), field)
+
     @pytest.mark.parametrize("name", CONFIG_DIGESTS)
     def test_config_digest_unchanged(self, name):
         if name == "smoke":
@@ -506,6 +544,28 @@ class TestRunAll:
                 report["et1_mean"], report["fitted_c"]
             )
         assert trend[plan.label]["ks_stats"] == stats
+
+    def test_renewal_walk_flavors_agree_at_alpha_2(self, tmp_path):
+        # an isotropic stable walk at alpha = 2 draws the Brownian walk's steps
+        base = dict(RENEWAL, dt=0.05, trials=20, et1_trials=20)
+        iso = dict(base, flavor="isotropic", alpha=2.0, label="iso")
+        manifest = run_all(plan_experiments(_cfg(iso, dict(base, label="bm"))), tmp_path)
+        iso_row, bm_row = manifest.results
+        assert (iso_row["experiment"], bm_row["experiment"]) == ("iso", "bm")
+        assert iso_row["mean"] > 0.0
+        assert dict(iso_row, experiment="bm") == bm_row
+        assert manifest.trends["iso"] == manifest.trends["bm"]
+
+    @pytest.mark.parametrize("sup_mean,want", [(1.0, 0.0), (1.5, math.inf)])
+    def test_lp_gap_z_at_zero_spread_follows_the_z_rule(self, monkeypatch, sup_mean, want):
+        def no_spread(*args, **kwargs):
+            return EstimateResult(1.0, 0.0, 200), EstimateResult(sup_mean, 0.0, 200)
+
+        monkeypatch.setattr(cli_report, "verify_lp_stable_consistency", no_spread)
+        (plan,) = plan_experiments(_cfg(LP_STABLE))
+        rows, trend = cli_report._run_lp_consistency(plan, 0)
+        assert rows[0]["z"] == want
+        assert trend[plan.label]["gap_z"] == want
 
     def test_processes_recorded(self, tmp_path):
         plans = plan_experiments(_cfg(GRAM))
@@ -808,6 +868,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error:" in err
         assert f"'{kind}'" in err and f"'{field}'" in err
+        assert not (out_dir / "results.csv").exists()
+
+    def test_walk_past_the_cap_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 10^9 steps asked sample_walk_path for a 16 GB array per trial;
+        # the runner is replaced so that a missing cap fails without sampling
+        def must_not_run(plan, seed):
+            raise AssertionError("a walk past the cap reached its runner")
+
+        monkeypatch.setitem(cli_report._RUNNERS, "intrinsic_volumes", must_not_run)
+        entry = {"kind": "intrinsic_volumes", "n_steps": 10**9, "trials": 100}
+        out_dir = tmp_path / "out"
+        assert main(["run", self._write_cfg(tmp_path, _cfg(entry)), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert "'intrinsic_volumes'" in err and "'n_steps'" in err and "1000000" in err
         assert not (out_dir / "results.csv").exists()
 
     def test_negative_seed_exits_two_before_any_run(self, tmp_path, capsys):

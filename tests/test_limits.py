@@ -14,11 +14,10 @@ from levyhull.limits import (
     ExitRecord,
     _dot,
     _exits,
-    _first_exit,
     _first_sphere_crossing,
     _fit_attractor_scale,
     _fma,
-    _record_for,
+    _scan_for,
     estimate_mean_exit_time,
     exit_times,
     exit_value_tail_experiment,
@@ -312,8 +311,8 @@ class TestScannersAgainstFrozenOracle:
         ]
         for spec, horizon, n_steps in specs:
             for k in range(5):
-                rec = _record_for(spec, horizon, n_steps, trial_rng(43, 0, k))
-                first = _first_exit(spec, horizon, n_steps, trial_rng(43, 0, k))
+                rec = _scan_for(spec, horizon, n_steps, trial_rng(43, 0, k), exit_times)
+                first = next(_scan_for(spec, horizon, n_steps, trial_rng(43, 0, k), _exits), None)
                 if rec.n_exits == 0:
                     assert first is None
                     continue
