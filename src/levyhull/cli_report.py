@@ -39,11 +39,10 @@ from .limits import (
     _DRIFT_TAIL_HORIZON,
     _ET1_HORIZON,
     _MAX_WALK_STEPS,
-    _scaled_hull_ks,
-    _scaled_hull_limit,
     _walk_steps,
     exit_value_tail_experiment,
     renewal_ratio_experiment,
+    scaled_hull_convergence,
 )
 from .lp_volumes import verify_lp_brownian, verify_lp_stable_consistency
 from .mc_engine import (
@@ -165,7 +164,7 @@ _COMMON = {
     "label": (None, str, ()),
     "tolerance_sigma": (DEFAULT_TOLERANCE_SIGMA, float, {"gt": 0}),
 }
-_WALK_STEPS = {"hi": _MAX_WALK_STEPS}  # a walk's steps, capped as renewal walks are
+_WALK_STEPS = {"hi": _MAX_WALK_STEPS}  # per-trial array lengths, capped as renewal walks are
 _N_SERIES = {
     "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
     "n_values": (None, [int], _WALK_STEPS),
@@ -565,14 +564,11 @@ def _run_renewal(plan, seed):
 
 def _run_scaled_hull(plan, seed):
     p = plan.params
-    spec = _cpp_spec(p)
+    results = scaled_hull_convergence(
+        _cpp_spec(p), p["t_values"], p["trials"], seed, p["n_steps_limit"]
+    )
     rows = []
-    stats = []
-    # the fit and limit-walk batches do not depend on t: built once
-    limit = _scaled_hull_limit(spec, p["trials"], seed, p["n_steps_limit"])
-    for t in p["t_values"]:
-        stat, p_value, report = _scaled_hull_ks(spec, limit, t, p["trials"], seed)
-        stats.append(stat)
+    for t, (stat, p_value, report) in zip(p["t_values"], results):
         params = {
             "t": t,
             "p_value": p_value,
@@ -581,7 +577,7 @@ def _run_scaled_hull(plan, seed):
             "fitted_c": report["fitted_c"],
         }
         rows.append(_row(plan, params, EstimateResult(stat, 0.0, p["trials"])))
-    return rows, _decreasing(plan.label, "ks_stats", stats)
+    return rows, _decreasing(plan.label, "ks_stats", [r[0] for r in results])
 
 
 def _run_exit_tail(plan, seed):
@@ -656,7 +652,7 @@ _KINDS = {
             "p": (_REQUIRED, float, {"ge": 1}),
             "d": (2, int, _DIMS),
             "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
-            "quad_points": (4096, int, {}),
+            "quad_points": (4096, int, _WALK_STEPS),
             "rel_band": (0.02, float, {"ge": 0}),
         },
         _run_lp_brownian,
@@ -669,9 +665,9 @@ _KINDS = {
             "p": (1.0, float, {"ge": 1}),
             "d": (2, int, (2,)),
             "n_steps": (DEFAULT_N_STEPS, int, _WALK_STEPS),
-            "grid_n": (20_000, int, {}),
+            "grid_n": (20_000, int, _WALK_STEPS),
             "sup_paths": (20_000, int, {}),
-            "quad_points": (4096, int, {}),
+            "quad_points": (4096, int, _WALK_STEPS),
         },
         _run_lp_consistency,
         _check_lp_consistency,

@@ -259,14 +259,11 @@ def ev_sup_brownian_pow(p: float) -> float:
 
 @dataclass(frozen=True)
 class ClosedFormTarget:
-    """A named analytic target with the parameters that produced it."""
+    """An analytic target value with the parameters that produced it."""
 
-    name: str
     value: float
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.name:
-            raise ParameterError("target name must be nonempty")
         if not math.isfinite(self.value):
             raise ParameterError(f"target value must be finite, got {self.value!r}")

@@ -97,16 +97,6 @@ class Polytope:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "dim": self.dim,
-            "intrinsic_dim": self.intrinsic_dim,
-            "vertices": self.vertices.tolist(),
-        }
-        if self.facets is not None:
-            out["facets"] = [list(f) for f in self.facets]
-        return out
-
 
 @dataclass(frozen=True)
 class IntrinsicVolumes:

@@ -324,7 +324,7 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
 
 
 _MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
-_ET1_HORIZON = 40.0  # the horizon of the E T_1 batch of renewal_ratio_experiment
+_ET1_HORIZON = 40.0  # the E T_1 batch's horizon; slow cpp paths stretch it by 1/jump_rate
 _DRIFT_TAIL_HORIZON = 10.0  # the horizon of exit_value_tail_experiment without jumps
 
 
@@ -347,14 +347,20 @@ def estimate_mean_exit_time(
     spec: StableSpec,
     trials: int = 2000,
     seed: int = 0,
-    horizon: float = _ET1_HORIZON,
+    horizon: float | None = None,
     dt: float = 0.01,
 ) -> EstimateResult:
     """Mean first exit time from the unit ball, from an independent batch
     of paths. Paths that never exit within the horizon are dropped (their
-    count is recoverable from ``trials`` minus the result's trials). A walk
-    longer than horizon / dt = 10^6 steps raises ResourceError."""
+    count is recoverable from ``trials`` minus the result's trials). The
+    default horizon is 40, or 40 / jump_rate for a cpp spec whose jump
+    rate lies in (0, 1), so that a path sees as many jumps on average as
+    at rate 1. A walk longer than horizon / dt = 10^6 steps raises
+    ResourceError."""
     trials = _count("trials", trials, 2)
+    if horizon is None:
+        slow = spec.flavor == "cpp" and 0.0 < spec.jump_rate < 1.0
+        horizon = _ET1_HORIZON / spec.jump_rate if slow else _ET1_HORIZON
     horizon, dt = _real("horizon", horizon, gt=0), _real("dt", dt, gt=0)
     n_steps = _walk_steps(spec.flavor, horizon, dt)
     got = _first_exit_values(
@@ -399,7 +405,6 @@ def renewal_ratio_experiment(
             lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t,
         )
         target = ClosedFormTarget(
-            "renewal_rate",
             rate,
             {
                 "t": t,
@@ -440,10 +445,27 @@ def _fit_attractor_scale(inc_coords: np.ndarray, alpha: float) -> float:
     return tail_const * tauberian
 
 
-def _scaled_hull_limit(spec: StableSpec, trials: int, seed: int, n_steps_limit: int):
-    """The t-independent side of ``scaled_hull_convergence``, checked by
-    its caller: (alpha, E T_1, fitted c, V_1 of each fitted stable-walk
-    hull run to time 1/E T_1). A runner comparing several t builds it once."""
+def scaled_hull_convergence(
+    spec: StableSpec,
+    t_values,
+    trials: int = 400,
+    seed: int = 0,
+    n_steps_limit: int = 2000,
+):
+    """Compare V_1 of the rescaled long-horizon hull t^(-1/alpha) Z_t, for
+    each t, with V_1 of a fitted stable-walk hull run to time 1/E(T_1).
+    Returns one (ks_stat, p_value, report) per t; the fit and the limit
+    walks do not depend on t and are drawn once. The comparison is
+    one-dimensional: it probes the scaling limit, not the full set-valued
+    law."""
+    if spec.flavor != "cpp":
+        raise ConfigError("convergence experiment expects a compound-jump spec")
+    if spec.d != 2:
+        raise ConfigError("convergence experiment implemented for d = 2")
+    t_values = [_real("t_values entry", t, ge=10) for t in t_values]
+    if not t_values:
+        raise ParameterError("t_values must not be empty")
+    trials = _count("trials", trials, 10)
     # square-integrable jumps attract to the Gaussian law
     alpha = spec.tail_alpha if spec.jump_law == "pareto" else 2.0
 
@@ -469,53 +491,29 @@ def _scaled_hull_limit(spec: StableSpec, trials: int, seed: int, n_steps_limit: 
             lambda poly, path: intrinsic_volumes_2d(poly)[1],
         )
     )
-    return alpha, et1, c_fit, vb
+    out = []
+    for t in t_values:
+        factor = t ** (-1.0 / alpha)
 
+        def one_long(rng):
+            path = sample_cpp_path(spec, t, rng)
+            return intrinsic_volumes_2d(hull2d(factor * path.points))[1]
 
-def _scaled_hull_ks(spec: StableSpec, limit, t_large: float, trials: int, seed: int):
-    """``scaled_hull_convergence`` at one t, on its ``_scaled_hull_limit``."""
-    alpha, et1, c_fit, vb = limit
-    factor = t_large ** (-1.0 / alpha)
-
-    def one_long(rng):
-        path = sample_cpp_path(spec, t_large, rng)
-        return intrinsic_volumes_2d(hull2d(factor * path.points))[1]
-
-    va = np.array(trial_values(seed, "scaled_hull_long", trials, one_long))
-    stat, p = ks_two_sample(va, vb)
-    report = {
-        "alpha": alpha,
-        "t_large": t_large,
-        "trials": trials,
-        "et1_mean": et1,
-        "fitted_c": c_fit,
-        "ks_stat": stat,
-        "p_value": p,
-        "mean_long": float(va.mean()),
-        "mean_limit": float(vb.mean()),
-    }
-    return stat, p, report
-
-
-def scaled_hull_convergence(
-    spec: StableSpec,
-    t_large: float,
-    trials: int = 400,
-    seed: int = 0,
-    n_steps_limit: int = 2000,
-):
-    """Compare V_1 of the rescaled long-horizon hull t^(-1/alpha) Z_t with
-    V_1 of a fitted stable-walk hull run to time 1/E(T_1). Returns
-    (ks_stat, p_value, report). The comparison is one-dimensional: it
-    probes the scaling limit, not the full set-valued law."""
-    if spec.flavor != "cpp":
-        raise ConfigError("convergence experiment expects a compound-jump spec")
-    if spec.d != 2:
-        raise ConfigError("convergence experiment implemented for d = 2")
-    t_large = _real("t_large", t_large, ge=10)
-    trials = _count("trials", trials, 10)
-    limit = _scaled_hull_limit(spec, trials, seed, n_steps_limit)
-    return _scaled_hull_ks(spec, limit, t_large, trials, seed)
+        va = np.array(trial_values(seed, "scaled_hull_long", trials, one_long))
+        stat, p = ks_two_sample(va, vb)
+        report = {
+            "alpha": alpha,
+            "t": t,
+            "trials": trials,
+            "et1_mean": et1,
+            "fitted_c": c_fit,
+            "ks_stat": stat,
+            "p_value": p,
+            "mean_long": float(va.mean()),
+            "mean_limit": float(vb.mean()),
+        }
+        out.append((stat, p, report))
+    return out
 
 
 def exit_value_tail_experiment(

@@ -83,9 +83,7 @@ def verify_lp_brownian(
     quad_points = _count("quad_points", quad_points)
     spec = StableSpec(flavor="brownian", c=0.5, d=d)
     target_val = ev_sup_brownian_pow(p) * 2.0 ** (-p / 2.0) * unit_ball_volume(d)
-    target = ClosedFormTarget(
-        "lp_brownian", target_val, {"p": p, "d": d, "n_steps": n_steps}
-    )
+    target = ClosedFormTarget(target_val, {"p": p, "d": d, "n_steps": n_steps})
     if d == 2:
         grid = _circle_grid(quad_points)
         vals = walk_hull_values(

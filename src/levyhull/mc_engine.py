@@ -284,7 +284,6 @@ def run_intrinsic_volume_experiment(cfg: ExperimentConfig):
     for k, j in enumerate(js):
         limit = ev_intrinsic_isotropic(spec.alpha, spec.c, spec.d, j)
         tgt = ClosedFormTarget(
-            "ev_intrinsic",
             limit * cfg.horizon ** (j / spec.alpha),
             {
                 "alpha": spec.alpha,
@@ -316,7 +315,6 @@ def run_gram_experiment(
     if not j <= d <= 6:
         raise ParameterError(f"need 1 <= j <= d <= 6, got j={j}, d={d}")
     target = ClosedFormTarget(
-        "gram_det",
         math.factorial(j)
         * ball_intrinsic_volume(d, j, 1.0 / math.sqrt(2.0 * math.pi)),
         {"d": d, "j": j},
@@ -385,7 +383,6 @@ def run_faces_experiment(cfg: ExperimentConfig) -> EstimateResult:
         cfg, "faces_count", lambda poly, path: float(_facets_at(poly, path.points[0]))
     )
     target = ClosedFormTarget(
-        "expected_faces_at_origin",
         expected_faces_at_origin(cfg.n_steps, d),
         {"n": cfg.n_steps, "d": d},
     )

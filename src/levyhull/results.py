@@ -15,17 +15,12 @@ __all__ = ["EstimateResult"]
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Mean/stderr summary of one estimated quantity.
-
-    ``z_score`` is (mean - target.value) / stderr, present only when a
-    target is attached and the spread is resolvable.
-    """
+    """Mean/stderr summary of one estimated quantity."""
 
     mean: float
     stderr: float
     trials: int
     target: ClosedFormTarget | None = None
-    z_score: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "trials", _count("trials", self.trials))
@@ -41,13 +36,4 @@ class EstimateResult:
         stderr = (
             float(arr.std(ddof=1)) / math.sqrt(arr.size) if arr.size > 1 else 0.0
         )
-        z = None
-        if target is not None and stderr > 0.0:
-            z = (mean - target.value) / stderr
-        return cls(
-            mean=mean,
-            stderr=stderr,
-            trials=int(arr.size),
-            target=target,
-            z_score=z,
-        )
+        return cls(mean=mean, stderr=stderr, trials=int(arr.size), target=target)

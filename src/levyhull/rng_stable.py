@@ -106,10 +106,6 @@ class PathSample:
         if not (t[1:] > t[:-1]).all():
             raise ParameterError("times must be strictly increasing")
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 def sample_stable_1d(alpha, scale, rng, size=None):
     """Symmetric alpha-stable draw(s) with char. fn. exp(-scale^alpha |s|^alpha).

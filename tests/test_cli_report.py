@@ -55,16 +55,14 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 TWO_CPUS = pytest.mark.skipif(CPUS < 2, reason="needs 2 usable CPUs")
 
 
-# passes planning, then fails in run_all: at jump rate 0.001 almost no
-# path leaves the unit ball within the horizon
-SLOW_EXIT_RENEWAL = {
-    "kind": "renewal_ratio",
-    "flavor": "cpp",
-    "jump_law": "gaussian",
-    "jump_rate": 0.001,
-    "t_values": [2.0],
-    "et1_trials": 50,
-}
+def _fail_renewal_plans(monkeypatch):
+    """Make every renewal_ratio plan raise ConfigError in each process that
+    runs it, as a plan that passes planning and then fails in run_all does."""
+
+    def fail(plan, seed):
+        raise ConfigError("renewal stand-in failed")
+
+    monkeypatch.setitem(cli_report._RUNNERS, "renewal_ratio", fail)
 
 
 def _assert_no_child_left():
@@ -257,7 +255,10 @@ WALK_LENGTH_FIELDS = [
     ({"kind": "faces_count", "trials": 100}, "n_values"),
     ({"kind": "tail_index", "alpha": 1.5, "trials": 100}, "n_steps"),
     ({"kind": "lp_brownian", "p": 1.0}, "n_steps"),
+    ({"kind": "lp_brownian", "p": 1.0}, "quad_points"),
     (dict(LP_STABLE), "n_steps"),
+    (dict(LP_STABLE), "grid_n"),
+    (dict(LP_STABLE), "quad_points"),
     (dict(SCALED), "n_steps_limit"),
 ]
 
@@ -529,13 +530,17 @@ class TestRunAll:
         entry = dict(SCALED, t_values=[20.0, 50.0], trials=20, n_steps_limit=100)
         (plan,) = plan_experiments(_cfg(entry))
         rows, trend = cli_report._run_scaled_hull(plan, 3)
-        assert calls == {"scaled_hull_fit": 1, "scaled_hull_limit": 1, "scaled_hull_long": 2}
+        once = {"scaled_hull_fit": 1, "scaled_hull_limit": 1, "scaled_hull_long": 2}
+        assert calls == once
         spec = cli_report._cpp_spec(plan.params)
+        calls.clear()
+        limits.scaled_hull_convergence(spec, [20.0, 50.0], trials=20, seed=3, n_steps_limit=100)
+        assert calls == once
         stats = []
         for row, t in zip(rows, (20.0, 50.0)):
             stat, p_value, report = limits.scaled_hull_convergence(
-                spec, t, trials=20, seed=3, n_steps_limit=100
-            )
+                spec, [t], trials=20, seed=3, n_steps_limit=100
+            )[0]
             stats.append(stat)
             params = json.loads(row["param_json"])
             assert (row["mean"], row["trials"], params["t"]) == (stat, 20, t)
@@ -579,11 +584,12 @@ class TestRunAll:
     @TWO_CPUS
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failed_plan"])
-    def test_a_run_leaves_no_descriptor_open(self, tmp_path, failing):
-        plans = plan_experiments(_cfg(GRAM, SLOW_EXIT_RENEWAL if failing else INTRINSIC))
+    def test_a_run_leaves_no_descriptor_open(self, tmp_path, monkeypatch, failing):
+        plans = plan_experiments(_cfg(GRAM, RENEWAL if failing else INTRINSIC))
         before = len(os.listdir("/proc/self/fd"))
         if failing:
-            with pytest.raises(ConfigError, match="almost no paths exited"):
+            _fail_renewal_plans(monkeypatch)
+            with pytest.raises(ConfigError, match="renewal stand-in failed"):
                 run_all(plans, tmp_path, threads=2)
         else:
             assert run_all(plans, tmp_path, threads=2).processes == 2
@@ -824,21 +830,14 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=TWO_CPUS)])
-    def test_failed_plan_keeps_finished_rows(self, tmp_path, capsys, threads):
-        # The cpp renewal passes planning, then fails in run_all: at jump rate
-        # 0.001 almost no path leaves the unit ball within the horizon.
-        renewal = {
-            "kind": "renewal_ratio",
-            "flavor": "cpp",
-            "jump_law": "gaussian",
-            "jump_rate": 0.001,
-            "t_values": [2.0],
-            "et1_trials": 50,
-        }
-        cfg = self._write_cfg(tmp_path, _cfg(GRAM, renewal))
+    def test_failed_plan_keeps_finished_rows(self, tmp_path, capsys, monkeypatch, threads):
+        # The renewal passes planning, then fails in run_all, after the Gram
+        # plan has run (and, at --threads 2, forked the team).
+        _fail_renewal_plans(monkeypatch)
+        cfg = self._write_cfg(tmp_path, _cfg(GRAM, RENEWAL))
         out_dir = tmp_path / "out"
         assert main(["run", cfg, "--threads", threads, "--out", str(out_dir)]) == 2
-        assert "almost no paths exited" in capsys.readouterr().err
+        assert "renewal stand-in failed" in capsys.readouterr().err
         rows = _read_csv(out_dir / "results.csv")
         assert rows[0] == list(CSV_COLUMNS) and [r[0] for r in rows[1:]] == ["gram_determinant"]
         assert not (out_dir / "summary.json").exists()

@@ -112,7 +112,7 @@ ENTRIES = [
     ("renewal_ratio_experiment.trials", "trials", 2,
      lambda v: renewal_ratio_experiment(BROWNIAN2, [1.0], trials=v, dt=0.05, et1_trials=2)),
     ("scaled_hull_convergence.trials", "trials", 10,
-     lambda v: scaled_hull_convergence(HEAVY, 10.0, trials=v, n_steps_limit=10)),
+     lambda v: scaled_hull_convergence(HEAVY, [10.0], trials=v, n_steps_limit=10)),
     ("exit_value_tail_experiment.trials", "trials", 10,
      lambda v: exit_value_tail_experiment(HEAVY, trials=v)),
     ("vp_ball_mixed.quad_points", "quad_points", 8,

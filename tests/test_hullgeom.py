@@ -1027,11 +1027,6 @@ class TestPolytopeType:
             with pytest.raises(ParameterError):
                 Polytope(3, _regular_tetrahedron(), 3, facets)
 
-    def test_json_round_trip_fields(self):
-        p = hull3d(np.array(CUBE))
-        d = p.to_json_dict()
-        assert d["dim"] == 3 and len(d["vertices"]) == 8 and len(d["facets"]) == 12
-
     def test_intrinsic_volume_container_guards(self):
         with pytest.raises(ParameterError):
             IntrinsicVolumes((0.5, 1.0))

@@ -38,6 +38,7 @@ from oracles import hausdorff
 
 BROWNIAN2 = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
 HEAVY = StableSpec(alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=3.0)
+SLOW_GAUSSIAN = StableSpec(d=2, flavor="cpp", jump_law="gaussian", jump_rate=0.001)
 DRIFT_ONLY = StableSpec(
     alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=0.0,
     drift=(2.0, 0.0),
@@ -638,6 +639,11 @@ class TestMeanExitTime:
         # a cpp path is sampled at its jumps: dt takes no memory there
         assert estimate_mean_exit_time(HEAVY, trials=20, dt=1e-300).trials > 0
 
+    def test_an_explicit_horizon_is_used_as_given(self):
+        # the default for this rate would be 40 / 0.001
+        with pytest.raises(ConfigError, match="almost no paths exited"):
+            estimate_mean_exit_time(SLOW_GAUSSIAN, trials=50, horizon=40.0)
+
 
 class TestRenewalRatio:
     def test_pure_drift_rate_is_exactly_two(self):
@@ -661,6 +667,12 @@ class TestRenewalRatio:
         )
         combined = math.hypot(r.stderr, rate_err)
         assert abs(r.mean - r.target.value) < 4.0 * combined
+
+    def test_slow_cpp_paths_exit_within_the_default_horizon(self):
+        # at horizon 40 almost no path exited at jump rate 0.001, and the
+        # E T_1 batch raised; at 40 / 0.001 every one of the 50 exits
+        (r,) = renewal_ratio_experiment(SLOW_GAUSSIAN, [2.0], trials=2, et1_trials=50)
+        assert r.target.params["et1_trials"] == 50
 
     def test_tiny_horizon_ratio_is_small_and_nonnegative(self):
         res = renewal_ratio_experiment(
@@ -691,8 +703,8 @@ class TestScaledHullConvergence:
         )
         gaps = []
         for seed in range(3):
-            lo, _, _ = scaled_hull_convergence(spec, 1e2, trials=300, seed=seed)
-            hi, _, rep = scaled_hull_convergence(spec, 1e4, trials=300, seed=seed)
+            lo, _, _ = scaled_hull_convergence(spec, [1e2], trials=300, seed=seed)[0]
+            hi, _, rep = scaled_hull_convergence(spec, [1e4], trials=300, seed=seed)[0]
             gaps.append(lo - hi)
             assert rep["alpha"] == 1.5
         assert sum(g > 0 for g in gaps) >= 2
@@ -702,8 +714,8 @@ class TestScaledHullConvergence:
         spec = StableSpec(
             alpha=2.0, c=0.5, d=2, flavor="cpp", jump_law="gaussian", jump_rate=2.0
         )
-        lo, _, rep_lo = scaled_hull_convergence(spec, 1e2, trials=300, seed=4)
-        hi, p_hi, rep_hi = scaled_hull_convergence(spec, 1e4, trials=300, seed=4)
+        lo, _, rep_lo = scaled_hull_convergence(spec, [1e2], trials=300, seed=4)[0]
+        hi, p_hi, rep_hi = scaled_hull_convergence(spec, [1e4], trials=300, seed=4)[0]
         assert rep_lo["alpha"] == 2.0
         assert hi < lo
         assert p_hi > 0.05
@@ -724,14 +736,14 @@ class TestScaledHullConvergence:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            scaled_hull_convergence(BROWNIAN2, 1e3, trials=100, seed=0)
+            scaled_hull_convergence(BROWNIAN2, [1e3], trials=100, seed=0)
         heavy = StableSpec(
             alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=1.0
         )
         with pytest.raises(ParameterError):
-            scaled_hull_convergence(heavy, 5.0, trials=100, seed=0)
+            scaled_hull_convergence(heavy, [5.0], trials=100, seed=0)
         with pytest.raises(ParameterError):
-            scaled_hull_convergence(heavy, 1e3, trials=5, seed=0)
+            scaled_hull_convergence(heavy, [1e3], trials=5, seed=0)
 
     def test_heavy_tail_bounds_enforced_upstream(self):
         with pytest.raises(ParameterError):
@@ -887,8 +899,8 @@ def _pin_exit_tail(spec):
 
 def _pin_scaled_hull(spec):
     stat, p_value, report = scaled_hull_convergence(
-        spec, 20.0, trials=20, seed=PIN_SEED, n_steps_limit=100
-    )
+        spec, [20.0], trials=20, seed=PIN_SEED, n_steps_limit=100
+    )[0]
     got = (stat, report["et1_mean"], report["fitted_c"],
            report["mean_long"], report["mean_limit"])
     recs = _hand_loop(

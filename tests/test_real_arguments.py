@@ -115,8 +115,8 @@ ENTRIES = [
      lambda v: renewal_ratio_experiment(BROWNIAN2, [v], trials=2, dt=0.05, et1_trials=2)),
     ("renewal_ratio_experiment.dt", "dt", P, {"gt": 0}, 0.05,
      lambda v: renewal_ratio_experiment(BROWNIAN2, [1.0], trials=2, dt=v, et1_trials=2)),
-    ("scaled_hull_convergence.t_large", "t_large", P, {"ge": 10}, 20.0,
-     lambda v: scaled_hull_convergence(HEAVY, v, trials=10, n_steps_limit=10)),
+    ("scaled_hull_convergence.t_values", "t_values entry", P, {"ge": 10}, 20.0,
+     lambda v: scaled_hull_convergence(HEAVY, [v], trials=10, n_steps_limit=10)),
     ("ExperimentConfig.horizon", "horizon", ConfigError, {"gt": 0}, 1.0,
      lambda v: ExperimentConfig(BROWNIAN2, trials=100, horizon=v)),
 ]

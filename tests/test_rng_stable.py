@@ -129,7 +129,7 @@ class TestWalkPath:
         assert p.points.shape == (17, 2)
         assert p.times[0] == 0.0 and p.times[-1] == pytest.approx(4.0)
         assert np.allclose(np.diff(p.times), 0.25)
-        assert p.dim == 2
+        assert p.points.shape[1] == 2
 
     def test_endpoint_distribution_from_self_similarity(self):
         # X(horizon) has char. fn. exp(-horizon c |u|^alpha) at any step count.
@@ -188,7 +188,7 @@ class TestCppPath:
     def test_gaussian_law_control(self):
         spec = StableSpec(flavor="cpp", d=3, jump_rate=2.0, jump_law="gaussian")
         p = sample_cpp_path(spec, 1.0, np.random.default_rng(9))
-        assert p.dim == 3
+        assert p.points.shape[1] == 3
 
     def test_flavor_check(self):
         with pytest.raises(ParameterError):
