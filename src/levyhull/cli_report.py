@@ -39,6 +39,7 @@ from .limits import (
     _DRIFT_TAIL_HORIZON,
     _ET1_HORIZON,
     _MAX_WALK_STEPS,
+    _MIN_JUMP_RATE,
     _walk_steps,
     exit_value_tail_experiment,
     renewal_ratio_experiment,
@@ -193,6 +194,9 @@ def _check_cpp(p, bad, horizon=math.inf):
             )
     if p.get("drift") is not None and len(p["drift"]) != p["d"]:
         bad("drift", f"must have d = {p['d']} entries")
+    if p["jump_rate"] and p["jump_rate"] < _MIN_JUMP_RATE:
+        bad("jump_rate", f"must be 0 or >= {_MIN_JUMP_RATE:g}: the horizons scale "
+            f"as 1/jump_rate, and below that they overflow or no path exits")
     if not p["jump_rate"] and not any(p.get("drift") or ()):
         bad("jump_rate", "must be > 0 unless drift is nonzero: the path never moves")
     if not p["jump_rate"] and math.hypot(*p["drift"]) * horizon < 1.0:

@@ -37,7 +37,7 @@ from .errors import ConfigError, ParameterError, ResourceError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
-from .rng_stable import PathSample, StableSpec, sample_cpp_path, sample_walk_path
+from .rng_stable import PathSample, StableSpec, _walk_prefixes, sample_cpp_path, sample_walk_path
 
 __all__ = [
     "ExitRecord",
@@ -299,15 +299,21 @@ def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
     )
 
 
-def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
-    """Sample one path of ``spec`` and hand it to ``scan`` in the exit
-    convention that is exact for that path."""
+def _scan(spec: StableSpec, path: PathSample, scan):
+    """Hand ``path``, a path of ``spec``, to ``scan`` in the exit convention
+    that is exact for it."""
     if spec.flavor != "cpp":
-        return scan(sample_walk_path(spec, n_steps, horizon, rng), mode="linear")
-    path = sample_cpp_path(spec, horizon, rng)
+        return scan(path, mode="linear")
     if any(spec.drift):  # a finite tuple: truthy iff some entry is nonzero
         return scan(path, drift=spec.drift)
     return scan(path, mode="grid")
+
+
+def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
+    """Sample one whole path of ``spec`` and ``_scan`` it."""
+    if spec.flavor == "cpp":
+        return _scan(spec, sample_cpp_path(spec, horizon, rng), scan)
+    return _scan(spec, sample_walk_path(spec, n_steps, horizon, rng), scan)
 
 
 def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
@@ -316,8 +322,15 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     the exit point, which may be a view of the whole path."""
 
     def one(rng):
-        first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
-        return None if first is None else value(*first)
+        if spec.flavor == "cpp":
+            paths = [sample_cpp_path(spec, horizon, rng)]
+        else:  # a walk is drawn only as far as the first piece that holds an exit
+            paths = _walk_prefixes(spec, n_steps, horizon, rng)
+        for path in paths:
+            first = next(_scan(spec, path, _exits), None)
+            if first is not None:
+                return value(*first)
+        return None
 
     vals = trial_values(seed, name, trials, one)
     return np.array([v for v in vals if v is not None], dtype=np.float64)
@@ -326,6 +339,7 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
 _MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
 _ET1_HORIZON = 40.0  # the E T_1 batch's horizon; slow cpp paths stretch it by 1/jump_rate
 _DRIFT_TAIL_HORIZON = 10.0  # the horizon of exit_value_tail_experiment without jumps
+_MIN_JUMP_RATE = 1e-12  # the floor of the jump rates that set a cpp horizon
 
 
 def _walk_steps(flavor: str, horizon: float, dt: float) -> int:
@@ -356,7 +370,9 @@ def estimate_mean_exit_time(
     default horizon is 40, or 40 / jump_rate for a cpp spec whose jump
     rate lies in (0, 1), so that a path sees as many jumps on average as
     at rate 1. A walk longer than horizon / dt = 10^6 steps raises
-    ResourceError."""
+    ResourceError. A Gaussian walk (alpha = 2) is drawn only up to its first
+    exit, in growing leading pieces, and gives the values of the whole walk
+    bit for bit."""
     trials = _count("trials", trials, 2)
     if horizon is None:
         slow = spec.flavor == "cpp" and 0.0 < spec.jump_rate < 1.0
@@ -471,7 +487,7 @@ def scaled_hull_convergence(
 
     # batch of exit records: renewal spans and embedded-walk increments,
     # pooled across paths (the renewal increments are i.i.d.)
-    fit_horizon = 60.0 / max(spec.jump_rate, 1e-12)
+    fit_horizon = 60.0 / max(spec.jump_rate, _MIN_JUMP_RATE)
     recs = trial_values(
         seed, "scaled_hull_fit", max(300, trials),
         lambda rng: _scan_for(spec, fit_horizon, 1, rng, exit_times),
@@ -529,7 +545,7 @@ def exit_value_tail_experiment(
         raise ConfigError("exit-tail experiment expects a compound-jump spec")
     trials = _count("trials", trials, 10)
     rate = spec.jump_rate
-    horizon = 60.0 / max(rate, 1e-12) if rate > 0 else _DRIFT_TAIL_HORIZON
+    horizon = 60.0 / max(rate, _MIN_JUMP_RATE) if rate > 0 else _DRIFT_TAIL_HORIZON
     got = _first_exit_values(
         spec, horizon, 1, trials, seed, "exit_value_tail",
         lambda t, x: np.linalg.norm(x),

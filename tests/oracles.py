@@ -11,7 +11,10 @@ as independent geometry and closed forms:
   projections, point-to-boundary distances and the Hausdorff distance of
   two polytopes;
 - the expected V_j of the Brownian hull and the expected vertex count of
-  a walk hull.
+  a walk hull;
+- the first-exit values of whole paths (``first_exit_values_whole``), each
+  drawn and scanned to its horizon, the oracle of the E T_1 batch that
+  stops a walk at its first exit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from levyhull.hullgeom import (
     hull2d,
     intrinsic_volumes_2d,
 )
+from levyhull.limits import _exits, _scan_for
 from levyhull.lp_volumes import _circle_grid
+from levyhull.mc_engine import trial_values
 from levyhull.results import EstimateResult
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
     "hausdorff",
     "ev_intrinsic_brownian",
     "expected_hull_vertices",
+    "first_exit_values_whole",
 ]
 
 
@@ -456,3 +462,17 @@ def expected_hull_vertices(n: int, d: int) -> float:
         return 2.0 * float(inv.sum())
     # H_n^2 - H_n^(2) = 2 sum_{i < j} 1/(i j) = 2 sum_j H_{j-1} / j
     return 2.0 * float(inv[1:] @ np.cumsum(inv)[:-1]) + 2.0
+
+
+def first_exit_values_whole(spec, horizon, n_steps, trials, seed, name, value):
+    """value(time, point) of each trial's first unit-ball exit, in trial
+    order, with paths that never exit dropped: the arguments and result of
+    ``limits._first_exit_values``, but every path is sampled whole and
+    scanned from its start."""
+
+    def one(rng):
+        first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
+        return None if first is None else value(*first)
+
+    vals = trial_values(seed, name, trials, one)
+    return np.array([v for v in vals if v is not None], dtype=np.float64)

@@ -240,6 +240,17 @@ PLAN_TIME_REJECTIONS = {
         "n_values",
     ),
     "scaled_hull_n_steps_limit_over_cap": (dict(SCALED, n_steps_limit=10**6 + 1), "n_steps_limit"),
+    # jump rates in (0, 1e-12): the horizons 40 / rate and 60 / rate overflow
+    # or are floored at 1e-12, and these runs failed after earlier plans ran
+    "cpp_renewal_rate_subnormal": (
+        dict(CPP_RENEWAL, jump_law="gaussian", tail_alpha=None, jump_rate=1e-320,
+             trials=2, et1_trials=20),
+        "jump_rate",
+    ),
+    "cpp_renewal_rate_tiny": (dict(CPP_RENEWAL, jump_rate=1e-20), "jump_rate"),
+    "exit_tail_rate_tiny": (dict(EXIT, jump_rate=1e-20), "jump_rate"),
+    "scaled_hull_rate_tiny": (dict(SCALED, jump_rate=1e-20), "jump_rate"),
+    "scaled_hull_rate_subnormal": (dict(SCALED, jump_rate=1e-320), "jump_rate"),
 }
 
 # (minimal entry, walk-length field): every field that sets how many steps a
@@ -405,6 +416,13 @@ class TestPlanTimeChecks:
         entry = dict(RENEWAL, flavor="cpp", jump_law="gaussian", drift=[2.0, 0.0])
         (plan,) = plan_experiments(_cfg(entry))
         assert plan.params["jump_rate"] is None
+
+    @pytest.mark.parametrize("entry", [CPP_RENEWAL, EXIT, SCALED], ids=lambda e: e["kind"])
+    def test_jump_rate_at_floor_accepted(self, entry):
+        assert limits._MIN_JUMP_RATE == 1e-12
+        (plan,) = plan_experiments(_cfg(dict(entry, jump_rate=1e-12)))
+        assert plan.params["jump_rate"] == 1e-12
+        _assert_rejected(dict(entry, jump_rate=math.nextafter(1e-12, 0.0)), "jump_rate")
 
     def test_drift_only_exit_tail_accepted(self):
         (plan,) = plan_experiments(_cfg(dict(EXIT, jump_rate=0.0, drift=[0.5, 0.0])))

@@ -14,6 +14,7 @@ from levyhull.limits import (
     ExitRecord,
     _dot,
     _exits,
+    _first_exit_values,
     _first_sphere_crossing,
     _fit_attractor_scale,
     _fma,
@@ -34,7 +35,7 @@ from levyhull.rng_stable import (
     stream_id,
     trial_rng,
 )
-from oracles import hausdorff
+from oracles import first_exit_values_whole, hausdorff
 
 BROWNIAN2 = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
 HEAVY = StableSpec(alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=3.0)
@@ -643,6 +644,42 @@ class TestMeanExitTime:
         # the default for this rate would be 40 / 0.001
         with pytest.raises(ConfigError, match="almost no paths exited"):
             estimate_mean_exit_time(SLOW_GAUSSIAN, trials=50, horizon=40.0)
+
+
+class TestFirstExitBatchAgainstWholePaths:
+    """A walk's first exit is drawn and scanned only as far as the first
+    leading piece that holds it; the values must be those of whole paths
+    scanned from the start, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 320, 321, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StableSpec(flavor="brownian"),
+            StableSpec(alpha=2.0, c=1.5),
+            StableSpec(alpha=2.0, c=0.02),
+        ],
+        ids=["brownian", "isotropic_c1.5", "isotropic_c0.02"],
+    )
+    def test_same_values_as_whole_paths(self, spec, d, n_steps):
+        spec = StableSpec(alpha=spec.alpha, c=spec.c, d=d, flavor=spec.flavor)
+        # horizon 40 holds exits; 1e-3 is too short for any, so the batch is empty
+        for horizon, exits in ((40.0, True), (1e-3, False)):
+            for name, value in (("t", lambda t, x: t), ("x0", lambda t, x: float(x[0]))):
+                args = (spec, horizon, n_steps, 40, 11, f"first_exit_{name}", value)
+                got = _first_exit_values(*args)
+                assert got.tobytes() == first_exit_values_whole(*args).tobytes()
+                assert (got.size > 0) == exits
+
+    def test_heavy_tailed_and_cpp_paths_unchanged(self):
+        for spec, horizon, n_steps in (
+            (StableSpec(alpha=1.5, c=1.0, d=2), 40.0, 2000),
+            (HEAVY, 20.0, 1),
+            (DRIFT_ONLY, 10.0, 1),
+        ):
+            args = (spec, horizon, n_steps, 40, 12, "first_exit", lambda t, x: t)
+            assert _first_exit_values(*args).tobytes() == first_exit_values_whole(*args).tobytes()
 
 
 class TestRenewalRatio:

@@ -30,7 +30,7 @@ def test_public_api_is_the_union_of_module_lists():
 
 
 def test_the_oracles_are_not_in_the_package():
-    assert len(oracles.__all__) == 11
+    assert len(oracles.__all__) == 12
     modules = [levyhull] + [
         importlib.import_module(f"levyhull.{info.name}")
         for info in pkgutil.iter_modules([str(PACKAGE_DIR)])
