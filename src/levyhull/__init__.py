@@ -5,6 +5,13 @@ The public API is the union of the modules' own ``__all__`` lists."""
 
 __version__ = "0.1.0"
 
+import os
+
+# Trials run in parallel on levyhull's own process team, so an OpenBLAS
+# worker thread per extra CPU only spins. This must precede the first
+# numpy import; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import (
     closed_form,
     errors,

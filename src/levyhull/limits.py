@@ -9,7 +9,8 @@ conventions: "grid" takes the first sample at distance >= 1 (positive
 time bias, exact for pure-jump paths sampled at jump times), "linear"
 interpolates the crossing on the segment (exact for piecewise-linear
 motion), and passing ``drift`` scans the piecewise jump-plus-drift motion
-exactly. Each scan is a lazy generator of (time, point) exits:
+exactly. Each scan is a lazy generator of (time, point) exits, with the
+point a tuple of floats, and makes one pass over the path's samples:
 ``exit_times`` collects all of it, while the first-exit statistics (the
 mean of T_1, the tail of ||X(T_1)||) stop the scan at the first exit.
 
@@ -86,38 +87,18 @@ class ExitRecord:
         return int(np.searchsorted(self.exit_times, s, side="right"))
 
 
-def _first_outside(cols, anchor, start):
-    """Index of the first sample at or after ``start`` at distance >= 1
-    from ``anchor``, or the sample count. ``cols`` holds the coordinate
-    columns as float lists and ``anchor`` one float per column."""
-    # left to right from 0.0, as numpy sums rows of d < 8; sum/fsum/hypot/dot differ
-    n = len(cols[0])
-    if len(cols) == 2:  # the planar case, unrolled
-        (xs, ys), (ax, ay) = cols, anchor
-        for k in range(start, n):
-            dx = xs[k] - ax
-            dy = ys[k] - ay
-            if dx * dx + dy * dy >= 1.0:
-                return k
-        return n
-    for k in range(start, n):
-        s = 0.0
-        for col, a in zip(cols, anchor):
-            di = col[k] - a
-            s = s + di * di
-        if s >= 1.0:
-            return k
-    return n
-
-
 def _exits_grid(times, pts):
-    cols = pts.T.tolist()
-    k = 0
-    while True:
-        k = _first_outside(cols, [c[k] for c in cols], k + 1)
-        if k == len(pts):
-            return
-        yield times[k], pts[k]
+    # left to right from 0.0, as numpy sums rows of d < 8; sum/fsum/hypot/dot differ
+    rows = zip(*pts.T.tolist())
+    anchor = next(rows)
+    for k, row in enumerate(rows, 1):
+        r = 0.0
+        for x, a in zip(row, anchor):
+            x -= a
+            r += x * x
+        if r >= 1.0:
+            anchor = row
+            yield times.item(k), row
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
@@ -176,90 +157,89 @@ def _exits_linear(times, pts):
     # can close a crossing segment. The rounding follows numpy's, as the
     # module docstring explains.
     cols = pts.T.tolist()
-    n = len(pts)
     if len(cols) == 2:  # the planar case, unrolled
         xs, ys = cols
         ax, ay = xs[0], ys[0]
-        k = 0
-        while True:
-            k = _first_outside(cols, (ax, ay), k + 1)
-            if k == n:
-                return
-            px, py, bx, by = xs[k - 1], ys[k - 1], xs[k], ys[k]
-            vx, vy = bx - px, by - py
-            v = (vx, vy)
-            vv = _dot(v, v)
-            t0 = times[k - 1]
-            dt = times[k] - t0
+        for k, bx, by in zip(range(len(xs)), xs, ys):
+            dx, dy = bx - ax, by - ay
+            if dx * dx + dy * dy >= 1.0:
+                px, py = xs[k - 1], ys[k - 1]
+                vx, vy = bx - px, by - py
+                v = (vx, vy)
+                vv = _dot(v, v)
+                t0 = times.item(k - 1)
+                dt = times.item(k) - t0
+                s_lo = 0.0
+                while True:
+                    s = _first_sphere_crossing((px - ax, py - ay), v, vv, s_lo, 1.0)
+                    if s is None:
+                        s = 1.0  # endpoint sits on the sphere within rounding
+                    ax, ay = px + s * vx, py + s * vy
+                    yield t0 + s * dt, (ax, ay)
+                    s_lo = s
+                    dx, dy = bx - ax, by - ay
+                    if s >= 1.0 or dx * dx + dy * dy < 1.0:
+                        break
+        return
+    rows = zip(*cols)
+    anchor = next(rows)
+    for k, b in enumerate(rows, 1):
+        r = 0.0
+        for x, c in zip(b, anchor):
+            x -= c
+            r += x * x
+        if r >= 1.0:
+            a = [c[k - 1] for c in cols]
+            seg = [bi - ai for ai, bi in zip(a, b)]
+            vv = _dot(seg, seg)
+            t0 = times.item(k - 1)
+            dt = times.item(k) - t0
             s_lo = 0.0
             while True:
-                s = _first_sphere_crossing((px - ax, py - ay), v, vv, s_lo, 1.0)
+                q = [ai - ci for ai, ci in zip(a, anchor)]
+                s = _first_sphere_crossing(q, seg, vv, s_lo, 1.0)
                 if s is None:
                     s = 1.0  # endpoint sits on the sphere within rounding
-                ax, ay = px + s * vx, py + s * vy
-                yield t0 + s * dt, np.array((ax, ay))
+                anchor = tuple([ai + s * si for ai, si in zip(a, seg)])
+                yield t0 + s * dt, anchor
                 s_lo = s
-                dx, dy = bx - ax, by - ay
-                if s >= 1.0 or dx * dx + dy * dy < 1.0:
+                if s >= 1.0:
                     break
-    anchor = [c[0] for c in cols]
-    k = 0
-    while True:
-        k = _first_outside(cols, anchor, k + 1)
-        if k == n:
-            return
-        a = [c[k - 1] for c in cols]
-        b = [c[k] for c in cols]
-        seg = [bi - ai for ai, bi in zip(a, b)]
-        vv = _dot(seg, seg)
-        t0 = times[k - 1]
-        dt = times[k] - t0
-        s_lo = 0.0
-        while True:
-            q = [ai - ci for ai, ci in zip(a, anchor)]
-            s = _first_sphere_crossing(q, seg, vv, s_lo, 1.0)
-            if s is None:
-                s = 1.0  # endpoint sits on the sphere within rounding
-            anchor = [ai + s * si for ai, si in zip(a, seg)]
-            yield t0 + s * dt, np.array(anchor)
-            s_lo = s
-            if s >= 1.0:
-                break
-            r = 0.0
-            for bi, ci in zip(b, anchor):
-                di = bi - ci
-                r = r + di * di
-            if r < 1.0:
-                break
+                r = 0.0
+                for x, c in zip(b, anchor):
+                    x -= c
+                    r += x * x
+                if r < 1.0:
+                    break
 
 
 def _exits_with_drift(times, pts, v):
-    ts, rows, v = times.tolist(), pts.tolist(), v.tolist()
+    ts, rows, v = times.tolist(), zip(*pts.T.tolist()), v.tolist()
     vv = _dot(v, v)
-    anchor = rows[0]
+    anchor = p = next(rows)
     last_t = 0.0
-    for k in range(len(rows) - 1):
-        p_k = rows[k]
-        dt = ts[k + 1] - ts[k]
+    for t, t_next, p_next in zip(ts, ts[1:], rows):
+        dt = t_next - t
         s_lo = 0.0
         while True:
-            q = [pi - ci for pi, ci in zip(p_k, anchor)]
+            q = [pi - ci for pi, ci in zip(p, anchor)]
             s = _first_sphere_crossing(q, v, vv, s_lo, dt)
             if s is None:
                 break
-            last_t = ts[k] + s
-            anchor = [pi + s * vi for pi, vi in zip(p_k, v)]
-            yield last_t, np.array(anchor)
+            last_t = t + s
+            anchor = tuple([pi + s * vi for pi, vi in zip(p, v)])
+            yield last_t, anchor
             if s >= dt:  # the crossing was clamped to the jump time
                 break
             s_lo = s
-        # the jump lands the path at pts[k + 1]; it may exit outright
+        # the jump lands the path at p_next; it may exit outright
         # (np.linalg.norm is the square root of the same fused dot)
-        gap = [pi - ci for pi, ci in zip(rows[k + 1], anchor)]
+        gap = [pi - ci for pi, ci in zip(p_next, anchor)]
         if math.sqrt(_dot(gap, gap)) >= 1.0:
-            last_t = max(ts[k + 1], math.nextafter(last_t, math.inf))
-            anchor = rows[k + 1]
-            yield last_t, pts[k + 1]
+            last_t = max(t_next, math.nextafter(last_t, math.inf))
+            anchor = p_next
+            yield last_t, p_next
+        p = p_next
 
 
 def _exits(path: PathSample, drift=None, mode: str = "grid"):
@@ -318,8 +298,7 @@ def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
 
 def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     """value(time, point) of each trial's first exit, in trial order; paths
-    that never exit are dropped. Only the values outlive their trial, not
-    the exit point, which may be a view of the whole path."""
+    that never exit are dropped."""
 
     def one(rng):
         if spec.flavor == "cpp":

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyhull.errors import ConfigError, ParameterError, ResourceError
 from levyhull.hullgeom import hull2d, intrinsic_volumes_2d
@@ -545,6 +547,62 @@ class TestScannerEdgesAgainstFrozenOracle:
             path = sample_cpp_path(spec, 20.0, trial_rng(52, 2, k))
             huge = PathSample(path.times, 1e12 * path.points)
             assert _assert_matches_oracle(huge, "grid").n_exits >= 1
+
+
+# coordinates of 0.0 or of size at least 1e-3, so no product of two
+# differences falls below the range where ``_fma`` is exact
+_COORD = st.floats(-1.5, 1.5).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+_LATTICE = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+
+
+@st.composite
+def _short_paths(draw):
+    """Paths of 2-40 samples in d = 1..4. Their steps mix repeated
+    samples, half-integer lattice steps and unit axis steps (which put
+    samples at squared distance exactly 1.0 from an anchor), steps shorter
+    than 2 and steps 2-50 long."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    steps = np.zeros((n, d))
+    for k in range(1, n):
+        kind = draw(st.sampled_from(("repeat", "lattice", "axis", "short", "long")))
+        if kind == "lattice":
+            steps[k] = draw(st.lists(_LATTICE, min_size=d, max_size=d))
+        elif kind == "axis":
+            steps[k, draw(st.integers(0, d - 1))] = draw(st.sampled_from((-1.0, 1.0)))
+        elif kind != "repeat":
+            steps[k] = draw(st.lists(_COORD, min_size=d, max_size=d))
+            norm = float(np.linalg.norm(steps[k]))
+            if kind == "long":
+                if norm < 0.1:
+                    steps[k] = 0.0
+                    steps[k, 0], norm = 1.0, 1.0
+                steps[k] *= draw(st.floats(2.0, 50.0)) / norm
+    dts = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    return PathSample(times, np.cumsum(steps, axis=0))
+
+
+class TestScannersOnShortPaths:
+    @given(_short_paths(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_scanner_matches_its_frozen_oracle(self, path, data):
+        d = path.points.shape[1]
+        for mode in ("grid", "linear"):
+            _assert_matches_oracle(path, mode)
+        drift = data.draw(st.lists(_COORD, min_size=d, max_size=d), label="drift")
+        _assert_drift_matches_oracle(path, drift)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_sample_path_has_no_exits(self, d):
+        # its horizon is 0, which no ExitRecord takes, so the scans are
+        # asked directly
+        path = PathSample(np.zeros(1), np.zeros((1, d)))
+        assert _oracle_grid(path.times, path.points) == ([], [])
+        assert _oracle_linear(path.times, path.points) == ([], [])
+        assert list(_oracle_drift(path.times, path.points, np.ones(d))) == []
+        for kw in ({"mode": "grid"}, {"mode": "linear"}, {"drift": np.ones(d)}):
+            assert list(_exits(path, **kw)) == []
 
 
 def _fraction_fma(a, b, c):
