@@ -14,11 +14,20 @@ and its index triples in a Python list. An insertion finds its visible
 facets with one matrix-vector product; their horizon and the cone over it
 are worked out in Python floats, a handful of facets at a time, and
 written into the visible facets' rows. Each round measures all outside
-points against all facets with one matrix product. ``intrinsic_volumes_2d``
-and ``intrinsic_volumes_3d`` measure every hull shape, points, segments and
-flat polygons included; on a full mesh, ``intrinsic_volumes_3d`` pairs the
-two facets of every edge by sorting edge keys, so the dihedral angles come
-from batched array operations.
+points against all facets with one matrix product, in blocks of _BLOCK
+columns. Every pass over all n input points also runs on blocks: the 32
+directional extremes and the first filter on blocks of _BLOCK points, the
+elementwise passes that pick the seed tetrahedron on blocks of _PASS = 8 *
+_BLOCK. So beyond its input and one transposed copy a hull3d call holds
+O(_PASS) working memory plus the homogeneous rows of the points left
+outside the seed body. The blocked passes keep the rules of whole-array
+ones: the same elementwise arithmetic, np.argmax's first-index rule, the
+eps tie rule and the insertion order.
+
+``intrinsic_volumes_2d`` and ``intrinsic_volumes_3d`` measure every hull
+shape, points, segments and flat polygons included; on a full mesh,
+``intrinsic_volumes_3d`` pairs the two facets of every edge by sorting
+edge keys, so the dihedral angles come from batched array operations.
 """
 
 from __future__ import annotations
@@ -212,24 +221,66 @@ def _lex_sorted(pts: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return cand[np.lexsort((sub[:, 2], sub[:, 1], sub[:, 0]))]
 
 
+_BLOCK = 2048  # point columns per product block (distances, seed projection), sized for cache
+# points per block of the elementwise passes that pick the seed tetrahedron:
+# their temporaries are (3, b), and at _BLOCK points numpy's per-call cost
+# made a hull of 10^4 points 0.18 ms slower
+_PASS = 8 * _BLOCK
+
+
+def _first_max(scores) -> tuple[int, float]:
+    """(index, value) of the largest score, from ``scores``, an iterable of
+    consecutive score blocks, by np.argmax's rule: the first maximum wins,
+    and NaN counts above every number."""
+    at, best, lo = 0, None, 0
+    for s in scores:
+        k = int(s.argmax())
+        if best is None or (best == best and not s[k] <= best):
+            at, best = lo + k, float(s[k])
+        lo += len(s)
+    return at, best
+
+
 def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
-    """Extreme point index in each seed direction, from one (32, 3) @ (3, n)
-    product (``cols`` is pts transposed). Near-ties within eps of a
-    direction's maximum go to the lexicographic max, so every pick is a
-    true vertex."""
-    proj = _SEED_DIRECTIONS @ cols
-    dirs = np.arange(len(proj))
-    picks = np.argmax(proj, axis=1)
-    top = proj[dirs, picks]
-    proj[dirs, picks] = -np.inf
-    tied = proj.max(axis=1) >= top - eps  # a second point within eps of the top
-    proj[dirs, picks] = top
-    for k in np.flatnonzero(tied):
-        picks[k] = _lex_sorted(pts, np.flatnonzero(proj[k] >= top[k] - eps))[-1]
+    """Extreme point index in each seed direction. Each block of _BLOCK
+    columns of ``cols`` (pts transposed) is projected on all 32 directions
+    by one (32, 3) @ (3, b) product and folded into each direction's running
+    top, its first argmax, and the largest projection of any other point,
+    so no (32, n) array is made. Near-ties within eps of a direction's
+    maximum go to the lexicographic max, so every pick is a true vertex;
+    only then are the blocks projected again, for the tied directions.
+
+    BLAS picks its kernel by matrix size, so a block's product can round a
+    projection differently in its last bit from a (32, 3) @ (3, n) one. A
+    pick can move only if a point lies within a few ulps of a window's
+    edge, top - eps."""
+    dirs = np.arange(len(_SEED_DIRECTIONS))
+    starts = range(0, cols.shape[1], _BLOCK)
+    for lo in starts:
+        proj = _SEED_DIRECTIONS @ cols[:, lo : lo + _BLOCK]
+        at = proj.argmax(axis=1)
+        best = proj[dirs, at]
+        proj[dirs, at] = -np.inf
+        rest = proj.max(axis=1)  # -inf in a one-point block
+        if lo == 0:
+            picks, top, second = at, best, rest
+            continue
+        new = best > top  # an equal top keeps the earlier point
+        second = np.where(new, np.maximum(top, rest), np.maximum(second, best))
+        picks = np.where(new, at + lo, picks)
+        top = np.where(new, best, top)
+    tied = np.flatnonzero(second >= top - eps)
+    if len(tied):
+        edge, near = (top - eps)[tied, None], []
+        for lo in starts:  # the same products, so the same bits
+            k, i = ((_SEED_DIRECTIONS @ cols[:, lo : lo + _BLOCK])[tied] >= edge).nonzero()
+            near.append((k, i + lo))
+        k, i = map(np.concatenate, zip(*near))  # by block, each block by direction
+        for r, d in enumerate(tied):
+            picks[d] = _lex_sorted(pts, i[k == r])[-1]
     return picks
 
 
-_BLOCK = 2048  # point columns per distance block, sized to stay in cache
 _DEAD_PLANE = np.array([0.0, 0.0, 0.0, np.inf])
 _EDGES = np.array([[0, 1], [1, 2], [2, 0]])  # directed edges of a triangle
 
@@ -262,12 +313,17 @@ class _FacetStore:
     against every facet. An insertion touches a handful of facets, so its
     horizon and the planes of its new facets are worked out in Python
     floats and tuples and written back with one row assignment.
+
+    Beyond the facets the store keeps only the Python-float coordinates of
+    the points it has touched and one scratch homogeneous row (x, y, z, -1)
+    for the point being inserted. The homogeneous rows of the points still
+    outside are the caller's ``q4``, built block by block for the points
+    that survive the first filter.
     """
 
     def __init__(self, pts: np.ndarray, interior: np.ndarray, cap: int = 64):
-        # homogeneous rows (x, y, z, -1): distances are plane @ hom[i]
-        self.hom = pts[:, [0, 1, 2, 0]]
-        self.hom[:, 3] = -1.0
+        self.pts = pts
+        self.hom = np.full(4, -1.0)  # scratch homogeneous row of the point inserted
         self.xyz = _Coords(pts)
         self.interior = interior.tolist()
         self.tri = []
@@ -333,7 +389,8 @@ class _FacetStore:
         from p over their horizon. A horizon edge is a directed edge (u, v)
         of a visible facet whose reverse belongs to no visible facet; the
         new facet (u, v, p) keeps the mesh orientation."""
-        vis = (self.plane[: len(self.tri)] @ self.hom[p] > eps).nonzero()[0].tolist()
+        self.hom[:3] = self.pts[p]
+        vis = (self.plane[: len(self.tri)] @ self.hom > eps).nonzero()[0].tolist()
         if not vis:
             return
         edges = []
@@ -365,33 +422,43 @@ def hull3d(points) -> Polytope:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ParameterError("hull3d needs a nonempty (n, 3) array")
-    if not np.all(np.isfinite(pts)):
+    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):  # NaN propagates
         raise ParameterError("hull3d needs finite coordinates")
     cols = np.ascontiguousarray(pts.T)  # per-point work runs along contiguous rows
     eps = geom_eps(cols.T)
     if eps == 0.0:
         return Polytope(3, pts[:1].copy(), 0)
+    # the seed tetrahedron's passes run on blocks of _PASS points; a
+    # collinear or coplanar input goes whole to its lower-dimensional hull
+    starts = range(0, len(pts), _PASS)
     # the lexicographic minimum: an argmin on x with a tie-break, no lexsort
-    i0 = int(_lex_sorted(pts, np.flatnonzero(cols[0] == cols[0].min()))[0])
-    r0, r1, r2 = rel = cols - cols[:, i0, None]
-    i1 = int(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2).argmax())
-    axis = pts[i1] - pts[i0]
-    axis /= np.linalg.norm(axis)
+    x, x_min = cols[0], cols[0].min()
+    lowest = np.concatenate([np.flatnonzero(x[lo : lo + _PASS] == x_min) + lo for lo in starts])
+    i0 = int(_lex_sorted(pts, lowest)[0])
+    x0 = cols[:, i0, None]
+
+    def dist(r0, r1, r2):
+        return np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+
+    i1, _ = _first_max(dist(*(cols[:, lo : lo + _PASS] - x0)) for lo in starts)
+    e1 = pts[i1] - pts[i0]
+    axis = e1 / np.linalg.norm(e1)
     a0, a1, a2 = axis.tolist()
-    # |rel x axis| per point, with np.cross's terms in np.cross's order
-    c0, c1, c2 = r1 * a2 - r2 * a1, r2 * a0 - r0 * a2, r0 * a1 - r1 * a0
-    line_dist = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    i2 = int(line_dist.argmax())
-    if line_dist[i2] <= eps:
+
+    def line_dist(r0, r1, r2):  # |rel x axis|, with np.cross's terms in np.cross's order
+        return dist(r1 * a2 - r2 * a1, r2 * a0 - r0 * a2, r0 * a1 - r1 * a0)
+
+    i2, off_line = _first_max(line_dist(*(cols[:, lo : lo + _PASS] - x0)) for lo in starts)
+    if off_line <= eps:
         proj = pts @ axis
         return Polytope(3, pts[[proj.argmin(), proj.argmax()]], 1)
-    normal = np.cross(rel[:, i1], rel[:, i2])
+    normal = np.cross(e1, pts[i2] - pts[i0])
     normal /= np.linalg.norm(normal)
-    plane_dist = (pts - pts[i0]) @ normal
-    i3 = int(np.argmax(np.abs(plane_dist)))
-    if abs(plane_dist[i3]) <= eps:
-        u = rel[:, i1] / np.linalg.norm(rel[:, i1])
-        basis = np.vstack([u, np.cross(normal, u)])
+    i3, off_plane = _first_max(
+        np.abs((pts[lo : lo + _PASS] - pts[i0]) @ normal) for lo in starts
+    )
+    if off_plane <= eps:
+        basis = np.vstack([axis, np.cross(normal, axis)])
         proj = ((pts - pts[i0]) @ basis.T).tolist()
         flat = hull2d(proj)
         row = {tuple(q): i for i, q in enumerate(proj)}  # return input rows, not lifts
@@ -403,20 +470,33 @@ def hull3d(points) -> Polytope:
     # the seed tetrahedron: triangle (i0, i1, i2) and its cone to i3
     store.add([(i0, i1)], i2)
     store.add([(i0, i1), (i1, i2), (i2, i0)], i3)
-    todo = np.ones(len(pts), dtype=bool)
-    todo[seed] = False
 
     # Directional extremes are guaranteed hull vertices; inserting them
     # first grows a fat seed body so the main loop discards the interior
     # bulk in one filtering pass.
+    done = set(seed)
     for ei in _seed_extremes(pts, cols, eps).tolist():
-        if todo[ei]:
+        if ei not in done:
             store.insert(ei, eps)
-            todo[ei] = False
+            done.add(ei)
 
-    worst = store.worst(store.hom.T)
-    remaining = np.flatnonzero(todo & (worst > eps))
-    q4, worst = store.hom[remaining].T, worst[remaining]
+    # The filtering pass builds each block's homogeneous rows (x, y, z, -1)
+    # and keeps those of the points outside the seed body. A block gets the
+    # layout the same index gives a whole-input copy, and its columns are
+    # the _BLOCK columns ``worst`` would measure at once, so the products
+    # keep their bits.
+    outside, rows, worst = [], [], []
+    for lo in range(0, len(pts), _BLOCK):
+        hom = pts[lo : lo + _BLOCK, [0, 1, 2, 0]]
+        hom[:, 3] = -1.0
+        w = store.worst(hom.T)
+        w[[i - lo for i in done if lo <= i < lo + _BLOCK]] = -np.inf  # inserted already
+        out = np.flatnonzero(w > eps)
+        outside.append(out + lo)
+        rows.append(hom[out])
+        worst.append(w[out])
+    remaining, rows, worst = map(np.concatenate, (outside, rows, worst))
+    q4 = rows.T
     while len(remaining) > 0:
         picked = int(worst.argmax())
         store.insert(int(remaining[picked]), eps)

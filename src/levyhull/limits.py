@@ -52,7 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExitRecord:
-    """Successive unit-ball exit times and positions along one path."""
+    """Successive unit-ball exit times and positions along one path.
+
+    The horizon is >= 0, so a one-sample path, whose horizon is 0, gets an
+    empty record; any exit lies in (0, horizon]."""
 
     exit_times: np.ndarray
     exit_points: np.ndarray
@@ -63,7 +66,7 @@ class ExitRecord:
         p = np.asarray(self.exit_points, dtype=np.float64)
         if t.ndim != 1 or p.ndim != 2 or len(t) != len(p):
             raise ParameterError("exit_times (k,) must align with exit_points (k, d)")
-        horizon = _real("horizon", self.horizon, gt=0)
+        horizon = _real("horizon", self.horizon, ge=0)
         if t.size:
             if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] <= horizon):
                 raise ParameterError(

@@ -6,6 +6,7 @@ everything else checks against exact constructions.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from levyhull import (
     sample_walk_path,
     trial_rng,
 )
-from levyhull.hullgeom import _FacetStore
+from levyhull.hullgeom import _BLOCK, _PASS, _FacetStore, _seed_extremes
 from oracles import (
     boundary_distances,
     expected_hull_vertices,
@@ -502,6 +503,21 @@ def _oracle_corpus():
     yield "grid-4x4x4", grid
     cloud = rng.standard_normal((300, 3))
     yield "tripled-points", np.vstack([cloud, cloud, cloud])
+    # hull3d's seed projection runs on blocks of _BLOCK points: clouds that
+    # end just before, at and just after a block edge
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        yield f"gaussian-{n}", rng.standard_normal((n, 3))
+    # the maximum in seed direction +x held by two equal rows in two blocks
+    split = rng.standard_normal((2 * _BLOCK + 100, 3))
+    split[5, 0] = split[:, 0].max() + 1.0
+    split[_BLOCK + 7] = split[5]
+    yield "equal-max-across-blocks", split
+    # its other passes run on blocks of _PASS points: the minimum x, where
+    # the seed tetrahedron starts, held by two equal rows in two such blocks
+    split = rng.standard_normal((_PASS + 1, 3))
+    split[3, 0] = split[:, 0].min() - 1.0
+    split[_PASS] = split[3]
+    yield "equal-min-across-pass-blocks", split
 
 
 ORACLE_CORPUS = dict(_oracle_corpus())
@@ -517,6 +533,14 @@ class TestHull3dAgainstFrozenOracle:
         assert p.intrinsic_dim == 3
         assert np.array_equal(p.vertices, want[0])
         assert p.facets == tuple(map(tuple, want[1].tolist()))
+
+    @pytest.mark.parametrize("name", ORACLE_CORPUS)
+    def test_same_seed_extremes(self, name):
+        pts = ORACLE_CORPUS[name]
+        cols = np.ascontiguousarray(pts.T)
+        eps = geom_eps(pts)
+        want = _oracle_seed_extremes(pts, cols, eps)
+        assert np.array_equal(_seed_extremes(pts, cols, eps), want)
 
     def test_corpus_holds_a_broken_mesh(self):
         # a directed edge in two facets: the rim then goes through the
@@ -613,6 +637,22 @@ class TestHull2dAgainstQhull:
 def _mean_z(counts, exact: float) -> float:
     c = np.asarray(counts, dtype=np.float64)
     return (c.mean() - exact) / (c.std(ddof=1) / math.sqrt(len(c)))
+
+
+class TestHull3dMemory:
+    # Every pass over all n points runs on fixed blocks, so the traced peak
+    # beyond the input stays under 3x the input's bytes; a (32, n) seed
+    # projection and an (n, 4) homogeneous copy made it 15.7x.
+    # Seed, n and bound were fixed before the first run.
+    def test_peak_allocation_under_three_times_the_input(self):
+        pts = sample_walk_path(StableSpec(alpha=2.0, d=3), 10**5, 1.0, trial_rng(11, 3, 0)).points
+        tracemalloc.start()
+        try:
+            hull3d(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pts.nbytes
 
 
 class TestVertexCountOracle:

@@ -81,6 +81,12 @@ class TestExitRecord:
         with pytest.raises(ParameterError):
             ExitRecord(np.array([1.5]), np.array([[1.0, 0.0]]), horizon=1.0)
 
+    def test_zero_horizon_takes_no_exit(self):
+        rec = ExitRecord(np.empty(0), np.empty((0, 2)), horizon=0.0)
+        assert rec.n_exits == 0 and rec.horizon == 0.0
+        with pytest.raises(ParameterError):
+            ExitRecord(np.array([0.0]), np.array([[1.0, 0.0]]), horizon=0.0)
+
     def test_rejects_misaligned_shapes(self):
         with pytest.raises(ParameterError):
             ExitRecord(np.array([0.5]), np.array([[1.0, 0.0], [2.0, 0.0]]), horizon=1.0)
@@ -595,14 +601,16 @@ class TestScannersOnShortPaths:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_one_sample_path_has_no_exits(self, d):
-        # its horizon is 0, which no ExitRecord takes, so the scans are
-        # asked directly
+        # its horizon is 0: every mode returns an empty record
         path = PathSample(np.zeros(1), np.zeros((1, d)))
         assert _oracle_grid(path.times, path.points) == ([], [])
         assert _oracle_linear(path.times, path.points) == ([], [])
         assert list(_oracle_drift(path.times, path.points, np.ones(d))) == []
         for kw in ({"mode": "grid"}, {"mode": "linear"}, {"drift": np.ones(d)}):
             assert list(_exits(path, **kw)) == []
+            rec = exit_times(path, **kw)
+            assert rec.n_exits == 0 and rec.exit_points.shape == (0, d)
+            assert rec.horizon == 0.0
 
 
 def _fraction_fma(a, b, c):

@@ -105,7 +105,7 @@ ENTRIES = [
      lambda v: verify_lp_stable_consistency(1.5, p=v, **LP_STABLE)),
     ("verify_lp_stable_consistency.c", "c", P, {"gt": 1e-12}, 1.0,
      lambda v: verify_lp_stable_consistency(1.5, c=v, **LP_STABLE)),
-    ("ExitRecord.horizon", "horizon", P, {"gt": 0}, 1.0,
+    ("ExitRecord.horizon", "horizon", P, {"ge": 0}, 1.0,
      lambda v: ExitRecord(np.empty(0), np.empty((0, 2)), v)),
     ("estimate_mean_exit_time.horizon", "horizon", P, {"gt": 0}, 40.0,
      lambda v: estimate_mean_exit_time(BROWNIAN2, trials=2, horizon=v, dt=0.05)),
