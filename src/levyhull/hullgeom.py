@@ -15,14 +15,14 @@ facets with one matrix-vector product; their horizon and the cone over it
 are worked out in Python floats, a handful of facets at a time, and
 written into the visible facets' rows. Each round measures all outside
 points against all facets with one matrix product, in blocks of _BLOCK
-columns. Every pass over all n input points also runs on blocks: the 32
-directional extremes and the first filter on blocks of _BLOCK points, the
-elementwise passes that pick the seed tetrahedron on blocks of _PASS = 8 *
-_BLOCK. So beyond its input and one transposed copy a hull3d call holds
-O(_PASS) working memory plus the homogeneous rows of the points left
-outside the seed body. The blocked passes keep the rules of whole-array
-ones: the same elementwise arithmetic, np.argmax's first-index rule, the
-eps tie rule and the insertion order.
+columns. The seed tetrahedron's picks are np.argmax over one scratch row
+of n scores, filled on blocks of _PASS = 8 * _BLOCK points and freed before
+the 32 directional extremes and the first filter run on blocks of _BLOCK
+points. So beyond its input and one transposed copy a hull3d call holds
+that row while it seeds, then O(_BLOCK) working memory plus the homogeneous
+rows of the points left outside the seed body. The blocked passes keep the
+rules of whole-array ones: the same elementwise arithmetic, the eps tie
+rule and the insertion order.
 
 ``intrinsic_volumes_2d`` and ``intrinsic_volumes_3d`` measure every hull
 shape, points, segments and flat polygons included; on a full mesh,
@@ -228,19 +228,6 @@ _BLOCK = 2048  # point columns per product block (distances, seed projection), s
 _PASS = 8 * _BLOCK
 
 
-def _first_max(scores) -> tuple[int, float]:
-    """(index, value) of the largest score, from ``scores``, an iterable of
-    consecutive score blocks, by np.argmax's rule: the first maximum wins,
-    and NaN counts above every number."""
-    at, best, lo = 0, None, 0
-    for s in scores:
-        k = int(s.argmax())
-        if best is None or (best == best and not s[k] <= best):
-            at, best = lo + k, float(s[k])
-        lo += len(s)
-    return at, best
-
-
 def _seed_extremes(pts: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
     """Extreme point index in each seed direction. Each block of _BLOCK
     columns of ``cols`` (pts transposed) is projected on all 32 directions
@@ -321,13 +308,13 @@ class _FacetStore:
     that survive the first filter.
     """
 
-    def __init__(self, pts: np.ndarray, interior: np.ndarray, cap: int = 64):
+    def __init__(self, pts: np.ndarray, interior: np.ndarray):
         self.pts = pts
         self.hom = np.full(4, -1.0)  # scratch homogeneous row of the point inserted
         self.xyz = _Coords(pts)
         self.interior = interior.tolist()
         self.tri = []
-        self.plane = np.tile(_DEAD_PLANE, (cap, 1))
+        self.plane = np.tile(_DEAD_PLANE, (64, 1))  # doubles as the hull grows
 
     def worst(self, q4: np.ndarray) -> np.ndarray:
         """Largest signed distance over all facets for each column of a
@@ -344,7 +331,9 @@ class _FacetStore:
         """Store the triangles (u, v, apex), one per edge (u, v), into
         ``rows`` and then appended rows; rows left over die. A triangle whose
         normal points toward the interior point is stored as (v, u, apex),
-        and a zero-area one gets a zero normal."""
+        and a zero-area one gets a zero normal. Every insertion into a closed
+        mesh adds two rows, so a hull of n points holds at most 2n - 4; more
+        means round-off has broken the mesh, and DimensionError is raised."""
         xyz = self.xyz
         cx, cy, cz = xyz[apex]
         ix, iy, iz = self.interior
@@ -373,6 +362,8 @@ class _FacetStore:
             self.tri[row] = t
         if k > r:
             top = m + k - r
+            if top > 2 * len(self.pts) - 4:
+                raise DimensionError("hull3d's facet mesh is broken: more than 2n - 4 facets")
             if top > len(self.plane):
                 extra = max(len(self.plane), top - len(self.plane))
                 self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
@@ -418,7 +409,8 @@ def hull3d(points) -> Polytope:
     32 fixed directions, then repeatedly the remaining point farthest
     outside the current hull (``_FacetStore.insert``). Coplanar, collinear,
     and single-point inputs degrade to planar, segment, and point
-    polytopes."""
+    polytopes. A mesh that round-off breaks so far that it would need more
+    than 2n - 4 facets raises DimensionError."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ParameterError("hull3d needs a nonempty (n, 3) array")
@@ -428,19 +420,19 @@ def hull3d(points) -> Polytope:
     eps = geom_eps(cols.T)
     if eps == 0.0:
         return Polytope(3, pts[:1].copy(), 0)
-    # the seed tetrahedron's passes run on blocks of _PASS points; a
+    # the seed tetrahedron: i0 is the lexicographic minimum, i1-i3 np.argmax
+    # picks over one row of n scores filled on blocks of _PASS points; a
     # collinear or coplanar input goes whole to its lower-dimensional hull
-    starts = range(0, len(pts), _PASS)
-    # the lexicographic minimum: an argmin on x with a tie-break, no lexsort
-    x, x_min = cols[0], cols[0].min()
-    lowest = np.concatenate([np.flatnonzero(x[lo : lo + _PASS] == x_min) + lo for lo in starts])
-    i0 = int(_lex_sorted(pts, lowest)[0])
+    i0 = int(_lex_sorted(pts, np.flatnonzero(cols[0] == cols[0].min()))[0])
     x0 = cols[:, i0, None]
+    score, starts = np.empty(len(pts)), range(0, len(pts), _PASS)
 
     def dist(r0, r1, r2):
         return np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
 
-    i1, _ = _first_max(dist(*(cols[:, lo : lo + _PASS] - x0)) for lo in starts)
+    for lo in starts:
+        score[lo : lo + _PASS] = dist(*(cols[:, lo : lo + _PASS] - x0))
+    i1 = int(score.argmax())
     e1 = pts[i1] - pts[i0]
     axis = e1 / np.linalg.norm(e1)
     a0, a1, a2 = axis.tolist()
@@ -448,22 +440,25 @@ def hull3d(points) -> Polytope:
     def line_dist(r0, r1, r2):  # |rel x axis|, with np.cross's terms in np.cross's order
         return dist(r1 * a2 - r2 * a1, r2 * a0 - r0 * a2, r0 * a1 - r1 * a0)
 
-    i2, off_line = _first_max(line_dist(*(cols[:, lo : lo + _PASS] - x0)) for lo in starts)
-    if off_line <= eps:
+    for lo in starts:
+        score[lo : lo + _PASS] = line_dist(*(cols[:, lo : lo + _PASS] - x0))
+    i2 = int(score.argmax())
+    if score[i2] <= eps:
         proj = pts @ axis
         return Polytope(3, pts[[proj.argmin(), proj.argmax()]], 1)
     normal = np.cross(e1, pts[i2] - pts[i0])
     normal /= np.linalg.norm(normal)
-    i3, off_plane = _first_max(
-        np.abs((pts[lo : lo + _PASS] - pts[i0]) @ normal) for lo in starts
-    )
-    if off_plane <= eps:
+    for lo in starts:
+        score[lo : lo + _PASS] = np.abs((pts[lo : lo + _PASS] - pts[i0]) @ normal)
+    i3 = int(score.argmax())
+    if score[i3] <= eps:
         basis = np.vstack([axis, np.cross(normal, axis)])
         proj = ((pts - pts[i0]) @ basis.T).tolist()
         flat = hull2d(proj)
         row = {tuple(q): i for i, q in enumerate(proj)}  # return input rows, not lifts
         picked = [row[tuple(q)] for q in flat.vertices.tolist()]
         return Polytope(3, pts[picked], flat.intrinsic_dim)
+    del score  # n floats, freed before the seed extremes and the filter
 
     seed = [i0, i1, i2, i3]
     store = _FacetStore(pts, pts[seed].mean(axis=0))

@@ -178,6 +178,16 @@ class TestHull3d:
         assert hull3d(line).intrinsic_dim == 1
         assert hull3d(np.ones((5, 3))).intrinsic_dim == 0
 
+    @pytest.mark.parametrize("alpha,k", [(0.3, 15), (0.3, 11), (0.5, 39)])
+    def test_a_runaway_facet_store_raises(self, alpha, k):
+        # round-off breaks these meshes beyond repair: unchecked, hull3d
+        # returned 7,173, 44,080 and 8,260 facets on 2,000 points, and a
+        # closed mesh on 2,000 points has at most 3,996
+        spec = StableSpec(alpha=alpha, d=3)
+        pts = sample_walk_path(spec, 2000, 1.0, trial_rng(2026, 9, k)).points
+        with pytest.raises(DimensionError, match="more than 2n - 4 facets"):
+            hull3d(pts)
+
     def test_duplicate_visible_facets_cone_each_rim_edge_once(self):
         # Round-off can leave one triangle in the facet store twice (seen on
         # alpha = 0.5 walks). A point that sees both copies must cone each rim
@@ -518,6 +528,15 @@ def _oracle_corpus():
     split[3, 0] = split[:, 0].min() - 1.0
     split[_PASS] = split[3]
     yield "equal-min-across-pass-blocks", split
+    # the farthest point from i0 (i1), then the farthest from the line
+    # through i0 and i1 (i2), each held by two equal rows in two such blocks
+    split = rng.standard_normal((_PASS + 100, 3))
+    split[10] = split[_PASS + 5] = [0.0, 0.0, 50.0]
+    yield "equal-farthest-across-pass-blocks", split
+    split = rng.standard_normal((_PASS + 100, 3))
+    split[10] = [0.0, 0.0, 50.0]
+    split[20] = split[_PASS + 5] = [0.0, 40.0, 0.0]
+    yield "equal-off-line-across-pass-blocks", split
 
 
 ORACLE_CORPUS = dict(_oracle_corpus())
