@@ -332,8 +332,9 @@ class _FacetStore:
         ``rows`` and then appended rows; rows left over die. A triangle whose
         normal points toward the interior point is stored as (v, u, apex),
         and a zero-area one gets a zero normal. Every insertion into a closed
-        mesh adds two rows, so a hull of n points holds at most 2n - 4; more
-        means round-off has broken the mesh, and DimensionError is raised."""
+        mesh adds two rows, so once m points are in, the seed included, a
+        healthy mesh holds exactly 2m - 4; more means round-off has broken
+        the mesh, and DimensionError is raised."""
         xyz = self.xyz
         cx, cy, cz = xyz[apex]
         ix, iy, iz = self.interior
@@ -362,8 +363,10 @@ class _FacetStore:
             self.tri[row] = t
         if k > r:
             top = m + k - r
-            if top > 2 * len(self.pts) - 4:
-                raise DimensionError("hull3d's facet mesh is broken: more than 2n - 4 facets")
+            if top > 2 * len(self.xyz) - 4:  # xyz holds the seed and the inserted points
+                raise DimensionError(
+                    "hull3d's facet mesh is broken: more than 2m - 4 facets on m inserted points"
+                )
             if top > len(self.plane):
                 extra = max(len(self.plane), top - len(self.plane))
                 self.plane = np.vstack([self.plane, np.tile(_DEAD_PLANE, (extra, 1))])
@@ -409,8 +412,8 @@ def hull3d(points) -> Polytope:
     32 fixed directions, then repeatedly the remaining point farthest
     outside the current hull (``_FacetStore.insert``). Coplanar, collinear,
     and single-point inputs degrade to planar, segment, and point
-    polytopes. A mesh that round-off breaks so far that it would need more
-    than 2n - 4 facets raises DimensionError."""
+    polytopes. A mesh that round-off breaks, so that it holds more than
+    2m - 4 facets once m points are in, raises DimensionError."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ParameterError("hull3d needs a nonempty (n, 3) array")

@@ -24,6 +24,13 @@ then acc = fma(x_i, y_i, acc). Python before 3.13 has no ``math.fma``,
 so ``_fma`` computes it exactly from Dekker's split product and one
 ``math.fsum``. For d >= 8 numpy sums pairwise and ``ddot`` unrolls, so
 there the records can differ from numpy's in the last bit.
+
+First exits of drift-free compound-Poisson paths skip the scanners: they
+run on blocks of up to 64 trials (``_cpp_first_exit_values``). Each trial
+draws from its own generator as ``sample_cpp_path`` would, and the block
+sorts, scales, sums and scans all its paths at once on padded arrays,
+with the float operations of one path in its order, so every value is
+the per-trial one bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ import numpy as np
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError, ResourceError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
-from .mc_engine import hill_tail_index, ks_two_sample, trial_values, walk_hull_values
+from .mc_engine import _ordered_map, hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
-from .rng_stable import PathSample, StableSpec, _walk_prefixes, sample_cpp_path, sample_walk_path
+from .rng_stable import PathSample, StableSpec, _pareto_jumps, _walk_prefixes, sample_cpp_path
+from .rng_stable import sample_walk_path, stream_id, trial_rng
 
 __all__ = [
     "ExitRecord",
@@ -314,8 +322,72 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
                 return value(*first)
         return None
 
-    vals = trial_values(seed, name, trials, one)
+    if spec.flavor == "cpp" and not any(spec.drift):
+        vals = _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one)
+    else:
+        vals = trial_values(seed, name, trials, one)
     return np.array([v for v in vals if v is not None], dtype=np.float64)
+
+
+_CPP_BLOCK_TRIALS = 64  # trials per block of drift-free cpp first exits
+_CPP_BLOCK_VALUES = 1 << 14  # expected jump coordinates per block: 128 KB a block array
+
+
+def _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one) -> list:
+    """``trial_values(seed, name, trials, one)`` for a drift-free cpp spec,
+    with ``one`` its per-trial first exit, computed on blocks of trials.
+
+    Each trial draws from its own generator in ``sample_cpp_path``'s order
+    (jump count, times, Pareto radii, normals) into padded (trials, jumps[,
+    d]) arrays, and the block sorts, scales, sums and scans them along the
+    jump axis. Those are the path's float operations in its order, and the
+    grid scan adds squares left to right as ``_exits_grid`` does, so every
+    value is the per-trial one bit for bit. A row with a zero or repeated
+    jump time, which ``sample_cpp_path`` drops or merges, runs ``one`` on
+    a fresh generator."""
+    stream = stream_id(name)
+    lam = spec.jump_rate * horizon
+    size = max(1, min(_CPP_BLOCK_TRIALS, int(_CPP_BLOCK_VALUES // max(1.0, lam * spec.d))))
+
+    def block(lo):
+        rngs = [trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))]
+        counts = [int(rng.poisson(lam)) if spec.jump_rate > 0 else 0 for rng in rngs]
+        m = max(counts)
+        if not m:
+            return [None] * len(rngs)
+        times = np.full((len(rngs), m), np.inf)  # the padding sorts last
+        radii = np.ones((len(rngs), m))
+        jumps = np.ones((len(rngs), m, spec.d))
+        pareto = spec.jump_law == "pareto"
+        for i, (rng, n) in enumerate(zip(rngs, counts)):
+            if n:
+                rng.random(out=times[i, :n])
+                if pareto:
+                    rng.random(out=radii[i, :n])
+                rng.standard_normal(out=jumps[i, :n])
+        times *= horizon
+        times.sort(axis=1)
+        valid = np.arange(m) < np.array(counts)[:, None]
+        redo = (times[:, 0] <= 0.0) | ((times[:, 1:] == times[:, :-1]) & valid[:, 1:]).any(axis=1)
+        if pareto:
+            _pareto_jumps(radii, jumps, spec.tail_alpha)
+        np.cumsum(jumps, axis=1, out=jumps)
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as the scanner's floats
+            r2 = jumps[..., 0] * jumps[..., 0]
+            for j in range(1, spec.d):
+                r2 += jumps[..., j] * jumps[..., j]
+        hit = (r2 >= 1.0) & valid
+        out = [None] * len(rngs)
+        rows = (hit.any(axis=1) & ~redo).nonzero()[0]
+        for i, k in zip(rows.tolist(), hit[rows].argmax(axis=1).tolist()):
+            t = times.item(i, k)
+            # sample_cpp_path adds times * drift, a signed zero, to every point
+            out[i] = value(t, tuple([x + t * v for x, v in zip(jumps[i, k].tolist(), spec.drift)]))
+        for i in redo.nonzero()[0].tolist():
+            out[i] = one(trial_rng(seed, stream, lo + i))
+        return out
+
+    return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
 
 
 _MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
@@ -353,7 +425,8 @@ def estimate_mean_exit_time(
     rate lies in (0, 1), so that a path sees as many jumps on average as
     at rate 1. A walk longer than horizon / dt = 10^6 steps raises
     ResourceError. A Gaussian walk (alpha = 2) is drawn only up to its first
-    exit, in growing leading pieces, and gives the values of the whole walk
+    exit, in growing leading pieces, and drift-free cpp paths run in blocks
+    of trials; both give the values of whole paths scanned one at a time,
     bit for bit."""
     trials = _count("trials", trials, 2)
     if horizon is None:
@@ -522,7 +595,9 @@ def exit_value_tail_experiment(
 ) -> float:
     """Hill tail index of the first-exit displacement norm ||X(T_1)||.
     Heavy pareto jumps hand their tail to the overshoot; returns inf for
-    degenerate (drift-only) exits, which have no tail at all."""
+    degenerate (drift-only) exits, which have no tail at all. Without drift
+    the first exits run in blocks of trials and give the per-trial values
+    bit for bit."""
     if spec.flavor != "cpp":
         raise ConfigError("exit-tail experiment expects a compound-jump spec")
     trials = _count("trials", trials, 10)

@@ -216,6 +216,19 @@ def _walk_prefixes(spec: StableSpec, n_steps: int, horizon: float, rng, first=_F
         lo, hi = hi, min(hi * _PREFIX_GROWTH, n_steps)
 
 
+def _pareto_jumps(radii, normals, tail_alpha):
+    """Pareto jumps from uniform draws ``radii`` (shape (..., k)) and
+    standard normals ``normals`` (shape (..., k, d)), written over
+    ``normals`` and returned: each normal row's unit direction times
+    radius^(-1/tail_alpha). Elementwise along the leading axes, so a block
+    of padded paths gets each path's jumps bit for bit."""
+    norms = radii ** (-1.0 / tail_alpha)
+    # the unit directions, scaled in place; the norm is np.linalg.norm's
+    normals /= np.sqrt(np.add.reduce(normals * normals, axis=-1, keepdims=True))
+    normals *= norms[..., None]
+    return normals
+
+
 def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
     """Compound Poisson path with drift on [0, horizon], recorded at t = 0,
     every jump time, and the horizon.
@@ -239,11 +252,8 @@ def sample_cpp_path(spec: StableSpec, horizon: float, rng) -> PathSample:
         pts = np.vstack([np.zeros(spec.d), drift * horizon])
         return PathSample(times, pts)
     if spec.jump_law == "pareto":
-        norms = rng.random(n_jumps) ** (-1.0 / spec.tail_alpha)
-        jumps = rng.standard_normal((n_jumps, spec.d))
-        # the unit directions, scaled in place; the norm is np.linalg.norm's
-        jumps /= np.sqrt(np.add.reduce(jumps * jumps, axis=1, keepdims=True))
-        jumps *= norms[:, None]
+        radii = rng.random(n_jumps)
+        jumps = _pareto_jumps(radii, rng.standard_normal((n_jumps, spec.d)), spec.tail_alpha)
     else:
         jumps = rng.standard_normal((n_jumps, spec.d))
     if (jt[1:] == jt[:-1]).any():  # jt is sorted, so equal times are neighbors

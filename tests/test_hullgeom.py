@@ -29,6 +29,7 @@ from levyhull import (
     sample_walk_path,
     trial_rng,
 )
+from levyhull import hullgeom
 from levyhull.hullgeom import _BLOCK, _PASS, _FacetStore, _seed_extremes
 from oracles import (
     boundary_distances,
@@ -185,8 +186,20 @@ class TestHull3d:
         # closed mesh on 2,000 points has at most 3,996
         spec = StableSpec(alpha=alpha, d=3)
         pts = sample_walk_path(spec, 2000, 1.0, trial_rng(2026, 9, k)).points
-        with pytest.raises(DimensionError, match="more than 2n - 4 facets"):
+        with pytest.raises(DimensionError, match="more than 2m - 4 facets"):
             hull3d(pts)
+
+    def test_a_walk_whose_point_sees_a_doubled_edge_keeps_its_hull(self, monkeypatch):
+        # one insertion sees a directed edge in two facets, so insert cones
+        # each rim edge once (the only sorted() call of hull3d); the mesh
+        # stays within 2m - 4 facets and is returned
+        calls = []
+        monkeypatch.setattr(hullgeom, "sorted", lambda x: calls.append(x) or sorted(x), raising=False)
+        spec = StableSpec(alpha=0.3, d=3)
+        pts = sample_walk_path(spec, 1000, 1.0, trial_rng(2017, 7, 29)).points
+        p = hull3d(pts)
+        assert calls
+        assert p.intrinsic_dim == 3 and len(p.facets) == 2 * p.n_vertices - 4
 
     def test_duplicate_visible_facets_cone_each_rim_edge_once(self):
         # Round-off can leave one triangle in the facet store twice (seen on
@@ -390,6 +403,7 @@ class _OracleFacetStore:
         self.tri = np.zeros((cap, 3), dtype=np.int64)
         self.plane = np.tile(_ORACLE_DEAD_PLANE, (cap, 1))
         self.m = 0
+        self.points = set()  # the seed and the inserted points
 
     def worst(self, q4):
         planes = self.plane[: self.m]
@@ -418,8 +432,11 @@ class _OracleFacetStore:
             off[flip] *= -1.0
             edges = np.where(flip[:, None], edges[:, ::-1], edges)
         k = len(edges)
+        self.points.update(edges.ravel().tolist(), [apex])
         if k > len(rows):
             top = self.m + k - len(rows)
+            if top > 2 * len(self.points) - 4:  # a closed mesh on m points has 2m - 4
+                raise DimensionError("broken mesh")
             if top > len(self.plane):
                 extra = max(len(self.plane), top - len(self.plane))
                 self.tri = np.vstack([self.tri, np.zeros((extra, 3), dtype=np.int64)])
@@ -501,7 +518,8 @@ def _oracle_corpus():
         for n in (100, 1000, 10_000):
             walk = sample_walk_path(StableSpec(alpha=alpha, d=3), n, 1.0, trial_rng(5, 4, n))
             yield f"walk-alpha{alpha}-n{n}", walk.points
-    # round-off breaks this mesh: insertions see one directed edge twice
+    # round-off breaks this mesh: it would hold more than 2m - 4 facets on
+    # m points, so both hulls refuse it
     broken = sample_walk_path(StableSpec(alpha=0.5, d=3), 1000, 1.0, trial_rng(2017, 5, 19))
     yield "broken-mesh-walk", broken.points
     rng = np.random.default_rng(11)
@@ -540,12 +558,20 @@ def _oracle_corpus():
 
 
 ORACLE_CORPUS = dict(_oracle_corpus())
+# meshes that round-off breaks past 2m - 4 facets on m points
+ORACLE_REFUSED = ("broken-mesh-walk", "slab-1e-8")
 
 
 class TestHull3dAgainstFrozenOracle:
     @pytest.mark.parametrize("name", ORACLE_CORPUS)
     def test_same_vertices_and_facets_in_order(self, name):
         pts = ORACLE_CORPUS[name]
+        if name in ORACLE_REFUSED:
+            with pytest.raises(DimensionError):
+                _oracle_hull3d(pts)
+            with pytest.raises(DimensionError, match="more than 2m - 4 facets"):
+                hull3d(pts)
+            return
         want = _oracle_hull3d(pts)
         assert want is not None
         p = hull3d(pts)
@@ -562,11 +588,13 @@ class TestHull3dAgainstFrozenOracle:
         assert np.array_equal(_seed_extremes(pts, cols, eps), want)
 
     def test_corpus_holds_a_broken_mesh(self):
-        # a directed edge in two facets: the rim then goes through the
-        # branch that cones each rim edge once
-        f = hull3d(ORACLE_CORPUS["broken-mesh-walk"]).facets
-        edges = [(a, b) for t in f for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))]
-        assert len(set(edges)) < len(edges)
+        # round-off once left this walk's mesh with a directed edge in two
+        # facets; both hulls now refuse it before its facets outgrow 2m - 4
+        pts = ORACLE_CORPUS["broken-mesh-walk"]
+        with pytest.raises(DimensionError, match="broken mesh"):
+            _oracle_hull3d(pts)
+        with pytest.raises(DimensionError, match="more than 2m - 4 facets"):
+            hull3d(pts)
 
 
 def _walk2(alpha: float, k: int) -> np.ndarray:

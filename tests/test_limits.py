@@ -3,6 +3,7 @@ anchor-hull sandwich bound."""
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyhull import limits, mc_engine
 from levyhull.errors import ConfigError, ParameterError, ResourceError
 from levyhull.hullgeom import hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
@@ -27,7 +29,7 @@ from levyhull.limits import (
     renewal_ratio_experiment,
     scaled_hull_convergence,
 )
-from levyhull.mc_engine import hill_tail_index, ks_two_sample
+from levyhull.mc_engine import _processes, hill_tail_index, ks_two_sample
 from levyhull.results import EstimateResult
 from levyhull.rng_stable import (
     PathSample,
@@ -746,6 +748,68 @@ class TestFirstExitBatchAgainstWholePaths:
         ):
             args = (spec, horizon, n_steps, 40, 12, "first_exit", lambda t, x: t)
             assert _first_exit_values(*args).tobytes() == first_exit_values_whole(*args).tobytes()
+        # drift-free cpp paths run in blocks of trials (64, or fewer when a
+        # path holds many jumps); x0 sees the signed zero that the drift adds
+        values = (("t", lambda t, x: t), ("x0", lambda t, x: float(x[0])))
+        for law, d, rate in itertools.product(("pareto", "gaussian"), (2, 3), (0.3, 10.0)):
+            spec = StableSpec(d=d, flavor="cpp", jump_law=law, tail_alpha=1.2, jump_rate=rate)
+            # 60 jumps a path, 400 (smaller blocks), or almost surely none
+            for horizon, exits in ((60.0 / rate, True), (400.0 / rate, True), (1e-9, False)):
+                for trials, (name, value) in itertools.product((1, 63, 64, 65, 200), values):
+                    args = (spec, horizon, 1, trials, 12, f"first_exit_{name}", value)
+                    got = _first_exit_values(*args)
+                    assert got.tobytes() == first_exit_values_whole(*args).tobytes()
+                    assert (got.size > 0) == exits
+
+    @pytest.mark.parametrize("edge", ["zero_time", "repeated_time", "negative_zero"])
+    @pytest.mark.parametrize("law", ["pareto", "gaussian"])
+    def test_cpp_edge_draws_match_whole_paths(self, monkeypatch, law, edge):
+        # every generator's jump times get a time 0, which sample_cpp_path
+        # drops, or a repeated time, which it merges: such a row is drawn
+        # again whole. Or every jump's first coordinate is -0.0, so the exit
+        # point's is too until the path adds its drift, +0.0
+        class Stub:
+            def __init__(self, rng):
+                self.rng, self.first = rng, True
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size=None, out=None):
+                got = self.rng.random(size, out=out)
+                if self.first and got.size > 1 and edge != "negative_zero":
+                    got[1] = 0.0 if edge == "zero_time" else got[0]
+                self.first = False
+                return got
+
+            def standard_normal(self, size=None, out=None):
+                got = self.rng.standard_normal(size, out=out)
+                if edge == "negative_zero":
+                    got[..., 0] = -0.0
+                return got
+
+        stub = lambda *key: Stub(trial_rng(*key))  # noqa: E731
+        monkeypatch.setattr(limits, "trial_rng", stub)
+        monkeypatch.setattr(mc_engine, "trial_rng", stub)
+        spec = StableSpec(d=2, flavor="cpp", jump_law=law, tail_alpha=1.5, jump_rate=5.0)
+        args = (spec, 12.0, 1, 70, 3, "first_exit", lambda t, x: (t, *x))
+        got = _first_exit_values(*args)
+        assert got.tobytes() == first_exit_values_whole(*args).tobytes()
+        assert got.size > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cpp_blocks_split_across_processes(self, monkeypatch, n):
+        # n CPUs reported, so n processes split the blocks on any host; 150
+        # trials are blocks of 64, 64 and 22
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        args = (HEAVY, 20.0, 1, 150, 5, "first_exit", lambda t, x: (t, *x))
+        serial = _first_exit_values(*args)
+        with _processes(n) as team:
+            got = _first_exit_values(*args)
+        assert team.processes == n
+        assert got.tobytes() == serial.tobytes()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRenewalRatio:
