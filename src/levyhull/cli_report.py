@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -781,7 +782,10 @@ def run_all(
     dump_polytopes: bool = False,
 ) -> RunManifest:
     """Execute plans in order, rewriting out_dir/results.csv after each
-    plan; summary.json and manifest.json come last.
+    plan; summary.json and manifest.json come last. manifest.json also
+    holds ``timings``: each label's seconds of ``time.perf_counter`` around
+    its runner in this process, which summary.json leaves out so that
+    reruns compare equal.
 
     ``threads`` = N > 1 splits every trial loop across N processes (capped
     at the CPUs this process may use; Linux only, serial elsewhere): the
@@ -800,9 +804,12 @@ def run_all(
     rows = []
     verdicts = {}
     trends = {}
+    timings = {}
     with _processes(threads) as team:
         for plan in plans:
+            start = time.perf_counter()
             plan_rows, plan_trends = _RUNNERS[plan.kind](plan, master_seed)
+            timings[plan.label] = time.perf_counter() - start
             rows.extend(plan_rows)
             trends.update(plan_trends)
             labels = {r["verdict"] for r in plan_rows}
@@ -835,7 +842,8 @@ def run_all(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps({**payload, "timings": timings}, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
     )
     if dump_polytopes:
         _dump_polytopes(plans, master_seed, out)

@@ -25,12 +25,24 @@ so ``_fma`` computes it exactly from Dekker's split product and one
 ``math.fsum``. For d >= 8 numpy sums pairwise and ``ddot`` unrolls, so
 there the records can differ from numpy's in the last bit.
 
-First exits of drift-free compound-Poisson paths skip the scanners: they
-run on blocks of up to 64 trials (``_cpp_first_exit_values``). Each trial
-draws from its own generator as ``sample_cpp_path`` would, and the block
-sorts, scales, sums and scans all its paths at once on padded arrays,
-with the float operations of one path in its order, so every value is
-the per-trial one bit for bit.
+Two batch paths skip the scanners and run on blocks of trials through
+``_ordered_map``, each trial drawing from its own generator, so that
+every value is the per-trial one bit for bit:
+
+- first exits of drift-free compound-Poisson paths, in blocks of up to
+  64 trials (``_cpp_first_exit_values``): the block sorts, scales, sums
+  and scans all its paths at once on padded arrays, with the float
+  operations of one path in its order;
+- the renewal counts and first exits of Gaussian walks (alpha = 2) with
+  d <= 7, in blocks of up to 128 trials (``_walk_exit_values``): the
+  walks are drawn piece by piece and scanned in lock-step, with numpy's
+  ``@`` on stacked rows for the crossing's dots. This relies on ``@``
+  being the fused ddot chain, as the scanners do; a row whose
+  coordinates pass 2**500, where ``_fma`` and ``@`` could part, is
+  scanned alone. Walks with alpha < 2 or d >= 8 are scanned one at a
+  time; the E T_1 scan of a Gaussian walk with d >= 8 draws it only as
+  far as the first of its leading pieces of 64, 256, ... steps that
+  holds an exit (``_first_walk_exit``).
 """
 
 from __future__ import annotations
@@ -39,13 +51,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError, ResourceError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
 from .mc_engine import _ordered_map, hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
-from .rng_stable import PathSample, StableSpec, _pareto_jumps, _walk_prefixes, sample_cpp_path
+from .rng_stable import PathSample, StableSpec, _pareto_jumps, _walk_piece, sample_cpp_path
 from .rng_stable import sample_walk_path, stream_id, trial_rng
 
 __all__ = [
@@ -290,21 +303,15 @@ def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
     )
 
 
-def _scan(spec: StableSpec, path: PathSample, scan):
-    """Hand ``path``, a path of ``spec``, to ``scan`` in the exit convention
-    that is exact for it."""
+def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
+    """Sample one whole path of ``spec`` and hand it to ``scan`` in the exit
+    convention that is exact for it."""
     if spec.flavor != "cpp":
-        return scan(path, mode="linear")
+        return scan(sample_walk_path(spec, n_steps, horizon, rng), mode="linear")
+    path = sample_cpp_path(spec, horizon, rng)
     if any(spec.drift):  # a finite tuple: truthy iff some entry is nonzero
         return scan(path, drift=spec.drift)
     return scan(path, mode="grid")
-
-
-def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
-    """Sample one whole path of ``spec`` and ``_scan`` it."""
-    if spec.flavor == "cpp":
-        return _scan(spec, sample_cpp_path(spec, horizon, rng), scan)
-    return _scan(spec, sample_walk_path(spec, n_steps, horizon, rng), scan)
 
 
 def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
@@ -312,21 +319,175 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     that never exit are dropped."""
 
     def one(rng):
-        if spec.flavor == "cpp":
-            paths = [sample_cpp_path(spec, horizon, rng)]
-        else:  # a walk is drawn only as far as the first piece that holds an exit
-            paths = _walk_prefixes(spec, n_steps, horizon, rng)
-        for path in paths:
-            first = next(_scan(spec, path, _exits), None)
-            if first is not None:
-                return value(*first)
-        return None
+        if spec.flavor != "cpp" and spec.alpha == 2.0:
+            first = _first_walk_exit(spec, horizon, n_steps, rng)
+        else:
+            first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
+        return None if first is None else value(*first)
 
-    if spec.flavor == "cpp" and not any(spec.drift):
+    if _walk_blocks(spec):
+        vals = _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value)
+    elif spec.flavor == "cpp" and not any(spec.drift):
         vals = _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one)
     else:
         vals = trial_values(seed, name, trials, one)
     return np.array([v for v in vals if v is not None], dtype=np.float64)
+
+
+_FIRST_PIECE = 64  # steps in the first leading piece of a Gaussian walk's E T_1 scan
+_PIECE_GROWTH = 4  # each piece this many times as long as the one before
+
+
+def _first_walk_exit(spec: StableSpec, horizon: float, n_steps: int, rng):
+    """The first exit (time, point) of the Gaussian walk ``sample_walk_path(
+    spec, n_steps, horizon, rng)``, or None, as ``_exits`` finds it on the
+    whole walk. The walk is drawn only as far as the first of its leading
+    pieces of 64, 256, ... steps that holds an exit. This is the E T_1
+    scan of walks with d >= 8 and of the rows the blocks hand back."""
+    pts = np.zeros((1, n_steps + 1, spec.d))
+    lo, hi = 0, min(_FIRST_PIECE, n_steps)
+    while True:
+        _walk_piece(spec, n_steps, horizon, [rng], pts[:, lo:], lo, hi - lo)
+        times = np.arange(hi + 1, dtype=np.float64) * (horizon / n_steps)
+        first = next(_exits(PathSample(times, pts[0, : hi + 1]), mode="linear"), None)
+        if first is not None or hi == n_steps:
+            return first
+        lo, hi = hi, min(hi * _PIECE_GROWTH, n_steps)
+
+
+def _sq_sums(x):
+    """Squares along the last axis added left to right, as the scanners
+    add them."""
+    r = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        r += x[..., j] * x[..., j]
+    return r
+
+
+def _dots(x, y):
+    """Row-wise x . y of (k, d) arrays by numpy's ``@`` on stacked rows,
+    the fused chain that ``_dot`` reproduces."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+_WALK_BLOCK_TRIALS = 128  # trials per block of Gaussian walk exit scans
+_WALK_BLOCK_VALUES = 1 << 15  # doubles in a block's largest array: 256 KB
+_WALK_WINDOW = 32  # points a row tests for its next exit per lock-step pass
+_WALK_SAFE = 2.0**500  # a row with a coordinate past this is scanned one trial alone
+
+
+def _walk_blocks(spec: StableSpec) -> bool:
+    """Whether ``_walk_exit_values`` scans walks of ``spec``: Gaussian
+    walks (alpha = 2) with d < 8, where ``@`` rounds as ``_dot``."""
+    return spec.flavor != "cpp" and spec.alpha == 2.0 and spec.d < 8
+
+
+def _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value=None) -> list:
+    """``trial_values(seed, name, trials, one)`` for a walk of ``spec``
+    (``_walk_blocks``) of ``n_steps`` steps up to ``horizon``, computed on
+    blocks of up to 128 trials. ``one`` scans one trial's walk: with
+    ``value``, for value(time, point) of its first exit or None; without,
+    for its ``exit_times`` count divided by ``horizon``.
+
+    Each trial draws its normals from its own generator, piece by piece
+    (``_walk_piece``), into a shared buffer of its block. The rows are then
+    scanned in lock-step: a window of W points per row finds the first at
+    squared distance >= 1 from the row's anchor, with squares added left to
+    right, and the crossings on that segment are solved for all hit rows
+    at once, with the arithmetic of ``_first_sphere_crossing`` and numpy's
+    ``@`` for its dots. So every value is the per-trial one bit for bit.
+    A row whose exits break ``ExitRecord``'s checks, or with a coordinate
+    past 2**500, where ``_fma`` would overflow apart from ``@``, runs
+    ``one`` on a fresh generator; for a count, ``one``'s record then raises
+    as it would have."""
+    stream = stream_id(name)
+    cap = min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d))
+    size = -(-trials // -(-trials // cap))  # even blocks, each piece >= 3 W points
+    h = horizon / n_steps
+    end = n_steps * h  # the time of the walk's last sample
+
+    def block(lo):
+        rngs = [trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))]
+        width = min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW)
+        # the live rows: their block indices, points (column 0 holds the last
+        # piece's last point, the W - 1 columns past the piece's end its end
+        # point), anchors, exit counts and last exit times
+        ids = np.arange(len(rngs))
+        buf = np.zeros((len(rngs), width + _WALK_WINDOW, spec.d))
+        anchor = np.zeros((len(rngs), spec.d))
+        count = np.zeros(len(rngs), dtype=np.int64)
+        last = np.zeros(len(rngs))
+        out, redo = [None] * len(rngs), []
+        g0 = 0  # the walk index of column 0
+        while g0 < n_steps and ids.size:
+            m = min(width, n_steps - g0)
+            _walk_piece(spec, n_steps, horizon, [rngs[i] for i in ids.tolist()], buf, g0, m)
+            buf[:, m + 1 :] = buf[:, m : m + 1]
+            windows = sliding_window_view(buf, _WALK_WINDOW, axis=1)  # (rows, width + 1, d, W)
+            times = np.arange(g0, g0 + m + 1, dtype=np.float64) * h
+            gone = ~(np.abs(buf[:, 1 : m + 1]).max(axis=(1, 2)) <= _WALK_SAFE)  # NaN too
+            done = np.zeros(ids.size, dtype=bool)  # rows past their first exit
+            pos = np.where(gone, m + 1, 1)  # each row's next point to test
+            act = (~gone).nonzero()[0]
+            while act.size:
+                p = pos[act]
+                gap = (windows[act, p] - anchor[act, :, None]).swapaxes(1, 2)
+                hit = _sq_sums(gap) >= 1.0
+                got = hit.any(axis=1)
+                pos[act] = p + _WALK_WINDOW
+                rows = act[got]
+                if rows.size:
+                    j = p[got] + hit[got].argmax(axis=1)
+                    pos[rows] = j + 1 if value is None else m + 1
+                    a, b = buf[rows, j - 1], buf[rows, j]
+                    seg = b - a
+                    vv = _dots(seg, seg)
+                    t0 = times[j - 1]
+                    dt = times[j] - t0
+                    s = np.zeros(rows.size)
+                    while True:  # one crossing of each row's segment a pass
+                        q = a - anchor[rows]
+                        qv = _dots(q, seg)
+                        cross = (np.sqrt(qv * qv - vv * (_dots(q, q) - 1.0)) - qv) / vv
+                        # no crossing (NaN too) takes 1: the endpoint sits on the
+                        # sphere within rounding
+                        s = np.where((cross > s + 1e-15) & (cross < 1.0), cross, 1.0)
+                        x = a + s[:, None] * seg
+                        t = t0 + s * dt
+                        # a row whose exits break ExitRecord's checks runs ``one``
+                        bad = (t <= last[rows]) | (t > end)
+                        bad |= _sq_sums(x - anchor[rows]) < 1.0 - 1e-6
+                        gone[rows[bad]] = True
+                        if value is not None:
+                            done[rows] = True
+                            ok = ~bad
+                            for i, ti, xi in zip(ids[rows[ok]].tolist(), t[ok].tolist(), x[ok].tolist()):
+                                out[i] = value(ti, tuple(xi))
+                            break
+                        count[rows] += 1
+                        last[rows] = t
+                        anchor[rows] = x
+                        stay = (s < 1.0) & (_sq_sums(b - x) >= 1.0)
+                        if not stay.any():
+                            break
+                        rows, a, b, seg, vv = rows[stay], a[stay], b[stay], seg[stay], vv[stay]
+                        t0, dt, s = t0[stay], dt[stay], s[stay]
+                act = act[pos[act] <= m]
+            buf[:, 0] = buf[:, m]
+            g0 += m
+            redo += ids[gone].tolist()
+            if (gone | done).any():
+                keep = ~(gone | done)
+                ids, buf, anchor, count, last = ids[keep], buf[keep], anchor[keep], count[keep], last[keep]
+        if value is None:
+            for i, c in zip(ids.tolist(), count.tolist()):
+                out[i] = c / horizon
+        for i in sorted(redo):
+            out[i] = one(trial_rng(seed, stream, lo + i))
+        return out
+
+    with np.errstate(all="ignore"):  # silent, as the scanners' floats
+        return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
 
 
 _CPP_BLOCK_TRIALS = 64  # trials per block of drift-free cpp first exits
@@ -373,10 +534,7 @@ def _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one) -> lis
             _pareto_jumps(radii, jumps, spec.tail_alpha)
         np.cumsum(jumps, axis=1, out=jumps)
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as the scanner's floats
-            r2 = jumps[..., 0] * jumps[..., 0]
-            for j in range(1, spec.d):
-                r2 += jumps[..., j] * jumps[..., j]
-        hit = (r2 >= 1.0) & valid
+            hit = (_sq_sums(jumps) >= 1.0) & valid
         out = [None] * len(rngs)
         rows = (hit.any(axis=1) & ~redo).nonzero()[0]
         for i, k in zip(rows.tolist(), hit[rows].argmax(axis=1).tolist()):
@@ -424,10 +582,10 @@ def estimate_mean_exit_time(
     default horizon is 40, or 40 / jump_rate for a cpp spec whose jump
     rate lies in (0, 1), so that a path sees as many jumps on average as
     at rate 1. A walk longer than horizon / dt = 10^6 steps raises
-    ResourceError. A Gaussian walk (alpha = 2) is drawn only up to its first
-    exit, in growing leading pieces, and drift-free cpp paths run in blocks
-    of trials; both give the values of whole paths scanned one at a time,
-    bit for bit."""
+    ResourceError. Gaussian walks (alpha = 2, d <= 7) are drawn in pieces
+    and scanned in lock-step blocks of trials, each only as far as its
+    first exit, and drift-free cpp paths run in blocks of trials; both
+    give the values of whole paths scanned one at a time, bit for bit."""
     trials = _count("trials", trials, 2)
     if horizon is None:
         slow = spec.flavor == "cpp" and 0.0 < spec.jump_rate < 1.0
@@ -455,7 +613,9 @@ def renewal_ratio_experiment(
     dt, so the grid detection bias largely cancels in the comparison. The
     rate estimate rides along in each result's target params. A walk
     longer than 10^6 steps (t / dt, or 40 / dt for the E T_1 batch) raises
-    ResourceError before any path is drawn."""
+    ResourceError before any path is drawn. Gaussian walks (alpha = 2,
+    d <= 7) are counted on lock-step blocks of trials, with the counts of
+    ``exit_times`` on each whole path, bit for bit."""
     t_values = [_real("t_values entry", t, gt=0) for t in t_values]
     if not t_values:
         raise ParameterError("t_values must not be empty")
@@ -471,10 +631,12 @@ def renewal_ratio_experiment(
     rate = 1.0 / et1.mean
     out = []
     for t_idx, (t, n) in enumerate(zip(t_values, n_steps)):
-        vals = trial_values(
-            seed, f"renewal_ratio_{t_idx}", trials,
-            lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t,
-        )
+        name = f"renewal_ratio_{t_idx}"
+        one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
+        if _walk_blocks(spec):
+            vals = _walk_exit_values(spec, t, n, trials, seed, name, one)
+        else:
+            vals = trial_values(seed, name, trials, one)
         target = ClosedFormTarget(
             rate,
             {

@@ -421,6 +421,10 @@ def run_tail_index_experiment(cfg: ExperimentConfig):
 
 
 def _kolmogorov_sf(lam: float) -> float:
+    """P(K > lam) for the Kolmogorov distribution K, from the alternating
+    series 2 sum_j (-1)^(j-1) exp(-2 j^2 lam^2). Below lam of about 0.043
+    that series has not converged in 100 terms; there the theta form
+    1 - sqrt(2 pi)/lam sum_j exp(-(2j-1)^2 pi^2 / (8 lam^2)) is used."""
     if lam < 1e-8:
         return 1.0
     total = 0.0
@@ -429,6 +433,14 @@ def _kolmogorov_sf(lam: float) -> float:
         total += term
         if abs(term) < 1e-16:
             break
+    else:
+        theta = 0.0
+        for jj in range(1, 101):
+            term = math.exp(-((2 * jj - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
+            theta += term
+            if term <= 1e-16 * theta:
+                break
+        total = 1.0 - math.sqrt(2.0 * math.pi) / lam * theta
     return min(max(total, 0.0), 1.0)
 
 

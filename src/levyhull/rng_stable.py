@@ -172,48 +172,35 @@ def sample_walk_path(spec: StableSpec, n_steps: int, horizon: float, rng) -> Pat
     Self-similarity makes each skeleton point exactly distributed as the
     process at that grid time; only the in-between excursions are lost.
     """
-    (path,) = _walk_prefixes(spec, n_steps, horizon, rng, first=math.inf)
-    return path
-
-
-_FIRST_PREFIX = 64  # steps in the first leading piece of a Gaussian walk
-_PREFIX_GROWTH = 4  # each piece this many times as long as the one before
-
-
-def _walk_prefixes(spec: StableSpec, n_steps: int, horizon: float, rng, first=_FIRST_PREFIX):
-    """Growing leading pieces of ``sample_walk_path(spec, n_steps, horizon,
-    rng)``: PathSamples of ``first``, 4 ``first``, 16 ``first``, ... steps
-    and last the whole walk, each a leading slice of it bit for bit. A
-    piece's draws are made when it is asked for, so a caller that stops
-    early draws only the steps it has seen.
-
-    A Gaussian walk (alpha = 2) takes its normals from the stream one
-    after another, so a piece needs only its own draws. A walk with
-    alpha < 2 draws all its normals before its stable factors, so it
-    yields the whole walk as its only piece."""
     n_steps = _count("n_steps", n_steps)
     horizon = _real("horizon", horizon, gt=0)
-    step = (horizon / n_steps) ** (1.0 / spec.alpha)
-    lo, hi = 0, min(first if spec.alpha == 2.0 else n_steps, n_steps)
-    while True:
-        incs = sample_isotropic_vec(spec, rng, hi - lo)
-        incs *= step
-        # cumsum adds one row after another, so carrying pts[lo] in gives
-        # the sums of one cumsum over the whole walk; the first piece adds
-        # no carry, so a -0.0 first step keeps its sign
-        if lo:
-            incs[0] += pts[lo]
-        else:
-            # allocated after the first draws: the other order made a d = 2
-            # walk of 10^4 steps 7% slower to sample
-            pts = np.empty((n_steps + 1, spec.d))
-            pts[0] = 0.0
-        np.cumsum(incs, axis=0, out=pts[lo + 1 : hi + 1])
-        times = np.arange(hi + 1, dtype=np.float64) * (horizon / n_steps)
-        yield PathSample(times, pts[: hi + 1])
-        if hi == n_steps:
-            return
-        lo, hi = hi, min(hi * _PREFIX_GROWTH, n_steps)
+    incs = sample_isotropic_vec(spec, rng, n_steps)
+    incs *= (horizon / n_steps) ** (1.0 / spec.alpha)
+    # allocated after the draws: the other order made a d = 2 walk of
+    # 10^4 steps 7% slower to sample
+    pts = np.empty((n_steps + 1, spec.d))
+    pts[0] = 0.0
+    np.cumsum(incs, axis=0, out=pts[1:])
+    times = np.arange(n_steps + 1, dtype=np.float64) * (horizon / n_steps)
+    return PathSample(times, pts)
+
+
+def _walk_piece(spec: StableSpec, n_steps: int, horizon: float, rngs, buf, lo: int, m: int):
+    """Points lo + 1 .. lo + m of the Gaussian walks ``sample_walk_path(spec,
+    n_steps, horizon, rng)``, one for each generator in ``rngs``, written
+    to buf[:, 1 : m + 1] bit for bit. ``buf`` is (walks, >= m + 1, d);
+    buf[:, 0] must hold point lo, the origin when lo = 0. Each generator
+    gives its next m x d normals, which are scaled and summed as the whole
+    walk's are: cumsum adds one row after another, so carrying point lo in
+    gives the sums of one cumsum over the whole walk."""
+    for row, rng in zip(buf, rngs):
+        rng.standard_normal(out=row[1 : m + 1])
+    steps = buf[:, 1 : m + 1]
+    steps *= math.sqrt(2.0 * spec.c)  # as sample_isotropic_vec at alpha = 2
+    steps *= (horizon / n_steps) ** (1.0 / spec.alpha)
+    # the first piece adds no carry, so a -0.0 first step keeps its sign
+    run = buf[:, int(lo == 0) : m + 1]
+    np.cumsum(run, axis=1, out=run)
 
 
 def _pareto_jumps(radii, normals, tail_alpha):

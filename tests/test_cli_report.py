@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -681,6 +682,31 @@ class TestRunAll:
         assert len(payload["results"]) == len(manifest.results)
         csv_rows = _read_csv(tmp_path / "results.csv")
         assert len(csv_rows) - 1 == len(manifest.results)
+
+    def test_manifest_times_each_experiment(self, tmp_path, monkeypatch):
+        plans = plan_experiments(_cfg(GRAM, INTRINSIC))
+        run_all(plans, tmp_path / "a")
+        runner = cli_report._RUNNERS["intrinsic_volumes"]
+
+        def slow(plan, seed):
+            time.sleep(0.05)
+            return runner(plan, seed)
+
+        monkeypatch.setitem(cli_report._RUNNERS, "intrinsic_volumes", slow)
+        run_all(plans, tmp_path / "b")
+        timings = [json.loads((tmp_path / d / "manifest.json").read_text())["timings"] for d in "ab"]
+        for t in timings:
+            assert set(t) == {"gram_determinant", "intrinsic_volumes"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in t.values())
+        assert timings[1]["intrinsic_volumes"] >= 0.05
+        # the timings reach neither summary.json nor results.csv
+        read = lambda d, name: (tmp_path / d / name).read_bytes()  # noqa: E731
+        assert read("a", "results.csv") == read("b", "results.csv")
+        summaries = [json.loads(read(d, "summary.json")) for d in "ab"]
+        assert all("timings" not in summary for summary in summaries)
+        for summary in summaries:
+            del summary["run_id"], summary["timestamp"]
+        assert summaries[0] == summaries[1]
 
     def test_intrinsic_rows_use_exact_targets(self, tmp_path):
         manifest = run_all(plan_experiments(_cfg(INTRINSIC)), tmp_path)

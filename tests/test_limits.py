@@ -17,29 +17,34 @@ from levyhull.hullgeom import hull2d, intrinsic_volumes_2d
 from levyhull.limits import (
     ExitRecord,
     _dot,
+    _dots,
     _exits,
     _first_exit_values,
     _first_sphere_crossing,
     _fit_attractor_scale,
     _fma,
     _scan_for,
+    _walk_exit_values,
+    _walk_steps,
     estimate_mean_exit_time,
     exit_times,
     exit_value_tail_experiment,
     renewal_ratio_experiment,
     scaled_hull_convergence,
 )
-from levyhull.mc_engine import _processes, hill_tail_index, ks_two_sample
+from levyhull.mc_engine import _processes, hill_tail_index, ks_two_sample, trial_values
 from levyhull.results import EstimateResult
 from levyhull.rng_stable import (
     PathSample,
     StableSpec,
+    _walk_piece,
     sample_cpp_path,
     sample_walk_path,
     stream_id,
     trial_rng,
 )
 from oracles import first_exit_values_whole, hausdorff
+from test_rng_stable import _frozen_walk_path
 
 BROWNIAN2 = StableSpec(alpha=2.0, c=0.5, d=2, flavor="brownian")
 HEAVY = StableSpec(alpha=1.5, c=1.0, d=2, flavor="cpp", tail_alpha=1.5, jump_rate=3.0)
@@ -652,11 +657,13 @@ class TestFusedDot:
             assert got == want == _fraction_fma(a, b, c)
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
-    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("d", range(1, 8))
     def test_numpy_dot_is_the_fused_chain(self, d):
         # The scanners reproduce numpy's rounding on this assumption: ``@``
         # (and so ``np.linalg.norm``) is OpenBLAS ddot's fused chain for
-        # d < 8. A BLAS without FMA fails here first.
+        # d < 8, and so is ``@`` on stacked rows, which the Gaussian walk
+        # blocks use for their crossings (``_dots``). A BLAS without FMA
+        # fails here first.
         rng = np.random.default_rng(55 + d)
         shape = (2, 10_000, d)
         xs, ys = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
@@ -668,7 +675,9 @@ class TestFusedDot:
             for a, b in zip(xl, yl):
                 plain = plain + a * b
             unfused += plain != float(x @ y)
-        assert unfused > 1000  # so an unfused ddot would be caught
+        assert _dots(xs, ys).tolist() == [_dot(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        if d > 1:  # one product has nothing to fuse
+            assert unfused > 1000  # so an unfused ddot would be caught
 
 
 class TestMeanExitTime:
@@ -715,12 +724,12 @@ class TestMeanExitTime:
 
 
 class TestFirstExitBatchAgainstWholePaths:
-    """A walk's first exit is drawn and scanned only as far as the first
-    leading piece that holds it; the values must be those of whole paths
-    scanned from the start, bit for bit."""
+    """Gaussian walks and drift-free cpp paths find their first exits on
+    blocks of trials; the values must be those of whole paths scanned from
+    the start one at a time, bit for bit."""
 
     @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 320, 321, 2000])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -739,6 +748,26 @@ class TestFirstExitBatchAgainstWholePaths:
                 got = _first_exit_values(*args)
                 assert got.tobytes() == first_exit_values_whole(*args).tobytes()
                 assert (got.size > 0) == exits
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_a_walk_is_drawn_only_to_the_piece_with_its_first_exit(self, d):
+        spec = StableSpec(flavor="brownian", d=d)
+        rng = np.random.default_rng(5)
+        first = limits._first_walk_exit(spec, 40.0, 2000, rng)
+        whole = sample_walk_path(spec, 2000, 40.0, np.random.default_rng(5))
+        whole = next(_exits(whole, mode="linear"))
+        assert np.array([first[0], *first[1]]).tobytes() == np.array([whole[0], *whole[1]]).tobytes()
+        # a step of 0.02 exits within the first piece: only its 64 x d
+        # normals have been taken from the stream
+        ref = np.random.default_rng(5)
+        ref.standard_normal((64, d))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # a walk that never exits is drawn whole, 64 + 192 + 768 + 976 steps
+        rng = np.random.default_rng(5)
+        assert limits._first_walk_exit(spec, 1e-3, 2000, rng) is None
+        ref = np.random.default_rng(5)
+        ref.standard_normal((2000, d))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_heavy_tailed_and_cpp_paths_unchanged(self):
         for spec, horizon, n_steps in (
@@ -810,6 +839,188 @@ class TestFirstExitBatchAgainstWholePaths:
         assert got.tobytes() == serial.tobytes()
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+
+TINY_C = math.nextafter(1e-12, math.inf)  # StableSpec takes c > 1e-12
+
+
+def _walk_block_bytes(spec, dt, trials, seed=13, t=4.0):
+    """(block, per-trial) bytes of the renewal counts over [0, t] and the
+    first exits (time, *point) over [0, 40] of ``trials`` walks of ``spec``."""
+    n = _walk_steps(spec.flavor, t, dt)
+    one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
+    got = [_walk_exit_values(spec, t, n, trials, seed, "renewal", one)]
+    want = [trial_values(seed, "renewal", trials, one)]
+    args = (spec, 40.0, _walk_steps(spec.flavor, 40.0, dt), trials, seed, "first_exit",
+            lambda t, x: (t, *x))
+    got.append(_first_exit_values(*args))
+    want.append(first_exit_values_whole(*args))
+    return [np.array(v).tobytes() for v in got], [np.array(v).tobytes() for v in want]
+
+
+class _EdgeStepRng:
+    """``rng``'s normals, counted across calls so that a walk drawn whole and
+    one drawn in pieces see the same steps, except that the first step's
+    first coordinate is -0.0 and step ``zero`` is all zeros."""
+
+    def __init__(self, rng, zero=5):
+        self.rng, self.row, self.zero = rng, 0, zero
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size=None, out=None):
+        got = self.rng.standard_normal(size, out=out)
+        rows = got.reshape(-1, got.shape[-1])
+        if self.row == 0:
+            rows[0, 0] = -0.0
+        if 0 <= self.zero - self.row < len(rows):
+            rows[self.zero - self.row] = 0.0
+        self.row += len(rows)
+        return got
+
+
+class TestWalkBlocksAgainstPerTrial:
+    """Gaussian walks (alpha = 2, d <= 7) count their exits and find their
+    first exits on lock-step blocks of trials; the values must be those of
+    the per-trial scans of whole walks, bit for bit. dt = 2 gives steps
+    that cross the sphere several times, c = 1e302 walks past 2**500,
+    which the block hands to the per-trial path, and the smallest c
+    never exits."""
+
+    @pytest.mark.parametrize("c", [TINY_C, 1.0, 1e302], ids=["c1e-12", "c1", "c1e302"])
+    @pytest.mark.parametrize("dt", [0.02, 0.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_same_values_as_per_trial_scans(self, d, dt, c):
+        # 129 trials are 2 to 4 blocks, as the dimension caps their rows
+        got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=c, d=d), dt, 129)
+        assert got == want
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 128, 129, 200])
+    def test_trial_counts_across_block_edges(self, trials):
+        for spec in (BROWNIAN2, StableSpec(alpha=2.0, c=1.3, d=3)):
+            got, want = _walk_block_bytes(spec, 0.5, trials)
+            assert got == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signed_zero_and_zero_length_steps(self, monkeypatch, d):
+        stub = lambda *key: _EdgeStepRng(trial_rng(*key))  # noqa: E731
+        monkeypatch.setattr(limits, "trial_rng", stub)
+        monkeypatch.setattr(mc_engine, "trial_rng", stub)
+        for dt in (0.02, 2.0):
+            got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=0.7, d=d), dt, 70)
+            assert got == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_past_2_to_the_500_are_scanned_alone(self, d):
+        # at c = 8e307 a step squares past the largest double: _dot's
+        # Dekker split gives NaN (and math.fsum overflows for d = 2) where
+        # ``@`` stays finite, so only the per-trial path gives its values
+        spec = StableSpec(alpha=2.0, c=8e307, d=d)
+        args = (spec, 40.0, 20, 65, 7, "first_exit", lambda t, x: (t, *x))
+        if d == 1:
+            got = _first_exit_values(*args)
+            assert got.tobytes() == first_exit_values_whole(*args).tobytes()
+            assert np.isnan(got).any()
+        else:
+            with np.errstate(all="ignore"), pytest.raises(OverflowError):
+                first_exit_values_whole(*args)
+            with pytest.raises(OverflowError):
+                _first_exit_values(*args)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_split_across_processes(self, monkeypatch, n):
+        # n CPUs reported, so n processes split the blocks on any host; 300
+        # trials are 3 blocks of 100
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        one = lambda rng: _scan_for(BROWNIAN2, 6.0, 300, rng, exit_times).n_exits / 6.0  # noqa: E731
+        args = (BROWNIAN2, 40.0, 2000, 300, 5, "first_exit", lambda t, x: (t, *x))
+        serial = (_walk_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal", one), _first_exit_values(*args))
+        with _processes(n) as team:
+            got = (_walk_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal", one), _first_exit_values(*args))
+        assert team.processes == n
+        assert np.array(got[0]).tobytes() == np.array(serial[0]).tobytes()
+        assert got[1].tobytes() == serial[1].tobytes()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _walk_in_pieces(spec, n_steps, horizon, rngs, width):
+    """The points of walks drawn by ``_walk_piece`` in pieces of ``width``
+    steps, one walk per generator."""
+    pts = np.zeros((len(rngs), n_steps + 1, spec.d))
+    buf = np.zeros((len(rngs), width + 1, spec.d))
+    lo = 0
+    while lo < n_steps:
+        m = min(width, n_steps - lo)
+        _walk_piece(spec, n_steps, horizon, rngs, buf, lo, m)
+        pts[:, lo + 1 : lo + m + 1] = buf[:, 1 : m + 1]
+        buf[:, 0] = buf[:, m]
+        lo += m
+    return pts
+
+
+class _SignedZeroRng:
+    """Normals that are all -0.0 or +0.0, so the walk's sums show whether a
+    step was added to a carried 0.0 (which drops the sign) or not."""
+
+    def __init__(self, n, d):
+        self.rows = np.where(np.arange(n * d).reshape(n, d) % 3 == 0, -0.0, 0.0)
+
+    def standard_normal(self, size=None, out=None):
+        n = len(out) if out is not None else size[0]
+        got, self.rows = self.rows[:n], self.rows[n:]
+        if out is None:
+            return got.copy()
+        out[...] = got
+        return out
+
+
+class TestWalkPieces:
+    """``_walk_piece`` draws the blocks' walks piece by piece; the pieces
+    put together are ``sample_walk_path``'s walks, bit for bit."""
+
+    @given(
+        spec=st.sampled_from(
+            [
+                StableSpec(flavor="brownian", d=2),
+                StableSpec(alpha=2.0, c=1.7, d=1),
+                StableSpec(alpha=2.0, c=0.05, d=3),
+                StableSpec(alpha=2.0, c=0.5, d=7),
+            ]
+        ),
+        n_steps=st.one_of(st.integers(1, 70), st.integers(240, 1100)),
+        horizon=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**64 - 1),
+        width=st.integers(1, 300),
+        walks=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pieces_make_the_whole_walk(self, spec, n_steps, horizon, seed, width, walks):
+        rngs = [np.random.default_rng([seed, k]) for k in range(walks)]
+        pts = _walk_in_pieces(spec, n_steps, horizon, rngs, width)
+        for k in range(walks):
+            whole = sample_walk_path(spec, n_steps, horizon, np.random.default_rng([seed, k]))
+            assert pts[k].tobytes() == whole.points.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 64, 300])
+    @pytest.mark.parametrize("n_steps", [1, 64, 65, 300])
+    def test_signed_zero_steps_sum_as_in_one_cumsum(self, n_steps, width):
+        spec = StableSpec(flavor="brownian", d=2)
+        pts = _walk_in_pieces(spec, n_steps, 2.0, [_SignedZeroRng(n_steps, 2)], width)
+        want = sample_walk_path(spec, n_steps, 2.0, _SignedZeroRng(n_steps, 2))
+        assert pts[0].tobytes() == want.points.tobytes()
+        _, frozen = _frozen_walk_path(spec, n_steps, 2.0, _SignedZeroRng(n_steps, 2))
+        assert want.points.tobytes() == frozen.tobytes()
+        assert np.signbit(pts[0, 1, 0])  # the first step is -0.0, not 0.0 + -0.0
+
+    def test_a_piece_draws_only_its_own_normals(self):
+        spec = StableSpec(flavor="brownian", d=2)
+        rng = np.random.default_rng(5)
+        _walk_piece(spec, 2000, 40.0, [rng], np.zeros((1, 65, 2)), 0, 64)
+        ref = np.random.default_rng(5)
+        ref.standard_normal((64, 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRenewalRatio:

@@ -421,6 +421,45 @@ class TestKsTwoSample:
         with pytest.raises(ParameterError):
             ks_two_sample([], [1.0])
 
+    def test_a_sample_against_itself_less_one_point(self):
+        # the statistic is below 1/n, so lam is below 0.005: the p-value is 1
+        x = np.random.default_rng(9).standard_normal(20_000)
+        stat, p = ks_two_sample(x, x[:-1])
+        assert stat <= 1.0 / 20_000 and p == 1.0
+
+
+def _frozen_kolmogorov_sf(lam):
+    """mc_engine._kolmogorov_sf before its small-lam branch."""
+    if lam < 1e-8:
+        return 1.0
+    total = 0.0
+    for jj in range(1, 101):
+        term = 2.0 * (-1.0) ** (jj - 1) * math.exp(-2.0 * jj * jj * lam * lam)
+        total += term
+        if abs(term) < 1e-16:
+            break
+    return min(max(total, 0.0), 1.0)
+
+
+class TestKolmogorovSf:
+    LAMS = np.concatenate([np.geomspace(1e-8, 3.0, 400), np.linspace(0.01, 0.1, 91)])
+
+    def test_matches_scipy_from_1e_8_to_3(self):
+        kstwobign = pytest.importorskip("scipy.stats").kstwobign
+        for lam in self.LAMS.tolist():
+            assert mc_engine._kolmogorov_sf(lam) == pytest.approx(kstwobign.sf(lam), abs=1e-13)
+
+    def test_values_the_series_reaches_keep_their_bits(self):
+        above = [lam for lam in self.LAMS.tolist() if lam > 0.0434]
+        assert len(above) > 100
+        for lam in above:
+            assert mc_engine._kolmogorov_sf(lam) == _frozen_kolmogorov_sf(lam)
+
+    def test_small_lam_was_wrong_and_is_one(self):
+        for lam in (1e-4, 0.005, 0.01):
+            assert _frozen_kolmogorov_sf(lam) < 0.99
+            assert mc_engine._kolmogorov_sf(lam) == 1.0
+
 
 class TestReproducibility:
     def test_same_config_bitwise_identical(self):

@@ -19,7 +19,6 @@ from levyhull import (
     stream_id,
     trial_rng,
 )
-from levyhull.rng_stable import _walk_prefixes
 
 
 def _mean_band(values, target, sigmas=4.0):
@@ -401,6 +400,25 @@ def _same_bytes(path, frozen):
 
 
 class TestSamplersMatchFrozenCode:
+    @given(
+        spec=st.sampled_from(
+            [
+                StableSpec(flavor="brownian", d=2),
+                StableSpec(alpha=2.0, c=1.7, d=1),
+                StableSpec(alpha=2.0, c=0.05, d=3),
+                StableSpec(alpha=1.5, c=1.0, d=2),
+                StableSpec(alpha=0.7, c=0.5, d=3),
+            ]
+        ),
+        n_steps=st.one_of(st.integers(1, 70), st.integers(240, 1100), st.just(4096)),
+        horizon=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_walk_path_bytes(self, spec, n_steps, horizon, seed):
+        whole = sample_walk_path(spec, n_steps, horizon, np.random.default_rng(seed))
+        _same_bytes(whole, _frozen_walk_path(spec, n_steps, horizon, np.random.default_rng(seed)))
+
     @pytest.mark.parametrize("law", ["pareto", "gaussian"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("drifting", [False, True], ids=["no_drift", "drift"])
@@ -458,75 +476,3 @@ class TestSamplersMatchFrozenCode:
         except ParameterError:
             accepted = False
         assert accepted == _frozen_path_ok(times, points)
-
-
-class _SignedZeroRng:
-    """Normals that are all -0.0 or +0.0, so the walk's sums show whether a
-    step was added to a carried 0.0 (which drops the sign) or not."""
-
-    def __init__(self, n, d):
-        self.rows = np.where(np.arange(n * d).reshape(n, d) % 3 == 0, -0.0, 0.0)
-
-    def standard_normal(self, shape):
-        out, self.rows = self.rows[: shape[0]], self.rows[shape[0] :]
-        return out.copy()
-
-
-class TestWalkPrefixes:
-    """``_walk_prefixes`` yields leading pieces of ``sample_walk_path``: its
-    last piece is the whole walk and every piece a leading slice of it, bit
-    for bit, and both match the walk sampler as first written."""
-
-    @given(
-        spec=st.sampled_from(
-            [
-                StableSpec(flavor="brownian", d=2),
-                StableSpec(alpha=2.0, c=1.7, d=1),
-                StableSpec(alpha=2.0, c=0.05, d=3),
-                StableSpec(alpha=1.5, c=1.0, d=2),
-                StableSpec(alpha=0.7, c=0.5, d=3),
-            ]
-        ),
-        n_steps=st.one_of(st.integers(1, 70), st.integers(240, 1100), st.just(4096)),
-        horizon=st.floats(1e-3, 1e3),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_pieces_are_leading_slices_of_the_whole_walk(self, spec, n_steps, horizon, seed):
-        pieces = list(_walk_prefixes(spec, n_steps, horizon, np.random.default_rng(seed)))
-        whole = sample_walk_path(spec, n_steps, horizon, np.random.default_rng(seed))
-        _same_bytes(pieces[-1], (whole.times, whole.points))
-        _same_bytes(whole, _frozen_walk_path(spec, n_steps, horizon, np.random.default_rng(seed)))
-        for piece in pieces:
-            m = len(piece.times)
-            _same_bytes(piece, (whole.times[:m], whole.points[:m]))
-        steps, sizes = 64, []
-        while spec.alpha == 2.0 and steps < n_steps:
-            sizes.append(steps)
-            steps *= 4
-        assert [len(p.times) - 1 for p in pieces] == sizes + [n_steps]
-
-    @pytest.mark.parametrize("n_steps", [1, 64, 65, 300])
-    def test_signed_zero_steps_sum_as_in_one_cumsum(self, n_steps):
-        spec = StableSpec(flavor="brownian", d=2)
-        *_, last = _walk_prefixes(spec, n_steps, 2.0, _SignedZeroRng(n_steps, 2))
-        want = _frozen_walk_path(spec, n_steps, 2.0, _SignedZeroRng(n_steps, 2))
-        _same_bytes(last, want)
-        assert np.signbit(last.points[1, 0])  # the first step is -0.0, not 0.0 + -0.0
-
-    def test_each_piece_is_drawn_when_asked_for(self):
-        spec = StableSpec(flavor="brownian", d=2)
-        rng = np.random.default_rng(5)
-        pieces = _walk_prefixes(spec, 2000, 40.0, rng)
-        assert len(next(pieces).times) == 65
-        # only the first piece's 64 x 2 normals have been taken from the stream
-        ref = np.random.default_rng(5)
-        ref.standard_normal((64, 2))
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_arguments_checked(self):
-        spec = StableSpec(flavor="brownian", d=2)
-        with pytest.raises(ParameterError):
-            next(_walk_prefixes(spec, 0, 1.0, np.random.default_rng(0)))
-        with pytest.raises(ParameterError):
-            next(_walk_prefixes(spec, 10, -1.0, np.random.default_rng(0)))
