@@ -33,16 +33,15 @@ every value is the per-trial one bit for bit:
   64 trials (``_cpp_first_exit_values``): the block sorts, scales, sums
   and scans all its paths at once on padded arrays, with the float
   operations of one path in its order;
-- the renewal counts and first exits of Gaussian walks (alpha = 2) with
-  d <= 7, in blocks of up to 128 trials (``_walk_exit_values``): the
-  walks are drawn piece by piece and scanned in lock-step, with numpy's
-  ``@`` on stacked rows for the crossing's dots. This relies on ``@``
-  being the fused ddot chain, as the scanners do; a row whose
-  coordinates pass 2**500, where ``_fma`` and ``@`` could part, is
-  scanned alone. Walks with alpha < 2 or d >= 8 are scanned one at a
-  time; the E T_1 scan of a Gaussian walk with d >= 8 draws it only as
-  far as the first of its leading pieces of 64, 256, ... steps that
-  holds an exit (``_first_walk_exit``).
+- the renewal counts and first exits of Gaussian walks (alpha = 2), in
+  blocks of up to 128 trials (``_walk_exit_values``): the walks are
+  drawn piece by piece and scanned in lock-step, a first-exit scan only
+  as far as the piece that holds the exit. The crossing's dots are
+  ``_dots``: numpy's ``@`` on stacked rows for d <= 7, which relies on
+  ``@`` being the fused ddot chain, as the scanners do, and ``_dot`` on
+  each row for d >= 8. A row whose coordinates pass 2**500, where
+  ``_fma`` and ``@`` could part, is scanned alone. Walks with alpha < 2
+  are scanned one at a time.
 """
 
 from __future__ import annotations
@@ -240,6 +239,7 @@ def _exits_linear(times, pts):
 def _exits_with_drift(times, pts, v):
     ts, rows, v = times.tolist(), zip(*pts.T.tolist()), v.tolist()
     vv = _dot(v, v)
+    end = ts[-1]
     anchor = p = next(rows)
     last_t = 0.0
     for t, t_next, p_next in zip(ts, ts[1:], rows):
@@ -261,6 +261,8 @@ def _exits_with_drift(times, pts, v):
         gap = [pi - ci for pi, ci in zip(p_next, anchor)]
         if math.sqrt(_dot(gap, gap)) >= 1.0:
             last_t = max(t_next, math.nextafter(last_t, math.inf))
+            if last_t > end:  # one ulp after a drift exit at the last sample time
+                return
             anchor = p_next
             yield last_t, p_next
         p = p_next
@@ -272,16 +274,22 @@ def _exits(path: PathSample, drift=None, mode: str = "grid"):
     if not isinstance(path, PathSample):
         raise ParameterError("path must be a PathSample")
     times, pts = path.times, path.points
-    if drift is not None:
-        v = np.asarray(drift, dtype=np.float64)
-        if v.shape != (pts.shape[1],):
-            raise ParameterError("drift must match the path dimension")
-        return _exits_with_drift(times, pts, v)
-    if mode == "grid":
+    if drift is None and mode == "grid":
         return _exits_grid(times, pts)
-    if mode == "linear":
+    if drift is None and mode != "linear":
+        raise ParameterError(f"unknown mode {mode!r}")
+    # the other scans of a NaN or infinite sample or drift can yield NaN
+    # exits without end
+    if not np.isfinite(pts).all():
+        raise ParameterError("path points must be finite in linear and drift mode")
+    if drift is None:
         return _exits_linear(times, pts)
-    raise ParameterError(f"unknown mode {mode!r}")
+    v = np.asarray(drift, dtype=np.float64)
+    if v.shape != (pts.shape[1],):
+        raise ParameterError("drift must match the path dimension")
+    if not np.isfinite(v).all():
+        raise ParameterError("drift must be finite")
+    return _exits_with_drift(times, pts, v)
 
 
 def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
@@ -292,7 +300,8 @@ def exit_times(path: PathSample, drift=None, mode: str = "grid") -> ExitRecord:
     "linear": exact crossing of the linearly interpolated segment, so the
     recorded increment has length exactly 1. Passing ``drift`` treats the
     samples as jump positions of a jump-plus-drift motion and scans that
-    motion exactly; mode is ignored.
+    motion exactly; mode is ignored. A NaN or infinite drift, or sample
+    outside grid mode, raises ParameterError.
     """
     exits = list(_exits(path, drift, mode))
     d = path.points.shape[1]
@@ -319,10 +328,7 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     that never exit are dropped."""
 
     def one(rng):
-        if spec.flavor != "cpp" and spec.alpha == 2.0:
-            first = _first_walk_exit(spec, horizon, n_steps, rng)
-        else:
-            first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
+        first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
         return None if first is None else value(*first)
 
     if _walk_blocks(spec):
@@ -332,27 +338,6 @@ def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
     else:
         vals = trial_values(seed, name, trials, one)
     return np.array([v for v in vals if v is not None], dtype=np.float64)
-
-
-_FIRST_PIECE = 64  # steps in the first leading piece of a Gaussian walk's E T_1 scan
-_PIECE_GROWTH = 4  # each piece this many times as long as the one before
-
-
-def _first_walk_exit(spec: StableSpec, horizon: float, n_steps: int, rng):
-    """The first exit (time, point) of the Gaussian walk ``sample_walk_path(
-    spec, n_steps, horizon, rng)``, or None, as ``_exits`` finds it on the
-    whole walk. The walk is drawn only as far as the first of its leading
-    pieces of 64, 256, ... steps that holds an exit. This is the E T_1
-    scan of walks with d >= 8 and of the rows the blocks hand back."""
-    pts = np.zeros((1, n_steps + 1, spec.d))
-    lo, hi = 0, min(_FIRST_PIECE, n_steps)
-    while True:
-        _walk_piece(spec, n_steps, horizon, [rng], pts[:, lo:], lo, hi - lo)
-        times = np.arange(hi + 1, dtype=np.float64) * (horizon / n_steps)
-        first = next(_exits(PathSample(times, pts[0, : hi + 1]), mode="linear"), None)
-        if first is not None or hi == n_steps:
-            return first
-        lo, hi = hi, min(hi * _PIECE_GROWTH, n_steps)
 
 
 def _sq_sums(x):
@@ -365,9 +350,13 @@ def _sq_sums(x):
 
 
 def _dots(x, y):
-    """Row-wise x . y of (k, d) arrays by numpy's ``@`` on stacked rows,
-    the fused chain that ``_dot`` reproduces."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    """Row-wise x . y of (k, d) arrays, each rounded as ``_dot`` rounds it:
+    numpy's ``@`` on stacked rows for d < 8, where it is that fused chain,
+    and ``_dot`` itself on each row for d >= 8, where ``@`` may sum in
+    another order."""
+    if x.shape[1] < 8:
+        return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return np.array([_dot(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
 _WALK_BLOCK_TRIALS = 128  # trials per block of Gaussian walk exit scans
@@ -377,9 +366,9 @@ _WALK_SAFE = 2.0**500  # a row with a coordinate past this is scanned one trial 
 
 
 def _walk_blocks(spec: StableSpec) -> bool:
-    """Whether ``_walk_exit_values`` scans walks of ``spec``: Gaussian
-    walks (alpha = 2) with d < 8, where ``@`` rounds as ``_dot``."""
-    return spec.flavor != "cpp" and spec.alpha == 2.0 and spec.d < 8
+    """Whether ``_walk_exit_values`` scans walks of ``spec``: the Gaussian
+    walks (alpha = 2)."""
+    return spec.flavor != "cpp" and spec.alpha == 2.0
 
 
 def _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value=None) -> list:
@@ -394,21 +383,27 @@ def _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value=Non
     scanned in lock-step: a window of W points per row finds the first at
     squared distance >= 1 from the row's anchor, with squares added left to
     right, and the crossings on that segment are solved for all hit rows
-    at once, with the arithmetic of ``_first_sphere_crossing`` and numpy's
-    ``@`` for its dots. So every value is the per-trial one bit for bit.
-    A row whose exits break ``ExitRecord``'s checks, or with a coordinate
-    past 2**500, where ``_fma`` would overflow apart from ``@``, runs
-    ``one`` on a fresh generator; for a count, ``one``'s record then raises
-    as it would have."""
+    at once, with the arithmetic of ``_first_sphere_crossing`` and
+    ``_dots`` for its dots. So every value is the per-trial one bit for
+    bit, and a first-exit row is drawn only as far as the piece that holds
+    its first exit. A row whose exits break ``ExitRecord``'s checks, or
+    with a coordinate past 2**500, where ``_fma``'s split could overflow
+    apart from ``@``, runs ``one`` on a fresh generator; for a count,
+    ``one``'s record then raises as it would have.
+
+    A block holds at least one row and a piece at least one step, so a
+    block array stays within 2**15 doubles up to d = 992; from d = 993
+    one row's one-step piece and its window of W points already hold
+    33 d doubles, and its window slice (W, d) passes 2**15 from d = 1025."""
     stream = stream_id(name)
-    cap = min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d))
-    size = -(-trials // -(-trials // cap))  # even blocks, each piece >= 3 W points
+    cap = max(1, min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d)))
+    size = -(-trials // -(-trials // cap))  # even blocks, each piece >= 3 W points for d <= 256
     h = horizon / n_steps
     end = n_steps * h  # the time of the walk's last sample
 
     def block(lo):
         rngs = [trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))]
-        width = min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW)
+        width = max(1, min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW))
         # the live rows: their block indices, points (column 0 holds the last
         # piece's last point, the W - 1 columns past the piece's end its end
         # point), anchors, exit counts and last exit times
@@ -582,8 +577,8 @@ def estimate_mean_exit_time(
     default horizon is 40, or 40 / jump_rate for a cpp spec whose jump
     rate lies in (0, 1), so that a path sees as many jumps on average as
     at rate 1. A walk longer than horizon / dt = 10^6 steps raises
-    ResourceError. Gaussian walks (alpha = 2, d <= 7) are drawn in pieces
-    and scanned in lock-step blocks of trials, each only as far as its
+    ResourceError. Gaussian walks (alpha = 2) are drawn in pieces and
+    scanned in lock-step blocks of trials, each only as far as its
     first exit, and drift-free cpp paths run in blocks of trials; both
     give the values of whole paths scanned one at a time, bit for bit."""
     trials = _count("trials", trials, 2)
@@ -613,8 +608,8 @@ def renewal_ratio_experiment(
     dt, so the grid detection bias largely cancels in the comparison. The
     rate estimate rides along in each result's target params. A walk
     longer than 10^6 steps (t / dt, or 40 / dt for the E T_1 batch) raises
-    ResourceError before any path is drawn. Gaussian walks (alpha = 2,
-    d <= 7) are counted on lock-step blocks of trials, with the counts of
+    ResourceError before any path is drawn. Gaussian walks (alpha = 2) are
+    counted on lock-step blocks of trials, with the counts of
     ``exit_times`` on each whole path, bit for bit."""
     t_values = [_real("t_values entry", t, gt=0) for t in t_values]
     if not t_values:

@@ -465,6 +465,41 @@ class TestPlanTimeChecks:
         assert _config_digest(plans, 0) == CONFIG_DIGESTS[name]
 
 
+class TestScannerPathsConfig:
+    """CI runs tests/scanner_paths.json for the exit scans that no benchmark
+    workload reaches; the config must keep reaching them."""
+
+    def test_config_reaches_every_scanner(self, tmp_path, monkeypatch):
+        raw = json.loads((REPO / "tests" / "scanner_paths.json").read_text(encoding="utf-8"))
+        assert len(plan_experiments(raw)) == 5
+        calls = Counter()
+
+        def count(name, key):
+            real = getattr(limits, name)
+
+            def counted(*args):
+                calls[name, key(*args)] += 1
+                return real(*args)
+
+            monkeypatch.setattr(limits, name, counted)
+
+        # keyed by the path's dimension
+        count("_exits_linear", lambda times, pts: pts.shape[1])
+        count("_exits_with_drift", lambda times, pts, v: pts.shape[1])
+        count("_walk_exit_values", lambda spec, *rest: spec.d)
+        for entry in raw["experiments"]:
+            entry["trials"] = 10
+            if entry["kind"] == "renewal_ratio":
+                entry["et1_trials"] = 10
+        manifest = run_all(plan_experiments(raw), tmp_path)
+        assert len(manifest.results) == 9
+        # the isotropic renewals scan per trial at d = 2 (the unrolled
+        # branch) and d = 3; the Brownian one at d = 8 runs on the blocks
+        for key in (("_exits_linear", 2), ("_exits_linear", 3), ("_exits_with_drift", 2),
+                    ("_walk_exit_values", 8)):
+            assert calls[key] >= 1, key
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

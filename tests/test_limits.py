@@ -183,6 +183,30 @@ class TestExitTimes:
         with pytest.raises(ParameterError):
             exit_times(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize(
+        "case", ["nan_drift", "inf_drift", "nan_sample_drift", "nan_sample_linear"]
+    )
+    def test_non_finite_input_refused(self, case):
+        # each used to yield (nan, (nan, nan)) without end; the probes take
+        # at most 10 exits, so a regression fails instead of filling memory
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0], [4.0, 0.0]])
+        drift = {"nan_drift": [math.nan, 0.0], "inf_drift": [math.inf, 0.0]}.get(case)
+        if case == "nan_sample_drift":
+            pts[1, 1], drift = math.nan, [0.5, 0.0]
+        elif case == "nan_sample_linear":
+            pts[1, 0] = math.nan  # a sample at distance >= 1 follows it
+        kw = {"mode": "linear"} if drift is None else {"drift": drift}
+        path = PathSample(np.arange(4.0), pts)
+        with pytest.raises(ParameterError, match="finite"):
+            list(itertools.islice(_exits(path, **kw), 10))
+        with pytest.raises(ParameterError, match="finite"):
+            exit_times(path, **kw)
+
+    def test_non_finite_samples_on_the_grid_kept(self):
+        # grid mode takes only samples at distance >= 1: NaN never is one
+        pts = np.array([[0.0, 0.0], [math.nan, 0.0], [2.0, 0.0]])
+        assert exit_times(PathSample(np.arange(3.0), pts)).exit_times.tolist() == [2.0]
+
 
 # Frozen oracle: the block-search scanners as they stood before the scans
 # became lazy generators with a scalar search. Do not edit; the scanners
@@ -366,6 +390,11 @@ def _oracle_drift(times, pts, v):
 def _assert_drift_matches_oracle(path, drift):
     v = np.asarray(drift, dtype=np.float64)
     want = list(_oracle_drift(path.times, path.points, v))
+    # the oracle can give a jump exit one ulp after a drift exit at the
+    # last sample time, past the horizon; the scanner drops it
+    if want and want[-1][0] > path.times[-1]:
+        want.pop()
+    assert all(t <= path.times[-1] for t, _ in want)
     rec = exit_times(path, drift=v)
     assert np.array_equal(
         rec.exit_times, np.array([t for t, _ in want], dtype=np.float64)
@@ -438,6 +467,13 @@ class TestDriftScannerAgainstFrozenOracle:
         pts = np.array([[0.0, 0.0], [2.5, 0.0], [2.5, 0.0]])
         rec = _assert_drift_matches_oracle(PathSample(times, pts), (0.5, 0.0))
         assert rec.exit_times.tolist() == [2.0, math.nextafter(2.0, 3.0)]
+
+    def test_no_jump_exit_past_the_horizon(self):
+        # the drift exits at the last sample time and the jump back to 0
+        # would exit one ulp later, past the horizon: it is not recorded
+        path = PathSample(np.array([0.0, 1.0]), np.array([[0.0], [0.0]]))
+        assert list(_exits(path, drift=[1.0])) == [(1.0, (1.0,))]
+        _assert_drift_matches_oracle(path, (1.0,))
 
     def test_jumps_within_an_ulp_of_the_sphere(self):
         # unit jumps rounded to doubles: the rounding of the squared norm
@@ -662,8 +698,8 @@ class TestFusedDot:
         # The scanners reproduce numpy's rounding on this assumption: ``@``
         # (and so ``np.linalg.norm``) is OpenBLAS ddot's fused chain for
         # d < 8, and so is ``@`` on stacked rows, which the Gaussian walk
-        # blocks use for their crossings (``_dots``). A BLAS without FMA
-        # fails here first.
+        # blocks use for their crossings (``_dots``) at d <= 7. A BLAS
+        # without FMA fails here first.
         rng = np.random.default_rng(55 + d)
         shape = (2, 10_000, d)
         xs, ys = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
@@ -678,6 +714,15 @@ class TestFusedDot:
         assert _dots(xs, ys).tolist() == [_dot(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         if d > 1:  # one product has nothing to fuse
             assert unfused > 1000  # so an unfused ddot would be caught
+
+    @pytest.mark.parametrize("d", range(8, 17))
+    def test_block_dots_are_the_fused_chain_past_7(self, d):
+        # for d >= 8 ``@`` may sum in another order, so ``_dots`` runs
+        # ``_dot`` on each row, and the blocks round as the scanners do
+        rng = np.random.default_rng(56 + d)
+        shape = (2, 2_000, d)
+        xs, ys = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        assert _dots(xs, ys).tolist() == [_dot(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 class TestMeanExitTime:
@@ -729,7 +774,7 @@ class TestFirstExitBatchAgainstWholePaths:
     the start one at a time, bit for bit."""
 
     @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 320, 321, 2000])
-    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -750,24 +795,37 @@ class TestFirstExitBatchAgainstWholePaths:
                 assert (got.size > 0) == exits
 
     @pytest.mark.parametrize("d", [2, 8])
-    def test_a_walk_is_drawn_only_to_the_piece_with_its_first_exit(self, d):
+    def test_a_walk_is_drawn_only_to_the_piece_with_its_first_exit(self, monkeypatch, d):
+        drawn = {}  # normals taken from each trial's generator
+
+        class Counting:
+            def __init__(self, *key):
+                self.rng, self.key = trial_rng(*key), key
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, size=None, out=None):
+                got = self.rng.standard_normal(size, out=out)
+                drawn[self.key] = drawn.get(self.key, 0) + got.size
+                return got
+
         spec = StableSpec(flavor="brownian", d=d)
-        rng = np.random.default_rng(5)
-        first = limits._first_walk_exit(spec, 40.0, 2000, rng)
-        whole = sample_walk_path(spec, 2000, 40.0, np.random.default_rng(5))
-        whole = next(_exits(whole, mode="linear"))
-        assert np.array([first[0], *first[1]]).tobytes() == np.array([whole[0], *whole[1]]).tobytes()
-        # a step of 0.02 exits within the first piece: only its 64 x d
-        # normals have been taken from the stream
-        ref = np.random.default_rng(5)
-        ref.standard_normal((64, d))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # a walk that never exits is drawn whole, 64 + 192 + 768 + 976 steps
-        rng = np.random.default_rng(5)
-        assert limits._first_walk_exit(spec, 1e-3, 2000, rng) is None
-        ref = np.random.default_rng(5)
-        ref.standard_normal((2000, d))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        value = lambda t, x: (t, *x)  # noqa: E731
+        # a step of 0.02 exits within the first piece; horizon 1e-3 never exits
+        for horizon, exits in ((40.0, True), (1e-3, False)):
+            args = (spec, horizon, 2000, 40, 5, "first_exit", value)
+            want = first_exit_values_whole(*args)
+            drawn.clear()
+            monkeypatch.setattr(limits, "trial_rng", Counting)
+            got = _first_exit_values(*args)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
+            assert len(drawn) == 40
+            if exits:
+                assert len(got) == 40 and max(drawn.values()) < 2000 * d
+            else:
+                assert len(got) == 0 and set(drawn.values()) == {2000 * d}
 
     def test_heavy_tailed_and_cpp_paths_unchanged(self):
         for spec, horizon, n_steps in (
@@ -881,19 +939,28 @@ class _EdgeStepRng:
 
 
 class TestWalkBlocksAgainstPerTrial:
-    """Gaussian walks (alpha = 2, d <= 7) count their exits and find their
-    first exits on lock-step blocks of trials; the values must be those of
-    the per-trial scans of whole walks, bit for bit. dt = 2 gives steps
-    that cross the sphere several times, c = 1e302 walks past 2**500,
-    which the block hands to the per-trial path, and the smallest c
-    never exits."""
+    """Gaussian walks (alpha = 2) count their exits and find their first
+    exits on lock-step blocks of trials; the values must be those of the
+    per-trial scans of whole walks, bit for bit. The blocks' dots are
+    numpy's stacked ``@`` for d <= 7 and ``_dot`` row by row for d >= 8,
+    where ``@`` can round apart from the scanners (at d = 16 on an AVX-512
+    OpenBLAS). dt = 2 gives steps that cross the sphere several times,
+    c = 1e302 walks past 2**500, which the block hands to the per-trial
+    path, and the smallest c never exits."""
 
     @pytest.mark.parametrize("c", [TINY_C, 1.0, 1e302], ids=["c1e-12", "c1", "c1e302"])
     @pytest.mark.parametrize("dt", [0.02, 0.5, 2.0])
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 12, 16])
     def test_same_values_as_per_trial_scans(self, d, dt, c):
-        # 129 trials are 2 to 4 blocks, as the dimension caps their rows
+        # 129 trials are 2 to 9 blocks, as the dimension caps their rows
         got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=c, d=d), dt, 129)
+        assert got == want
+
+    @pytest.mark.parametrize("c", [1e-4, 0.5])
+    def test_one_row_one_step_blocks_in_1000_dimensions(self, c):
+        # from d = 257 a block holds one row, and from d = 993 a piece one
+        # step; a step is about 0.3 long at c = 1e-4 and 4.5 at c = 0.5
+        got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=c, d=1000), 0.5, 3, t=2.0)
         assert got == want
 
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 128, 129, 200])
