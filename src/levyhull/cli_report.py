@@ -252,10 +252,20 @@ def _check_renewal(p, bad):
             bad(key, f"is not used by flavor {p['flavor']!r}; leave it out")
     if p["flavor"] == "cpp":
         _check_cpp(p, bad, _ET1_HORIZON)
-    try:  # the longest walk: the largest t or the E T_1 batch's horizon
-        _walk_steps(p["flavor"], max(*p["t_values"], _ET1_HORIZON), p["dt"])
+    horizon = max(*p["t_values"], _ET1_HORIZON)  # the longest path's, or the E T_1 batch's
+    try:
+        _walk_steps(p["flavor"], horizon, p["dt"], p["jump_rate"] or 0.0)
     except ResourceError as exc:
-        bad("dt", f"is too small: {exc}")
+        cpp = p["flavor"] == "cpp"
+        bad("jump_rate" if cpp else "dt", f"is too {'large' if cpp else 'small'}: {exc}")
+
+
+def _check_scaled_hull(p, bad):
+    _check_cpp(p, bad)
+    try:  # the longest path; the fit batch's horizon 60 / jump_rate expects 60 jumps
+        _walk_steps("cpp", max(p["t_values"]), 0.0, p["jump_rate"])
+    except ResourceError as exc:
+        bad("jump_rate", f"is too large: {exc}")
 
 
 def _check_exit_tail(p, bad):
@@ -706,7 +716,7 @@ _KINDS = {
             "n_steps_limit": (2000, int, _WALK_STEPS),
         },
         _run_scaled_hull,
-        _check_cpp,
+        _check_scaled_hull,
         min_trials=10,  # scaled_hull_convergence's floor
     ),
     "exit_tail": _Kind(

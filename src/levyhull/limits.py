@@ -25,29 +25,34 @@ so ``_fma`` computes it exactly from Dekker's split product and one
 ``math.fsum``. For d >= 8 numpy sums pairwise and ``ddot`` unrolls, so
 there the records can differ from numpy's in the last bit.
 
-Two batch paths skip the scanners and run on blocks of trials through
-``_ordered_map``, each trial drawing from its own generator, so that
-every value is the per-trial one bit for bit:
+The exit counts and first exits of a batch of paths all go through one
+entry point, ``_exit_values``, which picks the scan for a spec. Two
+kernels skip the scanners and run on even blocks of trials, each trial
+drawing from its own generator, so that every value is the per-trial
+one bit for bit; a row that a kernel hands back is rescanned alone:
 
 - first exits of drift-free compound-Poisson paths, in blocks of up to
-  64 trials (``_cpp_first_exit_values``): the block sorts, scales, sums
-  and scans all its paths at once on padded arrays, with the float
-  operations of one path in its order;
+  64 trials (``_cpp_kernel``): the block sorts, scales, sums and scans
+  all its paths at once on padded arrays, with the float operations of
+  one path in its order;
 - the renewal counts and first exits of Gaussian walks (alpha = 2), in
-  blocks of up to 128 trials (``_walk_exit_values``): the walks are
-  drawn piece by piece and scanned in lock-step, a first-exit scan only
-  as far as the piece that holds the exit. The crossing's dots are
-  ``_dots``: numpy's ``@`` on stacked rows for d <= 7, which relies on
-  ``@`` being the fused ddot chain, as the scanners do, and ``_dot`` on
-  each row for d >= 8. A row whose coordinates pass 2**500, where
-  ``_fma`` and ``@`` could part, is scanned alone. Walks with alpha < 2
-  are scanned one at a time.
+  blocks of up to 128 trials (``_walk_kernel``): the walks are drawn
+  piece by piece and scanned in lock-step, a first-exit scan only as far
+  as the piece that holds the exit. The crossing's dots are ``_dots``:
+  numpy's ``@`` on stacked rows for d <= 7, which relies on ``@`` being
+  the fused ddot chain, as the scanners do, and ``_dot`` on each row for
+  d >= 8. A row whose coordinates pass 2**500, where ``_fma`` and ``@``
+  could part, is rescanned.
+
+Every other path (walks with alpha < 2, cpp counts, cpp paths with
+drift) is scanned one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,8 +155,6 @@ def _fma(a, b, c):
 def _dot(x, y):
     """x . y rounded as numpy's ``@`` rounds it for d < 8: OpenBLAS ddot,
     the fused chain acc = x0 y0, then acc = fma(x_i, y_i, acc)."""
-    if len(x) == 2:  # the planar case, unrolled
-        return _fma(x[1], y[1], x[0] * y[0])
     acc = x[0] * y[0]
     for i in range(1, len(x)):
         acc = _fma(x[i], y[i], acc)
@@ -180,30 +183,6 @@ def _exits_linear(times, pts):
     # can close a crossing segment. The rounding follows numpy's, as the
     # module docstring explains.
     cols = pts.T.tolist()
-    if len(cols) == 2:  # the planar case, unrolled
-        xs, ys = cols
-        ax, ay = xs[0], ys[0]
-        for k, bx, by in zip(range(len(xs)), xs, ys):
-            dx, dy = bx - ax, by - ay
-            if dx * dx + dy * dy >= 1.0:
-                px, py = xs[k - 1], ys[k - 1]
-                vx, vy = bx - px, by - py
-                v = (vx, vy)
-                vv = _dot(v, v)
-                t0 = times.item(k - 1)
-                dt = times.item(k) - t0
-                s_lo = 0.0
-                while True:
-                    s = _first_sphere_crossing((px - ax, py - ay), v, vv, s_lo, 1.0)
-                    if s is None:
-                        s = 1.0  # endpoint sits on the sphere within rounding
-                    ax, ay = px + s * vx, py + s * vy
-                    yield t0 + s * dt, (ax, ay)
-                    s_lo = s
-                    dx, dy = bx - ax, by - ay
-                    if s >= 1.0 or dx * dx + dy * dy < 1.0:
-                        break
-        return
     rows = zip(*cols)
     anchor = next(rows)
     for k, b in enumerate(rows, 1):
@@ -323,20 +302,50 @@ def _scan_for(spec: StableSpec, horizon: float, n_steps: int, rng, scan):
     return scan(path, mode="grid")
 
 
-def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
-    """value(time, point) of each trial's first exit, in trial order; paths
-    that never exit are dropped."""
+def _exit_values(spec, horizon, n_steps, trials, seed, name, value=None) -> list:
+    """``trial_values(seed, name, trials, one)`` bit for bit, with ``one``
+    the scan of one trial's whole path of ``spec`` up to ``horizon`` (a
+    walk of ``n_steps`` steps): with ``value``, value(time, point) of its
+    first exit or None; without, its ``exit_times`` count / ``horizon``.
+
+    Gaussian walks run on ``_walk_kernel`` and drift-free cpp first exits
+    on ``_cpp_kernel``, on even blocks of trials through ``_ordered_map``;
+    a kernel takes one generator per trial and returns the block's values
+    and the rows to rescan, which ``one`` reruns on fresh generators."""
 
     def one(rng):
+        if value is None:
+            return _scan_for(spec, horizon, n_steps, rng, exit_times).n_exits / horizon
         first = next(_scan_for(spec, horizon, n_steps, rng, _exits), None)
         return None if first is None else value(*first)
 
-    if _walk_blocks(spec):
-        vals = _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value)
-    elif spec.flavor == "cpp" and not any(spec.drift):
-        vals = _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one)
+    if spec.flavor != "cpp" and spec.alpha == 2.0:
+        kernel = partial(_walk_kernel, spec, horizon, n_steps, value)
+        # so that each piece holds >= 3 W points for d <= 256
+        cap = min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d))
+    elif spec.flavor == "cpp" and value is not None and not any(spec.drift):
+        kernel = partial(_cpp_kernel, spec, horizon, value)
+        jumps = spec.jump_rate * horizon * spec.d  # expected jump coordinates per path
+        cap = min(_CPP_BLOCK_TRIALS, int(_CPP_BLOCK_VALUES // max(1.0, jumps)))
     else:
-        vals = trial_values(seed, name, trials, one)
+        return trial_values(seed, name, trials, one)
+    stream = stream_id(name)
+    size = -(-trials // -(-trials // max(1, cap)))  # even blocks of at most cap trials
+
+    def block(lo):
+        out, redo = kernel([trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))])
+        for i in sorted(redo):
+            out[i] = one(trial_rng(seed, stream, lo + i))
+        return out
+
+    with np.errstate(all="ignore"):  # silent, as the scanners' floats
+        return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
+
+
+def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):
+    """``_exit_values`` of the first exits as an array; paths that never
+    exit are dropped."""
+    vals = _exit_values(spec, horizon, n_steps, trials, seed, name, value)
     return np.array([v for v in vals if v is not None], dtype=np.float64)
 
 
@@ -365,182 +374,152 @@ _WALK_WINDOW = 32  # points a row tests for its next exit per lock-step pass
 _WALK_SAFE = 2.0**500  # a row with a coordinate past this is scanned one trial alone
 
 
-def _walk_blocks(spec: StableSpec) -> bool:
-    """Whether ``_walk_exit_values`` scans walks of ``spec``: the Gaussian
-    walks (alpha = 2)."""
-    return spec.flavor != "cpp" and spec.alpha == 2.0
+def _walk_kernel(spec, horizon, n_steps, value, rngs):
+    """``_exit_values``' kernel for Gaussian walks (alpha = 2) of
+    ``n_steps`` steps up to ``horizon``, one walk per generator: (values,
+    rows to rescan).
 
+    Each walk draws its normals piece by piece (``_walk_piece``) into a
+    shared buffer. The rows are then scanned in lock-step: a window of W
+    points per row finds the first at squared distance >= 1 from the row's
+    anchor, with squares added left to right, and the crossings on that
+    segment are solved for all hit rows at once, with the arithmetic of
+    ``_first_sphere_crossing`` and ``_dots`` for its dots. So every value
+    is the per-trial one bit for bit, and a first-exit row is drawn only
+    as far as the piece that holds its first exit. A row whose exits break
+    ``ExitRecord``'s checks, or with a coordinate past 2**500, where
+    ``_fma``'s split could overflow apart from ``@``, is handed back; for a
+    count, its rescan's record then raises as it would have.
 
-def _walk_exit_values(spec, horizon, n_steps, trials, seed, name, one, value=None) -> list:
-    """``trial_values(seed, name, trials, one)`` for a walk of ``spec``
-    (``_walk_blocks``) of ``n_steps`` steps up to ``horizon``, computed on
-    blocks of up to 128 trials. ``one`` scans one trial's walk: with
-    ``value``, for value(time, point) of its first exit or None; without,
-    for its ``exit_times`` count divided by ``horizon``.
-
-    Each trial draws its normals from its own generator, piece by piece
-    (``_walk_piece``), into a shared buffer of its block. The rows are then
-    scanned in lock-step: a window of W points per row finds the first at
-    squared distance >= 1 from the row's anchor, with squares added left to
-    right, and the crossings on that segment are solved for all hit rows
-    at once, with the arithmetic of ``_first_sphere_crossing`` and
-    ``_dots`` for its dots. So every value is the per-trial one bit for
-    bit, and a first-exit row is drawn only as far as the piece that holds
-    its first exit. A row whose exits break ``ExitRecord``'s checks, or
-    with a coordinate past 2**500, where ``_fma``'s split could overflow
-    apart from ``@``, runs ``one`` on a fresh generator; for a count,
-    ``one``'s record then raises as it would have.
-
-    A block holds at least one row and a piece at least one step, so a
+    The block holds at least one row and a piece at least one step, so a
     block array stays within 2**15 doubles up to d = 992; from d = 993
     one row's one-step piece and its window of W points already hold
     33 d doubles, and its window slice (W, d) passes 2**15 from d = 1025."""
-    stream = stream_id(name)
-    cap = max(1, min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d)))
-    size = -(-trials // -(-trials // cap))  # even blocks, each piece >= 3 W points for d <= 256
     h = horizon / n_steps
     end = n_steps * h  # the time of the walk's last sample
-
-    def block(lo):
-        rngs = [trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))]
-        width = max(1, min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW))
-        # the live rows: their block indices, points (column 0 holds the last
-        # piece's last point, the W - 1 columns past the piece's end its end
-        # point), anchors, exit counts and last exit times
-        ids = np.arange(len(rngs))
-        buf = np.zeros((len(rngs), width + _WALK_WINDOW, spec.d))
-        anchor = np.zeros((len(rngs), spec.d))
-        count = np.zeros(len(rngs), dtype=np.int64)
-        last = np.zeros(len(rngs))
-        out, redo = [None] * len(rngs), []
-        g0 = 0  # the walk index of column 0
-        while g0 < n_steps and ids.size:
-            m = min(width, n_steps - g0)
-            _walk_piece(spec, n_steps, horizon, [rngs[i] for i in ids.tolist()], buf, g0, m)
-            buf[:, m + 1 :] = buf[:, m : m + 1]
-            windows = sliding_window_view(buf, _WALK_WINDOW, axis=1)  # (rows, width + 1, d, W)
-            times = np.arange(g0, g0 + m + 1, dtype=np.float64) * h
-            gone = ~(np.abs(buf[:, 1 : m + 1]).max(axis=(1, 2)) <= _WALK_SAFE)  # NaN too
-            done = np.zeros(ids.size, dtype=bool)  # rows past their first exit
-            pos = np.where(gone, m + 1, 1)  # each row's next point to test
-            act = (~gone).nonzero()[0]
-            while act.size:
-                p = pos[act]
-                gap = (windows[act, p] - anchor[act, :, None]).swapaxes(1, 2)
-                hit = _sq_sums(gap) >= 1.0
-                got = hit.any(axis=1)
-                pos[act] = p + _WALK_WINDOW
-                rows = act[got]
-                if rows.size:
-                    j = p[got] + hit[got].argmax(axis=1)
-                    pos[rows] = j + 1 if value is None else m + 1
-                    a, b = buf[rows, j - 1], buf[rows, j]
-                    seg = b - a
-                    vv = _dots(seg, seg)
-                    t0 = times[j - 1]
-                    dt = times[j] - t0
-                    s = np.zeros(rows.size)
-                    while True:  # one crossing of each row's segment a pass
-                        q = a - anchor[rows]
-                        qv = _dots(q, seg)
-                        cross = (np.sqrt(qv * qv - vv * (_dots(q, q) - 1.0)) - qv) / vv
-                        # no crossing (NaN too) takes 1: the endpoint sits on the
-                        # sphere within rounding
-                        s = np.where((cross > s + 1e-15) & (cross < 1.0), cross, 1.0)
-                        x = a + s[:, None] * seg
-                        t = t0 + s * dt
-                        # a row whose exits break ExitRecord's checks runs ``one``
-                        bad = (t <= last[rows]) | (t > end)
-                        bad |= _sq_sums(x - anchor[rows]) < 1.0 - 1e-6
-                        gone[rows[bad]] = True
-                        if value is not None:
-                            done[rows] = True
-                            ok = ~bad
-                            for i, ti, xi in zip(ids[rows[ok]].tolist(), t[ok].tolist(), x[ok].tolist()):
-                                out[i] = value(ti, tuple(xi))
-                            break
-                        count[rows] += 1
-                        last[rows] = t
-                        anchor[rows] = x
-                        stay = (s < 1.0) & (_sq_sums(b - x) >= 1.0)
-                        if not stay.any():
-                            break
-                        rows, a, b, seg, vv = rows[stay], a[stay], b[stay], seg[stay], vv[stay]
-                        t0, dt, s = t0[stay], dt[stay], s[stay]
-                act = act[pos[act] <= m]
-            buf[:, 0] = buf[:, m]
-            g0 += m
-            redo += ids[gone].tolist()
-            if (gone | done).any():
-                keep = ~(gone | done)
-                ids, buf, anchor, count, last = ids[keep], buf[keep], anchor[keep], count[keep], last[keep]
-        if value is None:
-            for i, c in zip(ids.tolist(), count.tolist()):
-                out[i] = c / horizon
-        for i in sorted(redo):
-            out[i] = one(trial_rng(seed, stream, lo + i))
-        return out
-
-    with np.errstate(all="ignore"):  # silent, as the scanners' floats
-        return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
+    width = max(1, min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW))
+    # the live rows: their block indices, points (column 0 holds the last
+    # piece's last point, the W - 1 columns past the piece's end its end
+    # point), anchors, exit counts and last exit times
+    ids = np.arange(len(rngs))
+    buf = np.zeros((len(rngs), width + _WALK_WINDOW, spec.d))
+    anchor = np.zeros((len(rngs), spec.d))
+    count = np.zeros(len(rngs), dtype=np.int64)
+    last = np.zeros(len(rngs))
+    out, redo = [None] * len(rngs), []
+    g0 = 0  # the walk index of column 0
+    while g0 < n_steps and ids.size:
+        m = min(width, n_steps - g0)
+        _walk_piece(spec, n_steps, horizon, [rngs[i] for i in ids.tolist()], buf, g0, m)
+        buf[:, m + 1 :] = buf[:, m : m + 1]
+        windows = sliding_window_view(buf, _WALK_WINDOW, axis=1)  # (rows, width + 1, d, W)
+        times = np.arange(g0, g0 + m + 1, dtype=np.float64) * h
+        gone = ~(np.abs(buf[:, 1 : m + 1]).max(axis=(1, 2)) <= _WALK_SAFE)  # NaN too
+        done = np.zeros(ids.size, dtype=bool)  # rows past their first exit
+        pos = np.where(gone, m + 1, 1)  # each row's next point to test
+        act = (~gone).nonzero()[0]
+        while act.size:
+            p = pos[act]
+            gap = (windows[act, p] - anchor[act, :, None]).swapaxes(1, 2)
+            hit = _sq_sums(gap) >= 1.0
+            got = hit.any(axis=1)
+            pos[act] = p + _WALK_WINDOW
+            rows = act[got]
+            if rows.size:
+                j = p[got] + hit[got].argmax(axis=1)
+                pos[rows] = j + 1 if value is None else m + 1
+                a, b = buf[rows, j - 1], buf[rows, j]
+                seg = b - a
+                vv = _dots(seg, seg)
+                t0 = times[j - 1]
+                dt = times[j] - t0
+                s = np.zeros(rows.size)
+                while True:  # one crossing of each row's segment a pass
+                    q = a - anchor[rows]
+                    qv = _dots(q, seg)
+                    cross = (np.sqrt(qv * qv - vv * (_dots(q, q) - 1.0)) - qv) / vv
+                    # no crossing (NaN too) takes 1: the endpoint sits on the
+                    # sphere within rounding
+                    s = np.where((cross > s + 1e-15) & (cross < 1.0), cross, 1.0)
+                    x = a + s[:, None] * seg
+                    t = t0 + s * dt
+                    # a row whose exits break ExitRecord's checks is handed back
+                    bad = (t <= last[rows]) | (t > end)
+                    bad |= _sq_sums(x - anchor[rows]) < 1.0 - 1e-6
+                    gone[rows[bad]] = True
+                    if value is not None:
+                        done[rows] = True
+                        ok = ~bad
+                        for i, ti, xi in zip(ids[rows[ok]].tolist(), t[ok].tolist(), x[ok].tolist()):
+                            out[i] = value(ti, tuple(xi))
+                        break
+                    count[rows] += 1
+                    last[rows] = t
+                    anchor[rows] = x
+                    stay = (s < 1.0) & (_sq_sums(b - x) >= 1.0)
+                    if not stay.any():
+                        break
+                    rows, a, b, seg, vv = rows[stay], a[stay], b[stay], seg[stay], vv[stay]
+                    t0, dt, s = t0[stay], dt[stay], s[stay]
+            act = act[pos[act] <= m]
+        buf[:, 0] = buf[:, m]
+        g0 += m
+        redo += ids[gone].tolist()
+        if (gone | done).any():
+            keep = ~(gone | done)
+            ids, buf, anchor, count, last = ids[keep], buf[keep], anchor[keep], count[keep], last[keep]
+    if value is None:
+        for i, c in zip(ids.tolist(), count.tolist()):
+            out[i] = c / horizon
+    return out, redo
 
 
 _CPP_BLOCK_TRIALS = 64  # trials per block of drift-free cpp first exits
 _CPP_BLOCK_VALUES = 1 << 14  # expected jump coordinates per block: 128 KB a block array
 
 
-def _cpp_first_exit_values(spec, horizon, trials, seed, name, value, one) -> list:
-    """``trial_values(seed, name, trials, one)`` for a drift-free cpp spec,
-    with ``one`` its per-trial first exit, computed on blocks of trials.
+def _cpp_kernel(spec, horizon, value, rngs):
+    """``_exit_values``' kernel for the first exits of drift-free cpp paths
+    of ``spec`` up to ``horizon``, one path per generator: (values, rows
+    to rescan).
 
-    Each trial draws from its own generator in ``sample_cpp_path``'s order
-    (jump count, times, Pareto radii, normals) into padded (trials, jumps[,
-    d]) arrays, and the block sorts, scales, sums and scans them along the
-    jump axis. Those are the path's float operations in its order, and the
-    grid scan adds squares left to right as ``_exits_grid`` does, so every
-    value is the per-trial one bit for bit. A row with a zero or repeated
-    jump time, which ``sample_cpp_path`` drops or merges, runs ``one`` on
-    a fresh generator."""
-    stream = stream_id(name)
+    Each path draws in ``sample_cpp_path``'s order (jump count, times,
+    Pareto radii, normals) into padded (paths, jumps[, d]) arrays, and the
+    block sorts, scales, sums and scans them along the jump axis. Those
+    are the path's float operations in its order, and the grid scan adds
+    squares left to right as ``_exits_grid`` does, so every value is the
+    per-trial one bit for bit. A row with a zero or repeated jump time,
+    which ``sample_cpp_path`` drops or merges, is handed back."""
     lam = spec.jump_rate * horizon
-    size = max(1, min(_CPP_BLOCK_TRIALS, int(_CPP_BLOCK_VALUES // max(1.0, lam * spec.d))))
-
-    def block(lo):
-        rngs = [trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))]
-        counts = [int(rng.poisson(lam)) if spec.jump_rate > 0 else 0 for rng in rngs]
-        m = max(counts)
-        if not m:
-            return [None] * len(rngs)
-        times = np.full((len(rngs), m), np.inf)  # the padding sorts last
-        radii = np.ones((len(rngs), m))
-        jumps = np.ones((len(rngs), m, spec.d))
-        pareto = spec.jump_law == "pareto"
-        for i, (rng, n) in enumerate(zip(rngs, counts)):
-            if n:
-                rng.random(out=times[i, :n])
-                if pareto:
-                    rng.random(out=radii[i, :n])
-                rng.standard_normal(out=jumps[i, :n])
-        times *= horizon
-        times.sort(axis=1)
-        valid = np.arange(m) < np.array(counts)[:, None]
-        redo = (times[:, 0] <= 0.0) | ((times[:, 1:] == times[:, :-1]) & valid[:, 1:]).any(axis=1)
-        if pareto:
-            _pareto_jumps(radii, jumps, spec.tail_alpha)
-        np.cumsum(jumps, axis=1, out=jumps)
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, as the scanner's floats
-            hit = (_sq_sums(jumps) >= 1.0) & valid
-        out = [None] * len(rngs)
-        rows = (hit.any(axis=1) & ~redo).nonzero()[0]
-        for i, k in zip(rows.tolist(), hit[rows].argmax(axis=1).tolist()):
-            t = times.item(i, k)
-            # sample_cpp_path adds times * drift, a signed zero, to every point
-            out[i] = value(t, tuple([x + t * v for x, v in zip(jumps[i, k].tolist(), spec.drift)]))
-        for i in redo.nonzero()[0].tolist():
-            out[i] = one(trial_rng(seed, stream, lo + i))
-        return out
-
-    return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
+    counts = [int(rng.poisson(lam)) if spec.jump_rate > 0 else 0 for rng in rngs]
+    m = max(counts)
+    if not m:
+        return [None] * len(rngs), []
+    times = np.full((len(rngs), m), np.inf)  # the padding sorts last
+    radii = np.ones((len(rngs), m))
+    jumps = np.ones((len(rngs), m, spec.d))
+    pareto = spec.jump_law == "pareto"
+    for i, (rng, n) in enumerate(zip(rngs, counts)):
+        if n:
+            rng.random(out=times[i, :n])
+            if pareto:
+                rng.random(out=radii[i, :n])
+            rng.standard_normal(out=jumps[i, :n])
+    times *= horizon
+    times.sort(axis=1)
+    valid = np.arange(m) < np.array(counts)[:, None]
+    redo = (times[:, 0] <= 0.0) | ((times[:, 1:] == times[:, :-1]) & valid[:, 1:]).any(axis=1)
+    if pareto:
+        _pareto_jumps(radii, jumps, spec.tail_alpha)
+    np.cumsum(jumps, axis=1, out=jumps)
+    hit = (_sq_sums(jumps) >= 1.0) & valid
+    out = [None] * len(rngs)
+    rows = (hit.any(axis=1) & ~redo).nonzero()[0]
+    for i, k in zip(rows.tolist(), hit[rows].argmax(axis=1).tolist()):
+        t = times.item(i, k)
+        # sample_cpp_path adds times * drift, a signed zero, to every point
+        out[i] = value(t, tuple([x + t * v for x, v in zip(jumps[i, k].tolist(), spec.drift)]))
+    return out, redo.nonzero()[0].tolist()
 
 
 _MAX_WALK_STEPS = 10**6  # about 40 MB per d = 2 walk path (points and increments)
@@ -549,11 +528,18 @@ _DRIFT_TAIL_HORIZON = 10.0  # the horizon of exit_value_tail_experiment without 
 _MIN_JUMP_RATE = 1e-12  # the floor of the jump rates that set a cpp horizon
 
 
-def _walk_steps(flavor: str, horizon: float, dt: float) -> int:
+def _walk_steps(flavor: str, horizon: float, dt: float, jump_rate: float = 0.0) -> int:
     """The number of dt steps of a walk up to ``horizon``, refused past
     _MAX_WALK_STEPS; 1 for a cpp path, which is sampled at its jumps and
-    ignores dt."""
+    ignores dt, and whose expected jump count jump_rate * horizon is
+    refused past the same cap: each jump is a point, as each step is."""
     if flavor == "cpp":
+        jumps = jump_rate * horizon
+        if not jumps <= _MAX_WALK_STEPS:
+            raise ResourceError(
+                f"jump_rate = {jump_rate!r} expects {jumps:.3g} jumps per path up to time "
+                f"{horizon!r}, more than the cap of {_MAX_WALK_STEPS}"
+            )
         return 1
     steps = horizon / dt
     if not steps <= _MAX_WALK_STEPS:
@@ -576,8 +562,9 @@ def estimate_mean_exit_time(
     count is recoverable from ``trials`` minus the result's trials). The
     default horizon is 40, or 40 / jump_rate for a cpp spec whose jump
     rate lies in (0, 1), so that a path sees as many jumps on average as
-    at rate 1. A walk longer than horizon / dt = 10^6 steps raises
-    ResourceError. Gaussian walks (alpha = 2) are drawn in pieces and
+    at rate 1. A walk longer than horizon / dt = 10^6 steps, or a cpp
+    path expected to hold more than 10^6 jumps (jump_rate * horizon),
+    raises ResourceError. Gaussian walks (alpha = 2) are drawn in pieces and
     scanned in lock-step blocks of trials, each only as far as its
     first exit, and drift-free cpp paths run in blocks of trials; both
     give the values of whole paths scanned one at a time, bit for bit."""
@@ -586,7 +573,7 @@ def estimate_mean_exit_time(
         slow = spec.flavor == "cpp" and 0.0 < spec.jump_rate < 1.0
         horizon = _ET1_HORIZON / spec.jump_rate if slow else _ET1_HORIZON
     horizon, dt = _real("horizon", horizon, gt=0), _real("dt", dt, gt=0)
-    n_steps = _walk_steps(spec.flavor, horizon, dt)
+    n_steps = _walk_steps(spec.flavor, horizon, dt, spec.jump_rate)
     got = _first_exit_values(
         spec, horizon, n_steps, trials, seed, "mean_exit_time", lambda t, x: t
     )
@@ -607,16 +594,17 @@ def renewal_ratio_experiment(
     from an independent batch. Both sides scan paths sampled at the same
     dt, so the grid detection bias largely cancels in the comparison. The
     rate estimate rides along in each result's target params. A walk
-    longer than 10^6 steps (t / dt, or 40 / dt for the E T_1 batch) raises
-    ResourceError before any path is drawn. Gaussian walks (alpha = 2) are
-    counted on lock-step blocks of trials, with the counts of
-    ``exit_times`` on each whole path, bit for bit."""
+    longer than 10^6 steps (t / dt, or 40 / dt for the E T_1 batch), or a
+    cpp path expected to hold more than 10^6 jumps (jump_rate times t or
+    the batch's horizon), raises ResourceError before any path is drawn.
+    Gaussian walks (alpha = 2) are counted on lock-step blocks of trials,
+    with the counts of ``exit_times`` on each whole path, bit for bit."""
     t_values = [_real("t_values entry", t, gt=0) for t in t_values]
     if not t_values:
         raise ParameterError("t_values must not be empty")
     trials = _count("trials", trials, 2)
     dt = _real("dt", dt, gt=0)
-    n_steps = [_walk_steps(spec.flavor, t, dt) for t in t_values]
+    n_steps = [_walk_steps(spec.flavor, t, dt, spec.jump_rate) for t in t_values]
     et1 = estimate_mean_exit_time(
         spec,
         trials=et1_trials or max(trials, 1000),
@@ -626,12 +614,7 @@ def renewal_ratio_experiment(
     rate = 1.0 / et1.mean
     out = []
     for t_idx, (t, n) in enumerate(zip(t_values, n_steps)):
-        name = f"renewal_ratio_{t_idx}"
-        one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
-        if _walk_blocks(spec):
-            vals = _walk_exit_values(spec, t, n, trials, seed, name, one)
-        else:
-            vals = trial_values(seed, name, trials, one)
+        vals = _exit_values(spec, t, n, trials, seed, f"renewal_ratio_{t_idx}")
         target = ClosedFormTarget(
             rate,
             {
@@ -685,7 +668,8 @@ def scaled_hull_convergence(
     Returns one (ks_stat, p_value, report) per t; the fit and the limit
     walks do not depend on t and are drawn once. The comparison is
     one-dimensional: it probes the scaling limit, not the full set-valued
-    law."""
+    law. A long path expected to hold more than 10^6 jumps (jump_rate
+    times the largest t) raises ResourceError before any path is drawn."""
     if spec.flavor != "cpp":
         raise ConfigError("convergence experiment expects a compound-jump spec")
     if spec.d != 2:
@@ -694,6 +678,9 @@ def scaled_hull_convergence(
     if not t_values:
         raise ParameterError("t_values must not be empty")
     trials = _count("trials", trials, 10)
+    # the longest paths, before any draw (a cpp path ignores dt); the fit
+    # batch's horizon 60 / jump_rate expects 60 jumps a path
+    _walk_steps(spec.flavor, max(t_values), 0.0, spec.jump_rate)
     # square-integrable jumps attract to the Gaussian law
     alpha = spec.tail_alpha if spec.jump_law == "pareto" else 2.0
 

@@ -100,6 +100,8 @@ class PathSample:
             raise ParameterError("times must be 1-d and points 2-d")
         if len(self.times) != len(self.points) or len(self.times) < 1:
             raise ParameterError("times and points must align and be nonempty")
+        if not self.points.shape[1]:
+            raise ParameterError("points must have at least one coordinate")
         t = self.times
         if t[0] != 0.0 or self.points[0].any():  # NaN counts as nonzero
             raise ParameterError("paths must start at the origin at time 0")

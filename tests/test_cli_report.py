@@ -252,6 +252,12 @@ PLAN_TIME_REJECTIONS = {
     "exit_tail_rate_tiny": (dict(EXIT, jump_rate=1e-20), "jump_rate"),
     "scaled_hull_rate_tiny": (dict(SCALED, jump_rate=1e-20), "jump_rate"),
     "scaled_hull_rate_subnormal": (dict(SCALED, jump_rate=1e-320), "jump_rate"),
+    # cpp paths expected to hold more than 10^6 jumps (jump_rate times the
+    # largest t or the E T_1 horizon 40): these planned and then ran out of
+    # memory mid-run, exiting 1 as if a row had failed
+    "cpp_renewal_jumps_over_cap": (dict(CPP_RENEWAL, jump_rate=1e10, t_values=[1e10]), "jump_rate"),
+    "cpp_renewal_et1_jumps_over_cap": (dict(CPP_RENEWAL, jump_rate=2.6e4), "jump_rate"),
+    "scaled_hull_jumps_over_cap": (dict(SCALED, jump_rate=1e6, t_values=[1e7]), "jump_rate"),
 }
 
 # (minimal entry, walk-length field): every field that sets how many steps a
@@ -425,6 +431,17 @@ class TestPlanTimeChecks:
         assert plan.params["jump_rate"] == 1e-12
         _assert_rejected(dict(entry, jump_rate=math.nextafter(1e-12, 0.0)), "jump_rate")
 
+    @pytest.mark.parametrize(
+        "entry",
+        [dict(CPP_RENEWAL, jump_rate=2.5e4), dict(SCALED, jump_rate=1e4, t_values=[10.0, 100.0])],
+        ids=["renewal_et1_horizon", "scaled_hull_largest_t"],
+    )
+    def test_expected_jumps_at_the_cap_accepted(self, entry):
+        assert limits._MAX_WALK_STEPS == 10**6
+        (plan,) = plan_experiments(_cfg(entry))
+        assert plan.params["jump_rate"] == entry["jump_rate"]
+        _assert_rejected(dict(entry, jump_rate=math.nextafter(entry["jump_rate"], math.inf)), "jump_rate")
+
     def test_drift_only_exit_tail_accepted(self):
         (plan,) = plan_experiments(_cfg(dict(EXIT, jump_rate=0.0, drift=[0.5, 0.0])))
         assert plan.params["jump_rate"] == 0.0
@@ -486,17 +503,17 @@ class TestScannerPathsConfig:
         # keyed by the path's dimension
         count("_exits_linear", lambda times, pts: pts.shape[1])
         count("_exits_with_drift", lambda times, pts, v: pts.shape[1])
-        count("_walk_exit_values", lambda spec, *rest: spec.d)
+        count("_walk_kernel", lambda spec, *rest: spec.d)
         for entry in raw["experiments"]:
             entry["trials"] = 10
             if entry["kind"] == "renewal_ratio":
                 entry["et1_trials"] = 10
         manifest = run_all(plan_experiments(raw), tmp_path)
         assert len(manifest.results) == 9
-        # the isotropic renewals scan per trial at d = 2 (the unrolled
-        # branch) and d = 3; the Brownian one at d = 8 runs on the blocks
+        # the isotropic renewals scan per trial at d = 2 and d = 3; the
+        # Brownian one at d = 8 runs on the blocks
         for key in (("_exits_linear", 2), ("_exits_linear", 3), ("_exits_with_drift", 2),
-                    ("_walk_exit_values", 8)):
+                    ("_walk_kernel", 8)):
             assert calls[key] >= 1, key
 
 

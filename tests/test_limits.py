@@ -18,13 +18,13 @@ from levyhull.limits import (
     ExitRecord,
     _dot,
     _dots,
+    _exit_values,
     _exits,
     _first_exit_values,
     _first_sphere_crossing,
     _fit_attractor_scale,
     _fma,
     _scan_for,
-    _walk_exit_values,
     _walk_steps,
     estimate_mean_exit_time,
     exit_times,
@@ -762,6 +762,24 @@ class TestMeanExitTime:
         # a cpp path is sampled at its jumps: dt takes no memory there
         assert estimate_mean_exit_time(HEAVY, trials=20, dt=1e-300).trials > 0
 
+    def test_cpp_paths_over_the_jump_cap_refused_before_any_draw(self, monkeypatch):
+        # these asked numpy for terabytes of jumps in one path or block
+        def no_draws(*key):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(limits, "trial_rng", no_draws)
+        monkeypatch.setattr(mc_engine, "trial_rng", no_draws)
+        fast = lambda rate: StableSpec(d=2, flavor="cpp", tail_alpha=1.5, jump_rate=rate)  # noqa: E731
+        with pytest.raises(ResourceError, match="^jump_rate = 10000000000.0 expects 1e\\+20 jumps"):
+            renewal_ratio_experiment(fast(1e10), [1e10], trials=2, et1_trials=2)
+        with pytest.raises(ResourceError, match="cap of 1000000"):
+            scaled_hull_convergence(fast(1e6), [1e7], trials=10)
+        # the E T_1 batch's horizon 40 at 2.5e4 jumps a unit time is the cap itself
+        with pytest.raises(ResourceError, match="up to time 40.0"):
+            estimate_mean_exit_time(fast(math.nextafter(2.5e4, math.inf)), trials=2)
+        with pytest.raises(AssertionError, match="a path was drawn"):
+            estimate_mean_exit_time(fast(2.5e4), trials=2)
+
     def test_an_explicit_horizon_is_used_as_given(self):
         # the default for this rate would be 40 / 0.001
         with pytest.raises(ConfigError, match="almost no paths exited"):
@@ -887,7 +905,7 @@ class TestFirstExitBatchAgainstWholePaths:
     @pytest.mark.parametrize("n", [2, 3])
     def test_cpp_blocks_split_across_processes(self, monkeypatch, n):
         # n CPUs reported, so n processes split the blocks on any host; 150
-        # trials are blocks of 64, 64 and 22
+        # trials are 3 blocks of 50
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         args = (HEAVY, 20.0, 1, 150, 5, "first_exit", lambda t, x: (t, *x))
         serial = _first_exit_values(*args)
@@ -907,7 +925,7 @@ def _walk_block_bytes(spec, dt, trials, seed=13, t=4.0):
     first exits (time, *point) over [0, 40] of ``trials`` walks of ``spec``."""
     n = _walk_steps(spec.flavor, t, dt)
     one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
-    got = [_walk_exit_values(spec, t, n, trials, seed, "renewal", one)]
+    got = [_exit_values(spec, t, n, trials, seed, "renewal")]
     want = [trial_values(seed, "renewal", trials, one)]
     args = (spec, 40.0, _walk_steps(spec.flavor, 40.0, dt), trials, seed, "first_exit",
             lambda t, x: (t, *x))
@@ -1000,16 +1018,63 @@ class TestWalkBlocksAgainstPerTrial:
         # n CPUs reported, so n processes split the blocks on any host; 300
         # trials are 3 blocks of 100
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        one = lambda rng: _scan_for(BROWNIAN2, 6.0, 300, rng, exit_times).n_exits / 6.0  # noqa: E731
         args = (BROWNIAN2, 40.0, 2000, 300, 5, "first_exit", lambda t, x: (t, *x))
-        serial = (_walk_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal", one), _first_exit_values(*args))
+        serial = (_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal"), _first_exit_values(*args))
         with _processes(n) as team:
-            got = (_walk_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal", one), _first_exit_values(*args))
+            got = (_exit_values(BROWNIAN2, 6.0, 300, 300, 5, "renewal"), _first_exit_values(*args))
         assert team.processes == n
         assert np.array(got[0]).tobytes() == np.array(serial[0]).tobytes()
         assert got[1].tobytes() == serial[1].tobytes()
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+
+# (spec, the scan _exit_values routes it to, for a count and for a first exit)
+EXIT_ROUTES = {
+    "brownian_d2": (BROWNIAN2, "_walk_kernel", "_walk_kernel"),
+    "brownian_d8": (StableSpec(flavor="brownian", d=8), "_walk_kernel", "_walk_kernel"),
+    "isotropic_alpha2": (StableSpec(alpha=2.0, c=0.7, d=3), "_walk_kernel", "_walk_kernel"),
+    "isotropic_alpha1.5": (StableSpec(alpha=1.5, c=0.7, d=2), "trial_values", "trial_values"),
+    "cpp": (HEAVY, "trial_values", "_cpp_kernel"),
+    "cpp_drift": (StableSpec(d=2, flavor="cpp", tail_alpha=1.5, jump_rate=3.0, drift=(0.3, -0.2)),
+                  "trial_values", "trial_values"),
+}
+
+
+class TestExitValuesRouting:
+    """``_exit_values`` is the one entry point of the exit scans: it sends
+    each spec to one kernel, or to the per-trial loop, and every route
+    gives ``trial_values`` of the per-trial scan of whole paths, bit for
+    bit."""
+
+    @pytest.mark.parametrize("first", [False, True], ids=["count", "first_exit"])
+    @pytest.mark.parametrize("key", EXIT_ROUTES)
+    def test_route_and_values(self, monkeypatch, key, first):
+        spec, count_route, first_route = EXIT_ROUTES[key]
+        horizon, n = 4.0, 1 if spec.flavor == "cpp" else 200
+        value = (lambda t, x: (t, *x)) if first else None
+
+        def one(rng):  # the scan of one whole path
+            if value is None:
+                return _scan_for(spec, horizon, n, rng, exit_times).n_exits / horizon
+            got = next(_scan_for(spec, horizon, n, rng, _exits), None)
+            return None if got is None else value(*got)
+
+        want = trial_values(17, "route", 70, one)
+        calls = dict.fromkeys(("_walk_kernel", "_cpp_kernel", "trial_values"), 0)
+        for name in calls:
+            real = getattr(limits, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(limits, name, counted)
+        got = _exit_values(spec, horizon, n, 70, 17, "route", value)
+        assert {k for k, v in calls.items() if v} == {first_route if first else count_route}
+        as_bytes = lambda vals: [v if v is None else np.array(v).tobytes() for v in vals]  # noqa: E731
+        assert as_bytes(got) == as_bytes(want)
+        assert any(v is not None for v in want)
 
 
 def _walk_in_pieces(spec, n_steps, horizon, rngs, width):

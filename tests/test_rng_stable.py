@@ -270,6 +270,14 @@ class TestPathSample:
         with pytest.raises(ParameterError):
             PathSample(np.array([0.0]), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_points_without_a_coordinate_refused(self, n):
+        # a zero-width path used to pass, and exit_times then failed inside
+        # its scanners (StopIteration in grid and linear mode, IndexError
+        # with drift=[])
+        with pytest.raises(ParameterError, match="at least one coordinate"):
+            PathSample(np.arange(n, dtype=np.float64), np.zeros((n, 0)))
+
 
 class TestReproducibility:
     def test_trial_rng_deterministic(self):
