@@ -26,10 +26,12 @@ so ``_fma`` computes it exactly from Dekker's split product and one
 there the records can differ from numpy's in the last bit.
 
 The exit counts and first exits of a batch of paths all go through one
-entry point, ``_exit_values``, which picks the scan for a spec. Two
-kernels skip the scanners and run on even blocks of trials, each trial
-drawing from its own generator, so that every value is the per-trial
-one bit for bit; a row that a kernel hands back is rescanned alone:
+entry point, ``_exit_values``, which picks the scan for a spec and runs
+it on ``mc_engine._block_values``, the trial loop's blocks of generators.
+Two kernels skip the scanners and scan a whole block, each trial drawing
+from its own generator, so that every value is the per-trial one bit for
+bit; a row that a kernel hands back is rescanned alone, on a fresh
+generator of the trial's state:
 
 - first exits of drift-free compound-Poisson paths, in blocks of up to
   64 trials (``_cpp_kernel``): the block sorts, scales, sums and scans
@@ -60,10 +62,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .closed_form import ClosedFormTarget, gamma_fn
 from .errors import ConfigError, ParameterError, ResourceError, _count, _real
 from .hullgeom import hull2d, intrinsic_volumes_2d
-from .mc_engine import _ordered_map, hill_tail_index, ks_two_sample, trial_values, walk_hull_values
+from .mc_engine import _block_values, hill_tail_index, ks_two_sample, trial_values, walk_hull_values
 from .results import EstimateResult
-from .rng_stable import PathSample, StableSpec, _pareto_jumps, _walk_piece, sample_cpp_path
-from .rng_stable import sample_walk_path, stream_id, trial_rng
+from .rng_stable import PathSample, StableSpec, _pareto_jumps, _restart, _walk_piece
+from .rng_stable import sample_cpp_path, sample_walk_path
 
 __all__ = [
     "ExitRecord",
@@ -309,9 +311,10 @@ def _exit_values(spec, horizon, n_steps, trials, seed, name, value=None) -> list
     first exit or None; without, its ``exit_times`` count / ``horizon``.
 
     Gaussian walks run on ``_walk_kernel`` and drift-free cpp first exits
-    on ``_cpp_kernel``, on even blocks of trials through ``_ordered_map``;
-    a kernel takes one generator per trial and returns the block's values
-    and the rows to rescan, which ``one`` reruns on fresh generators."""
+    on ``_cpp_kernel``, block by block through ``_block_values``; a kernel
+    takes one generator per trial and returns the block's values and the
+    rows to rescan, which ``one`` reruns, in ascending order, on a fresh
+    ``PCG64`` of the row's state."""
 
     def one(rng):
         if value is None:
@@ -329,17 +332,15 @@ def _exit_values(spec, horizon, n_steps, trials, seed, name, value=None) -> list
         cap = min(_CPP_BLOCK_TRIALS, int(_CPP_BLOCK_VALUES // max(1.0, jumps)))
     else:
         return trial_values(seed, name, trials, one)
-    stream = stream_id(name)
-    size = -(-trials // -(-trials // max(1, cap)))  # even blocks of at most cap trials
 
-    def block(lo):
-        out, redo = kernel([trial_rng(seed, stream, t) for t in range(lo, min(lo + size, trials))])
+    def block(rngs):
+        out, redo = kernel(rngs)
         for i in sorted(redo):
-            out[i] = one(trial_rng(seed, stream, lo + i))
+            out[i] = one(_restart(rngs[i]))
         return out
 
     with np.errstate(all="ignore"):  # silent, as the scanners' floats
-        return [v for vals in _ordered_map(block, range(0, trials, size)) for v in vals]
+        return _block_values(seed, name, trials, max(1, cap), block)
 
 
 def _first_exit_values(spec, horizon, n_steps, trials, seed, name, value):

@@ -3,12 +3,15 @@
 Each experiment draws independent trials, pushes them through the hull
 pipeline, and reduces to an EstimateResult, attaching the matching
 closed-form target when one exists. Reproducibility contract, kept by
-``trial_values``, the one trial loop of every sampled experiment in the
-package: trial t seeds its own generator from (master_seed, stream of the
-experiment's name, t) and returns its value, and the values are collected
-in trial-index order, so a config and seed always give the same bits.
-``walk_hull_values`` runs that loop over sampled walks and their hulls,
-and ``hull_of`` is the one place that picks the 2-D or 3-D hull by
+``_block_values``, the one trial loop of every sampled experiment in the
+package (``trial_values`` and the exit scans' block kernels): trial t
+draws from its own generator, ``trial_rng(master_seed, stream of the
+experiment's name, t)``, and the values are collected in trial-index
+order, so a config and seed always give the same bits. The loop cuts the
+trials into even blocks, as many as the processes need for even shares,
+and seeds each block at once with ``rng_stable._trial_rngs``.
+``walk_hull_values`` runs ``trial_values`` over sampled walks and their
+hulls, and ``hull_of`` is the one place that picks the 2-D or 3-D hull by
 dimension.
 
 Every trial loop goes through ``_ordered_map``. It is serial unless a
@@ -45,7 +48,7 @@ from .hullgeom import (
     intrinsic_volumes_3d,
 )
 from .results import EstimateResult
-from .rng_stable import StableSpec, sample_walk_path, stream_id, trial_rng
+from .rng_stable import StableSpec, _trial_rngs, sample_walk_path, stream_id, trial_rng
 
 __all__ = [
     "ExperimentConfig",
@@ -227,11 +230,39 @@ def _ordered_map(fn, items) -> list:
     return team.map(fn, items)
 
 
+def _even_blocks(trials: int, cap: int, processes: int) -> list:
+    """(lo, hi) blocks that cut range(trials) evenly into blocks of at most
+    ``cap`` trials, their count a multiple of ``processes`` (or one block
+    a trial when there are fewer trials), so that ``_ordered_map`` hands
+    each process trials * rank // processes .. trials * (rank + 1) //
+    processes."""
+    k = -(-trials // cap)
+    k = min(trials, -(-k // processes) * processes)
+    return [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
+
+
+def _block_values(seed: int, name: str, trials: int, cap: int, block) -> list:
+    """The trial loop: block(rngs) on even blocks of at most ``cap`` trials
+    through ``_ordered_map``, rngs the block's ``trial_rng(seed,
+    stream_id(name), t)`` built at once by ``_trial_rngs``, and the
+    blocks' value lists joined in trial-index order. The blocks are cut
+    for the run's processes, or for one inside another loop's item, where
+    ``_ordered_map`` runs serially."""
+    stream = stream_id(name)
+    team = _team
+    processes = 1 if team is None or team.busy else team.n
+    blocks = _even_blocks(trials, cap, processes)
+    vals = _ordered_map(lambda b: block(_trial_rngs(seed, stream, *b)), blocks)
+    return [v for part in vals for v in part]
+
+
+_TRIAL_BLOCK = 128  # trials seeded at once by trial_values
+
+
 def trial_values(seed: int, name: str, trials: int, fn) -> list:
     """[fn(rng) for each trial t < trials], rng = trial_rng(seed,
-    stream_id(name), t), in trial-index order, through ``_ordered_map``."""
-    stream = stream_id(name)
-    return _ordered_map(lambda t: fn(trial_rng(seed, stream, t)), range(trials))
+    stream_id(name), t), in trial-index order, through ``_block_values``."""
+    return _block_values(seed, name, trials, _TRIAL_BLOCK, lambda rngs: [fn(rng) for rng in rngs])
 
 
 def hull_of(points: np.ndarray):

@@ -8,7 +8,11 @@ heavy-tailed compound Poisson walk used by the exit-time experiments.
 Everything takes an explicit ``numpy.random.Generator``; nothing touches
 global random state. ``trial_rng`` derives independent, reproducible
 per-trial generators from a master seed, so each trial can be reproduced
-on its own, whatever ran before it.
+on its own, whatever ran before it: trial t's generator is
+``np.random.default_rng((master_seed, stream, t))``. The trial loops build
+those generators a block at a time with ``_trial_rngs``, which works out
+numpy's SeedSequence for the whole block on uint32 arrays and starts each
+trial's PCG64 from its state row, each state equal to ``trial_rng``'s.
 """
 
 from __future__ import annotations
@@ -287,3 +291,118 @@ def trial_rng(master_seed: int, stream: int, trial: int) -> np.random.Generator:
             words.append(x & 0xFFFFFFFF)
     seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence constants: its pool of 4 uint32 words is hashed with
+# the A pair, and the state words are drawn from it with the B pair
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+class _StateRow:
+    """The seed sequence of one block-seeded trial: it hands ``PCG64`` the
+    trial's precomputed ``generate_state(4, uint64)`` row, so
+    ``PCG64(rng.bit_generator.seed_seq)`` restarts the trial's stream.
+    ``_trial_rngs`` registers it as an ``ISeedSequence``, which ``PCG64``
+    requires."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _hash_consts(init, mult, calls):
+    """Columns of the constants of SeedSequence's next ``calls`` hashes from
+    hash constant ``init``: each hash xors the constant in, steps it by
+    ``mult`` and multiplies by the stepped one."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hash(v, xor, mul):
+    v = (v ^ xor) * mul
+    v ^= v >> 16
+    return v
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> 16
+    return r
+
+
+def _trial_rngs(master_seed: int, stream: int, lo: int, hi: int) -> list:
+    """[trial_rng(master_seed, stream, t) for t in range(lo, hi)], each
+    generator's state equal to trial_rng's.
+
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` are worked
+    out on uint32 arrays with one column per trial, which wrap as numpy's
+    C code does, and each trial's ``PCG64`` is built from its state row.
+    The hashes that go to different pool words from one source word are
+    taken at once. Columns differ only in their trial words, the last of
+    each entropy: above the pool's 4 words a word that a smaller trial
+    lacks is left out of its column's mixing, and below them a missing
+    word hashes as 0, as SeedSequence pads the pool."""
+    head = []
+    for name, x in (("master_seed", master_seed), ("stream", stream)):
+        x = _count(name, x, 0)
+        head.append(x & 0xFFFFFFFF)
+        while x > 0xFFFFFFFF:
+            x >>= 32
+            head.append(x & 0xFFFFFFFF)
+    lo = _count("lo", lo, 0)
+    hi = _count("hi", hi, lo)
+    n = hi - lo
+    if not n:
+        return []
+    # registered here rather than at import: numpy loads numpy.random on
+    # first use (14 ms on a 2-vCPU x86-64 VM), and a run that draws
+    # nothing should not pay for it
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StateRow)
+    # the trials' words: lo's words plus 0 .. n - 1, carried word by word
+    tail = max(1, -(-(hi - 1).bit_length() // 32))
+    words = np.zeros((max(_POOL, len(head) + tail), n), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    size = np.full(n, len(head) + 1)  # the words in each column's entropy
+    carry, x = np.arange(n, dtype=np.uint64), lo
+    for k in range(len(head), len(head) + tail):
+        carry += x & 0xFFFFFFFF
+        words[k] = carry & 0xFFFFFFFF
+        if k > len(head):
+            size[words[k] != 0] = k + 1
+        carry >>= 32
+        x >>= 32
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = _hash(words[:_POOL], xor[:_POOL], mul[:_POOL])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k : k + 3], mul[k : k + 3]))
+        k += 3
+    for src in range(_POOL, len(words)):
+        mixed = _mix(pool, _hash(words[src], xor[k : k + _POOL], mul[k : k + _POOL]))
+        pool = np.where(size > src, mixed, pool)
+        k += _POOL
+    # generate_state(4, uint64): 8 words cycled from the pool, read as
+    # little-endian pairs
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hash(np.concatenate([pool, pool]), xor, mul)
+    rows = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateRow(row))) for row in rows]
+
+
+def _restart(rng) -> np.random.Generator:
+    """A new generator at the start of ``rng``'s trial stream: a fresh
+    ``PCG64`` of the state row that ``_trial_rngs`` gave it."""
+    return np.random.Generator(np.random.PCG64(rng.bit_generator.seed_seq))

@@ -46,6 +46,7 @@ from oracles import (
     vp_ball_mixed,
     zonotope_intrinsic_volume,
 )
+from levyhull.rng_stable import _trial_rngs
 
 BROWNIAN2 = StableSpec(flavor="brownian", c=0.5, d=2)
 HEAVY = StableSpec(d=2, flavor="cpp", tail_alpha=1.5, jump_rate=1.0)
@@ -103,6 +104,10 @@ ENTRIES = [
     ("trial_rng.master_seed", "master_seed", 0, lambda v: trial_rng(v, 0, 0)),
     ("trial_rng.stream", "stream", 0, lambda v: trial_rng(0, v, 0)),
     ("trial_rng.trial", "trial", 0, lambda v: trial_rng(0, 0, v)),
+    ("_trial_rngs.master_seed", "master_seed", 0, lambda v: _trial_rngs(v, 0, 0, 2)),
+    ("_trial_rngs.stream", "stream", 0, lambda v: _trial_rngs(0, v, 0, 2)),
+    ("_trial_rngs.lo", "lo", 0, lambda v: _trial_rngs(0, 0, v, 3)),
+    ("_trial_rngs.hi", "hi", 0, lambda v: _trial_rngs(0, 0, 0, v)),
     ("run_gram_experiment.d", "d", 1, lambda v: run_gram_experiment(v, 1, trials=100)),
     ("run_gram_experiment.j", "j", 1, lambda v: run_gram_experiment(2, v, trials=100)),
     ("run_gram_experiment.trials", "trials", 2, lambda v: run_gram_experiment(2, 1, trials=v)),

@@ -767,7 +767,7 @@ class TestMeanExitTime:
         def no_draws(*key):
             raise AssertionError("a path was drawn")
 
-        monkeypatch.setattr(limits, "trial_rng", no_draws)
+        monkeypatch.setattr(mc_engine, "_trial_rngs", no_draws)
         monkeypatch.setattr(mc_engine, "trial_rng", no_draws)
         fast = lambda rate: StableSpec(d=2, flavor="cpp", tail_alpha=1.5, jump_rate=rate)  # noqa: E731
         with pytest.raises(ResourceError, match="^jump_rate = 10000000000.0 expects 1e\\+20 jumps"):
@@ -784,6 +784,14 @@ class TestMeanExitTime:
         # the default for this rate would be 40 / 0.001
         with pytest.raises(ConfigError, match="almost no paths exited"):
             estimate_mean_exit_time(SLOW_GAUSSIAN, trials=50, horizon=40.0)
+
+
+def _wrap_generators(monkeypatch, wrap):
+    """Hand every trial generator, block-seeded or a rescan's fresh one,
+    through ``wrap``."""
+    seed_block, restart = mc_engine._trial_rngs, limits._restart
+    monkeypatch.setattr(mc_engine, "_trial_rngs", lambda *key: [wrap(r) for r in seed_block(*key)])
+    monkeypatch.setattr(limits, "_restart", lambda rng: wrap(restart(rng)))
 
 
 class TestFirstExitBatchAgainstWholePaths:
@@ -817,8 +825,8 @@ class TestFirstExitBatchAgainstWholePaths:
         drawn = {}  # normals taken from each trial's generator
 
         class Counting:
-            def __init__(self, *key):
-                self.rng, self.key = trial_rng(*key), key
+            def __init__(self, rng):  # keyed by the trial's initial state
+                self.rng, self.key = rng, rng.bit_generator.state["state"]["state"]
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
@@ -835,7 +843,7 @@ class TestFirstExitBatchAgainstWholePaths:
             args = (spec, horizon, 2000, 40, 5, "first_exit", value)
             want = first_exit_values_whole(*args)
             drawn.clear()
-            monkeypatch.setattr(limits, "trial_rng", Counting)
+            _wrap_generators(monkeypatch, Counting)
             got = _first_exit_values(*args)
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes()
@@ -893,9 +901,7 @@ class TestFirstExitBatchAgainstWholePaths:
                     got[..., 0] = -0.0
                 return got
 
-        stub = lambda *key: Stub(trial_rng(*key))  # noqa: E731
-        monkeypatch.setattr(limits, "trial_rng", stub)
-        monkeypatch.setattr(mc_engine, "trial_rng", stub)
+        _wrap_generators(monkeypatch, Stub)
         spec = StableSpec(d=2, flavor="cpp", jump_law=law, tail_alpha=1.5, jump_rate=5.0)
         args = (spec, 12.0, 1, 70, 3, "first_exit", lambda t, x: (t, *x))
         got = _first_exit_values(*args)
@@ -989,9 +995,7 @@ class TestWalkBlocksAgainstPerTrial:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_signed_zero_and_zero_length_steps(self, monkeypatch, d):
-        stub = lambda *key: _EdgeStepRng(trial_rng(*key))  # noqa: E731
-        monkeypatch.setattr(limits, "trial_rng", stub)
-        monkeypatch.setattr(mc_engine, "trial_rng", stub)
+        _wrap_generators(monkeypatch, _EdgeStepRng)
         for dt in (0.02, 2.0):
             got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=0.7, d=d), dt, 70)
             assert got == want

@@ -34,6 +34,7 @@ from levyhull import (
 from levyhull import mc_engine
 from levyhull.mc_engine import (
     ExperimentConfig,
+    _even_blocks,
     _facets_at,
     _ordered_map,
     _processes,
@@ -612,10 +613,45 @@ class TestDegenerateHullPins:
 
 
 class TestTrialLoop:
-    def test_trial_values_hands_fn_the_trial_generators_in_order(self):
-        states = trial_values(7, "faces_count", 5, lambda rng: rng.bit_generator.state)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [5, 300])
+    def test_trial_values_hands_fn_the_trial_generators_in_order(self, monkeypatch, n, trials):
+        # n CPUs reported, so n processes split the trials on any host, each
+        # an even share: 300 trials are 3 blocks of 100 for 1 or 3
+        # processes and 4 of 75 for 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        fn = lambda rng: (rng.bit_generator.state, os.getpid())  # noqa: E731
+        got, processes = _in_processes(n, trial_values, 7, "faces_count", trials, fn)
+        assert processes == n
         stream = stream_id("faces_count")
-        assert states == [trial_rng(7, stream, t).bit_generator.state for t in range(5)]
+        assert [s for s, _ in got] == [trial_rng(7, stream, t).bit_generator.state for t in range(trials)]
+        shares = [sum(pid == p for _, pid in got) for p in dict.fromkeys(pid for _, pid in got)]
+        assert len(shares) == n and max(shares) - min(shares) <= 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [64, 128])
+    @pytest.mark.parametrize("trials", [1, 129, 300, 2000])
+    def test_blocks_are_cut_evenly_for_the_processes(self, trials, cap, processes):
+        blocks = _even_blocks(trials, cap, processes)
+        assert blocks[0][0] == 0 and blocks[-1][1] == trials
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert 1 <= min(sizes) and max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+        # a multiple of the process count, unless there are fewer trials,
+        # and no more blocks than that needs
+        k = len(blocks)
+        assert k % processes == 0 or k == trials
+        assert k < -(-trials // cap) + processes
+        # _ordered_map hands process r the blocks k r / n .. k (r + 1) / n
+        shares = [sum(sizes[k * r // processes : k * (r + 1) // processes]) for r in range(processes)]
+        assert max(shares) - min(shares) <= 1
+
+    def test_smoke_renewal_blocks(self):
+        # smoke's 300-trial renewals at 128 trials a block
+        assert _even_blocks(300, 128, 1) == [(0, 100), (100, 200), (200, 300)]
+        assert _even_blocks(300, 128, 2) == [(0, 75), (75, 150), (150, 225), (225, 300)]
+        assert _even_blocks(0, 128, 2) == []
 
     def test_walk_hull_values_sees_each_trial_walk_and_its_hull(self):
         got = walk_hull_values(

@@ -19,6 +19,7 @@ from levyhull import (
     stream_id,
     trial_rng,
 )
+from levyhull.rng_stable import _restart, _trial_rngs
 
 
 def _mean_band(values, target, sigmas=4.0):
@@ -324,6 +325,62 @@ class TestReproducibility:
         # int() once truncated it, so seed 1.5 ran as seed 1
         with pytest.raises(ParameterError, match="^master_seed must be an integer >= 0"):
             trial_rng(1.5, 0, 0)
+
+
+# the block seeder's grid, fixed before its first run: seeds and streams of
+# one to three words, and trial ranges within one word, across 2**32, of one
+# trial and empty
+BLOCK_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 + 5)
+BLOCK_STREAMS = (0, 5, 2**32, stream_id("exit_value_tail"))
+BLOCK_RANGES = ((0, 300), (2**32 - 3, 2**32 + 3), (41, 42), (9, 9))
+
+
+class TestTrialRngs:
+    """``_trial_rngs`` seeds a block of trials at once; each generator is
+    numpy's own seeding of the (master_seed, stream, trial) triple."""
+
+    @pytest.mark.parametrize("lo,hi", BLOCK_RANGES, ids=["0-300", "across-2**32", "one", "empty"])
+    def test_states_are_numpys_seeding_of_each_triple(self, lo, hi):
+        for seed in BLOCK_SEEDS:
+            for stream in BLOCK_STREAMS:
+                got = [rng.bit_generator.state for rng in _trial_rngs(seed, stream, lo, hi)]
+                want = [
+                    np.random.default_rng((seed, stream, t)).bit_generator.state
+                    for t in range(lo, hi)
+                ]
+                assert got == want
+
+    @given(
+        st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_states_match_trial_rng_on_any_block(self, seed, stream, lo, n):
+        got = [rng.bit_generator.state for rng in _trial_rngs(seed, stream, lo, lo + n)]
+        assert got == [trial_rng(seed, stream, t).bit_generator.state for t in range(lo, lo + n)]
+
+    def test_draws_match_trial_rng(self):
+        stream = stream_id("exit_value_tail")
+        for seed, lo in ((0, 0), (2**64 + 5, 2**32 - 2)):
+            for t, rng in zip(range(lo, lo + 4), _trial_rngs(seed, stream, lo, lo + 4)):
+                ref = trial_rng(seed, stream, t)
+                for a, b in ((rng, ref), (_restart(rng), trial_rng(seed, stream, t))):
+                    assert a.random(5).tobytes() == b.random(5).tobytes()
+                    got, want = np.empty((3, 2)), np.empty((3, 2))
+                    a.standard_normal(out=got)
+                    b.standard_normal(out=want)
+                    assert got.tobytes() == want.tobytes()
+                    assert a.poisson(7.5, 4).tolist() == b.poisson(7.5, 4).tolist()
+                    # advanced as the supremum side's chunks advance a copy
+                    a.bit_generator.advance(1000)
+                    b.bit_generator.advance(1000)
+                    assert a.standard_exponential(6).tobytes() == b.standard_exponential(6).tobytes()
+
+    def test_restart_begins_the_trial_stream_again(self):
+        rng = _trial_rngs(7, 5, 2**32 - 1, 2**32)[0]
+        first = rng.random(3)
+        assert _restart(rng).random(3).tobytes() == first.tobytes()
+        assert _restart(rng).bit_generator.state == trial_rng(7, 5, 2**32 - 1).bit_generator.state
 
 
 # -- frozen copies of the samplers' earlier code, which every change to them
