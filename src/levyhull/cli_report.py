@@ -49,6 +49,7 @@ from .limits import (
 from .lp_volumes import verify_lp_brownian, verify_lp_stable_consistency
 from .mc_engine import (
     ExperimentConfig,
+    _process_count,
     _processes,
     run_boundary_origin_experiment,
     run_faces_experiment,
@@ -794,8 +795,9 @@ def run_all(
     """Execute plans in order, rewriting out_dir/results.csv after each
     plan; summary.json and manifest.json come last. manifest.json also
     holds ``timings``: each label's seconds of ``time.perf_counter`` around
-    its runner in this process, which summary.json leaves out so that
-    reruns compare equal.
+    its runner in this process; ``trials_per_s``: each label's ``trials``
+    over those seconds; and ``environment`` (``_environment``). summary.json
+    leaves them out, so that reruns compare equal.
 
     ``threads`` = N > 1 splits every trial loop across N processes (capped
     at the CPUs this process may use; Linux only, serial elsewhere): the
@@ -851,13 +853,34 @@ def run_all(
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    rates = {plan.label: plan.params["trials"] / timings[plan.label] for plan in plans}
+    extra = {"timings": timings, "trials_per_s": rates, "environment": _environment(team.processes)}
     (out / "manifest.json").write_text(
-        json.dumps({**payload, "timings": timings}, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps({**payload, **extra}, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     if dump_polytopes:
         _dump_polytopes(plans, master_seed, out)
     return manifest
+
+
+def _environment(processes: int) -> dict:
+    """The host of a run, for manifest.json: the Python and numpy versions,
+    the machine's CPU count, the CPUs this process may use as ``threads``
+    counts them (1 where the system cannot tell) and the processes that
+    ran the trial loops."""
+    import os
+    import sys
+
+    import numpy as np
+
+    cpus = os.cpu_count()
+    return {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "cpu_count": cpus,
+        "usable_cpus": _process_count(cpus or 1),
+        "processes": processes,
+    }
 
 
 def smoke_plans() -> list:

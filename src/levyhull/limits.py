@@ -39,12 +39,13 @@ generator of the trial's state:
   one path in its order;
 - the renewal counts and first exits of Gaussian walks (alpha = 2), in
   blocks of up to 128 trials (``_walk_kernel``): the walks are drawn
-  piece by piece and scanned in lock-step, a first-exit scan only as far
-  as the piece that holds the exit. The crossing's dots are ``_dots``:
-  numpy's ``@`` on stacked rows for d <= 7, which relies on ``@`` being
-  the fused ddot chain, as the scanners do, and ``_dot`` on each row for
-  d >= 8. A row whose coordinates pass 2**500, where ``_fma`` and ``@``
-  could part, is rescanned.
+  piece by piece and scanned in lock-step, a count in long pieces and a
+  first-exit scan in short ones, only as far as the piece that holds the
+  exit. The crossing's dots are ``_dots``: numpy's ``@`` on stacked rows
+  for d <= 7, which relies on ``@`` being the fused ddot chain, as the
+  scanners do, and ``_dot`` on each row for d >= 8. A row whose
+  coordinates pass 2**500, where ``_fma`` and ``@`` could part, is
+  rescanned.
 
 Every other path (walks with alpha < 2, cpp counts, cpp paths with
 drift) is scanned one trial at a time.
@@ -323,9 +324,12 @@ def _exit_values(spec, horizon, n_steps, trials, seed, name, value=None) -> list
         return None if first is None else value(*first)
 
     if spec.flavor != "cpp" and spec.alpha == 2.0:
-        kernel = partial(_walk_kernel, spec, horizon, n_steps, value)
-        # so that each piece holds >= 3 W points for d <= 256
-        cap = min(_WALK_BLOCK_TRIALS, _WALK_BLOCK_VALUES // (4 * _WALK_WINDOW * spec.d))
+        # a count draws whole walks, in long pieces; a first-exit row stops
+        # at the piece that holds its exit. The cap gives a full block's
+        # pieces >= 3 W points, up to d = 256 for first exits and 2048 for counts
+        budget = _WALK_COUNT_VALUES if value is None else _WALK_BLOCK_VALUES
+        kernel = partial(_walk_kernel, spec, horizon, n_steps, value, budget)
+        cap = min(_WALK_BLOCK_TRIALS, budget // (4 * _WALK_WINDOW * spec.d))
     elif spec.flavor == "cpp" and value is not None and not any(spec.drift):
         kernel = partial(_cpp_kernel, spec, horizon, value)
         jumps = spec.jump_rate * horizon * spec.d  # expected jump coordinates per path
@@ -370,35 +374,40 @@ def _dots(x, y):
 
 
 _WALK_BLOCK_TRIALS = 128  # trials per block of Gaussian walk exit scans
-_WALK_BLOCK_VALUES = 1 << 15  # doubles in a block's largest array: 256 KB
+_WALK_BLOCK_VALUES = 1 << 15  # doubles in a first-exit block's largest array: 256 KB
+_WALK_COUNT_VALUES = 1 << 18  # doubles in a count block's largest array: 2 MB
 _WALK_WINDOW = 32  # points a row tests for its next exit per lock-step pass
 _WALK_SAFE = 2.0**500  # a row with a coordinate past this is scanned one trial alone
 
 
-def _walk_kernel(spec, horizon, n_steps, value, rngs):
+def _walk_kernel(spec, horizon, n_steps, value, budget, rngs):
     """``_exit_values``' kernel for Gaussian walks (alpha = 2) of
     ``n_steps`` steps up to ``horizon``, one walk per generator: (values,
     rows to rescan).
 
     Each walk draws its normals piece by piece (``_walk_piece``) into a
-    shared buffer. The rows are then scanned in lock-step: a window of W
-    points per row finds the first at squared distance >= 1 from the row's
-    anchor, with squares added left to right, and the crossings on that
-    segment are solved for all hit rows at once, with the arithmetic of
-    ``_first_sphere_crossing`` and ``_dots`` for its dots. So every value
-    is the per-trial one bit for bit, and a first-exit row is drawn only
-    as far as the piece that holds its first exit. A row whose exits break
+    shared buffer of at most ``budget`` doubles: ``_WALK_COUNT_VALUES``
+    for counts, which draw every walk whole, in long pieces that take few
+    generator calls and lock-step passes, and ``_WALK_BLOCK_VALUES`` for
+    first exits, whose rows stop at the piece that holds the exit. The
+    rows are then scanned in lock-step: a window of W points per row finds
+    the first at squared distance >= 1 from the row's anchor, with squares
+    added left to right, and the crossings on that segment are solved for
+    all hit rows at once, with the arithmetic of ``_first_sphere_crossing``
+    and ``_dots`` for its dots. So every value is the per-trial one bit
+    for bit, at any piece width. A row whose exits break
     ``ExitRecord``'s checks, or with a coordinate past 2**500, where
     ``_fma``'s split could overflow apart from ``@``, is handed back; for a
     count, its rescan's record then raises as it would have.
 
     The block holds at least one row and a piece at least one step, so a
-    block array stays within 2**15 doubles up to d = 992; from d = 993
-    one row's one-step piece and its window of W points already hold
-    33 d doubles, and its window slice (W, d) passes 2**15 from d = 1025."""
+    block array stays within ``budget`` while one row's one-step piece and
+    its window of W points, 33 d doubles, fit: up to d = 992 for first
+    exits (2**15) and d = 7943 for counts (2**18). Past that a row's window
+    slice (W, d) passes the budget from d = 1025 and from d = 8193."""
     h = horizon / n_steps
     end = n_steps * h  # the time of the walk's last sample
-    width = max(1, min(n_steps, _WALK_BLOCK_VALUES // (len(rngs) * spec.d) - _WALK_WINDOW))
+    width = max(1, min(n_steps, budget // (len(rngs) * spec.d) - _WALK_WINDOW))
     # the live rows: their block indices, points (column 0 holds the last
     # piece's last point, the W - 1 columns past the piece's end its end
     # point), anchors, exit counts and last exit times
@@ -415,7 +424,8 @@ def _walk_kernel(spec, horizon, n_steps, value, rngs):
         buf[:, m + 1 :] = buf[:, m : m + 1]
         windows = sliding_window_view(buf, _WALK_WINDOW, axis=1)  # (rows, width + 1, d, W)
         times = np.arange(g0, g0 + m + 1, dtype=np.float64) * h
-        gone = ~(np.abs(buf[:, 1 : m + 1]).max(axis=(1, 2)) <= _WALK_SAFE)  # NaN too
+        piece = buf[:, 1 : m + 1]  # max and min copy nothing; NaN fails both
+        gone = ~((piece.max(axis=(1, 2)) <= _WALK_SAFE) & (piece.min(axis=(1, 2)) >= -_WALK_SAFE))
         done = np.zeros(ids.size, dtype=bool)  # rows past their first exit
         pos = np.where(gone, m + 1, 1)  # each row's next point to test
         act = (~gone).nonzero()[0]

@@ -11,6 +11,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levyhull.cli import main
@@ -759,6 +760,31 @@ class TestRunAll:
         for summary in summaries:
             del summary["run_id"], summary["timestamp"]
         assert summaries[0] == summaries[1]
+
+    def test_manifest_records_rates_and_environment(self, tmp_path):
+        plans = plan_experiments(_cfg(GRAM, INTRINSIC))
+        run_all(plans, tmp_path / "a")
+        run_all(plans, tmp_path / "b", threads=2)
+        read = lambda d, name: (tmp_path / d / name).read_bytes()  # noqa: E731
+        for d, processes in (("a", 1), ("b", min(2, CPUS))):
+            payload = json.loads(read(d, "manifest.json"))
+            rates, timings = payload["trials_per_s"], payload["timings"]
+            assert set(rates) == set(timings) == {"gram_determinant", "intrinsic_volumes"}
+            for plan in plans:
+                assert rates[plan.label] == plan.params["trials"] / timings[plan.label]
+            env = payload["environment"]
+            assert env == {
+                "python": "{}.{}.{}".format(*sys.version_info[:3]),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+                "usable_cpus": CPUS,
+                "processes": processes,
+            }
+            summary = json.loads(read(d, "summary.json"))
+            assert not {"trials_per_s", "environment", "timings"} & set(summary)
+        # none of it reaches results.csv
+        assert read("a", "results.csv") == read("b", "results.csv")
+        _assert_no_child_left()
 
     def test_intrinsic_rows_use_exact_targets(self, tmp_path):
         manifest = run_all(plan_experiments(_cfg(INTRINSIC)), tmp_path)

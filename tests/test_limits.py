@@ -4,6 +4,7 @@ anchor-hull sandwich bound."""
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -926,18 +927,35 @@ class TestFirstExitBatchAgainstWholePaths:
 TINY_C = math.nextafter(1e-12, math.inf)  # StableSpec takes c > 1e-12
 
 
+def _count_bytes(spec, dt, trials, seed=13, t=4.0):
+    """(block, per-trial) bytes of the renewal counts over [0, t] of
+    ``trials`` walks of ``spec``."""
+    n = _walk_steps(spec.flavor, t, dt)
+    one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
+    got = _exit_values(spec, t, n, trials, seed, "renewal")
+    return np.array(got).tobytes(), np.array(trial_values(seed, "renewal", trials, one)).tobytes()
+
+
 def _walk_block_bytes(spec, dt, trials, seed=13, t=4.0):
     """(block, per-trial) bytes of the renewal counts over [0, t] and the
     first exits (time, *point) over [0, 40] of ``trials`` walks of ``spec``."""
-    n = _walk_steps(spec.flavor, t, dt)
-    one = lambda rng: _scan_for(spec, t, n, rng, exit_times).n_exits / t  # noqa: E731
-    got = [_exit_values(spec, t, n, trials, seed, "renewal")]
-    want = [trial_values(seed, "renewal", trials, one)]
+    got, want = _count_bytes(spec, dt, trials, seed, t)
     args = (spec, 40.0, _walk_steps(spec.flavor, 40.0, dt), trials, seed, "first_exit",
             lambda t, x: (t, *x))
-    got.append(_first_exit_values(*args))
-    want.append(first_exit_values_whole(*args))
-    return [np.array(v).tobytes() for v in got], [np.array(v).tobytes() for v in want]
+    return ([got, _first_exit_values(*args).tobytes()],
+            [want, first_exit_values_whole(*args).tobytes()])
+
+
+def _record_pieces(monkeypatch):
+    """A list that gets (rows, steps) of every piece the walk kernel draws."""
+    pieces, real = [], limits._walk_piece
+
+    def piece(spec, n_steps, horizon, rngs, buf, lo, m):
+        pieces.append((len(rngs), m))
+        return real(spec, n_steps, horizon, rngs, buf, lo, m)
+
+    monkeypatch.setattr(limits, "_walk_piece", piece)
+    return pieces
 
 
 class _EdgeStepRng:
@@ -980,12 +998,24 @@ class TestWalkBlocksAgainstPerTrial:
         got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=c, d=d), dt, 129)
         assert got == want
 
+    @pytest.mark.parametrize("counts_at_edge", [False, True], ids=["own_budget", "edge"])
     @pytest.mark.parametrize("c", [1e-4, 0.5])
-    def test_one_row_one_step_blocks_in_1000_dimensions(self, c):
-        # from d = 257 a block holds one row, and from d = 993 a piece one
-        # step; a step is about 0.3 long at c = 1e-4 and 4.5 at c = 0.5
-        got, want = _walk_block_bytes(StableSpec(alpha=2.0, c=c, d=1000), 0.5, 3, t=2.0)
+    def test_one_row_one_step_blocks_in_1000_dimensions(self, monkeypatch, c, counts_at_edge):
+        # under the first-exit budget a block holds one row from d = 257 and
+        # a piece one step from d = 993; counts reach that edge when they
+        # take that budget too, and under their own draw 2 rows at once. A
+        # step is about 0.3 long at c = 1e-4 and 4.5 at c = 0.5
+        if counts_at_edge:
+            monkeypatch.setattr(limits, "_WALK_COUNT_VALUES", limits._WALK_BLOCK_VALUES)
+        spec = StableSpec(alpha=2.0, c=c, d=1000)
+        pieces = _record_pieces(monkeypatch)  # (rows, steps) of each piece
+        got, want = _count_bytes(spec, 0.5, 3, t=2.0)
         assert got == want
+        assert set(pieces) == ({(1, 1)} if counts_at_edge else {(1, 4), (2, 4)})
+        pieces.clear()
+        args = (spec, 40.0, 80, 3, 13, "first_exit", lambda t, x: (t, *x))
+        assert _first_exit_values(*args).tobytes() == first_exit_values_whole(*args).tobytes()
+        assert set(pieces) == {(1, 1)}
 
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 128, 129, 200])
     def test_trial_counts_across_block_edges(self, trials):
@@ -1031,6 +1061,51 @@ class TestWalkBlocksAgainstPerTrial:
         assert got[1].tobytes() == serial[1].tobytes()
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestCountWidths:
+    """Count blocks draw each walk in pieces as wide as their budget,
+    ``_WALK_COUNT_VALUES``, allows, and neither the piece width nor the row
+    cap moves a count. With the budget patched down to one-step pieces and
+    to pieces that end inside a W-point window, and up to one piece per
+    walk, every count is that of the whole per-trial scan, bit for bit."""
+
+    @pytest.mark.parametrize("budget", ["one_step", "straddle", "whole"])
+    @pytest.mark.parametrize("dt", [0.02, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_same_counts_as_per_trial_scans(self, monkeypatch, d, dt, budget):
+        # 1 double: one-row blocks of one-step pieces; 1000 d: blocks of 6
+        # and 7 rows, in pieces of 134 and 110 steps; 2**40: 40 rows, drawn whole
+        values = {"one_step": 1, "straddle": 1000 * d, "whole": 1 << 40}[budget]
+        monkeypatch.setattr(limits, "_WALK_COUNT_VALUES", values)
+        pieces = _record_pieces(monkeypatch)
+        got, want = _count_bytes(StableSpec(alpha=2.0, c=0.7, d=d), dt, 40, t=150 * dt)
+        assert got == want
+        if budget == "one_step":
+            assert set(pieces) == {(1, 1)} and len(pieces) == 40 * 150
+        elif budget == "straddle":
+            assert {134, 110} <= {m for _, m in pieces}
+        else:
+            assert set(pieces) == {(40, 150)}
+
+
+class TestWalkCountMemory:
+    # A count block's largest array is its piece buffer, at most
+    # _WALK_COUNT_VALUES doubles, and its finiteness test takes a max and a
+    # min of the piece where np.abs made a copy. So the traced peak of
+    # exit_scan's t = 100 block stays under 1.5x the budget's bytes, which
+    # a second piece-sized temporary would pass. The call and the bound were
+    # fixed before the first run. The short call before them imports
+    # numpy.random, 0.8 MB that the first scan of a process would trace.
+    def test_peak_allocation_under_one_and_a_half_budgets(self):
+        _exit_values(BROWNIAN2, 1.0, 50, 2, 0, "renewal")
+        tracemalloc.start()
+        try:
+            _exit_values(BROWNIAN2, 100.0, 5000, 100, 0, "renewal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * limits._WALK_COUNT_VALUES
 
 
 # (spec, the scan _exit_values routes it to, for a count and for a first exit)
